@@ -17,17 +17,6 @@ from .errors import ConfigError, MindpipeError
 
 logger = logging.getLogger(__name__)
 
-_STAGE_COMMANDS = (
-    "ingest",
-    "filter",
-    "extract",
-    "aggregate",
-    "diagnose",
-    "recommend",
-    "interact",
-    "report",
-)
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="YAML config file")
@@ -73,14 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ingest = sub.add_parser("ingest", help="parse dump files and select the cohort")
-    ingest.add_argument("--input", type=Path, nargs="+", required=True)
-    ingest.add_argument("--out", type=Path, required=True, help="run directory")
-    _add_config_flags(ingest)
-
-    for name in _STAGE_COMMANDS[1:]:
-        stage = sub.add_parser(name, help=f"run the {name} stage on a run directory")
-        stage.add_argument("--run", type=Path, required=True)
+    for name in pipeline.STAGE_NAMES:
+        if name == "ingest":
+            stage = sub.add_parser(name, help="parse dump files and select the cohort")
+            stage.add_argument("--input", type=Path, nargs="+", required=True)
+            stage.add_argument(
+                "--out", dest="run", metavar="OUT", type=Path, required=True, help="run directory"
+            )
+        else:
+            stage = sub.add_parser(name, help=f"run the {name} stage on a run directory")
+            stage.add_argument("--run", type=Path, required=True)
         _add_config_flags(stage)
 
     run_all = sub.add_parser("run-all", help="run every stage, resuming intact ones")
@@ -92,22 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--run", type=Path, default=None)
     cache.add_argument("--cache-dir", type=Path, default=None)
     return parser
-
-
-def _run_single_stage(name: str, run_dir: Path, config, input_paths=None) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
-    with pipeline.RunLock(run_dir):
-        manifest = pipeline.load_manifest(run_dir)
-        if manifest is None:
-            manifest = pipeline.new_manifest(
-                config, [str(p) for p in (input_paths or [])]
-            )
-        else:
-            manifest["config"] = config.snapshot()
-            manifest["config_digest"] = pipeline.config_digest(config)
-            if input_paths:
-                manifest["input_paths"] = [str(p) for p in input_paths]
-        pipeline.execute_stage(name, run_dir, config, manifest, input_paths=input_paths)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,12 +108,10 @@ def main(argv: list[str] | None = None) -> int:
 
         config = load_config(args.config, _overrides(args))
 
-        if args.command == "ingest":
-            _run_single_stage("ingest", args.out, config, input_paths=args.input)
-        elif args.command == "run-all":
+        if args.command == "run-all":
             pipeline.run_all(config, args.input, args.out)
         else:
-            _run_single_stage(args.command, args.run, config)
+            pipeline.run_stage(args.command, config, getattr(args, "input", None), args.run)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -45,19 +45,6 @@ class RawEntry:
             "parent_id": self.parent_id,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RawEntry":
-        return cls(
-            id=data["id"],
-            author=data["author"],
-            kind=data["kind"],
-            created_utc=data["created_utc"],
-            subreddit=data["subreddit"],
-            body=data["body"],
-            title=data.get("title"),
-            parent_id=data.get("parent_id"),
-        )
-
 
 @dataclass
 class Reject:

@@ -1,14 +1,13 @@
-"""Content-addressed response cache: append-only JSONL index plus per-key text files.
+"""Content-addressed response cache: one text file per cache key.
 
 Layout under the cache directory:
 
-    index.jsonl           one metadata record per stored response
     objects/<digest>.txt  the response for one cache key, JSON-framed
 
-The object file is the source of truth; a missing, truncated, or
-otherwise damaged object is treated as a miss and rewritten. Writes are
-atomic (temp file + rename), so concurrent writers of the same key
-degrade to last-writer-wins.
+A missing, truncated, or otherwise damaged object is treated as a miss
+and rewritten. Writes are atomic: each writer writes its own temp file
+(named by process and thread) and renames it over the object, so
+concurrent writers of the same key degrade to last-writer-wins.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
+import threading
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -24,10 +23,8 @@ logger = logging.getLogger(__name__)
 
 class ResponseCache:
     def __init__(self, directory: str | Path):
-        self.root = Path(directory)
-        self.objects = self.root / "objects"
+        self.objects = Path(directory) / "objects"
         self.objects.mkdir(parents=True, exist_ok=True)
-        self.index_path = self.root / "index.jsonl"
 
     def _object_path(self, key: str) -> Path:
         return self.objects / f"{key}.txt"
@@ -48,14 +45,11 @@ class ResponseCache:
             logger.warning("cache entry %s corrupt, treating as miss: %s", key, exc)
             return None
 
-    def put(self, key: str, summary: dict, text: str) -> None:
+    def put(self, key: str, text: str) -> None:
         path = self._object_path(key)
-        tmp = path.with_suffix(".tmp")
+        tmp = path.with_name(f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps({"text": text}, ensure_ascii=False), encoding="utf-8")
         os.replace(tmp, path)
-        record = {"key": key, "stored_at": time.time(), **summary}
-        with self.index_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     def stats(self) -> tuple[int, int]:
         """(entry count, total stored bytes) over the object store."""

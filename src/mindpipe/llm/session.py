@@ -30,20 +30,6 @@ class CallRecord:
     stop: list[str] | None
     messages: list[dict[str, str]] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "template": self.template,
-            "tags": self.tags,
-            "cache_hit": self.cache_hit,
-            "reask": self.reask,
-            "model": self.model,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "top_p": self.top_p,
-            "stop": self.stop,
-        }
-
 
 class LlmSession:
     """Shared entry point for every completion the pipeline makes.
@@ -98,12 +84,7 @@ class LlmSession:
             result = self.backend.complete(request)
             text = result.text
             if self.cache is not None:
-                user = request.user_content()
-                self.cache.put(
-                    key,
-                    {"model": self.model, "template": template_name, "user_preview": user[:80]},
-                    text,
-                )
+                self.cache.put(key, text)
         with self._lock:
             if hit:
                 self.hits += 1

@@ -1,4 +1,4 @@
-"""Stage orchestration: run directory, manifest, resume, and the stage functions.
+"""Stage orchestration: the stage table, run directory, manifest and resume.
 
 Stage graph (deps in parentheses):
 
@@ -7,9 +7,17 @@ Stage graph (deps in parentheses):
     interact(filter)
     report(everything)
 
+``STAGES`` is the one description of a stage: its function, deps, the
+run-dir files it reads and writes, and the resource files (prompt
+templates, data files) it reads. ``run-all``, the single-stage CLI and the
+skip check all read it.
+
 A stage is skipped on rerun when its manifest record is intact: same
-config digest, same input digest, outputs present with the recorded
-digest, and no upstream stage re-executed this invocation.
+config digest (the config plus the tool version), same input digest,
+outputs present with the recorded digest, and no upstream stage
+re-executed this invocation. The input digest covers the bytes of the
+stage's run-dir inputs (the dump files, for ingest), of its resource
+files, and of the mock rule table when a backend stage runs on the mock.
 """
 
 from __future__ import annotations
@@ -20,9 +28,10 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import __version__, runfiles
 from .aggregation import (
@@ -61,7 +70,7 @@ from .llm.mock_backend import MockBackend
 from .llm.ratelimit import RateLimiter
 from .llm.session import LlmSession
 from .llm.templates import load_templates
-from .recommendation import load_blocklist, recommend, safety_notice
+from .recommendation import recommend, safety_notice
 from .reports import emit_reports
 
 logger = logging.getLogger(__name__)
@@ -75,53 +84,10 @@ DISPOSITION_UNKNOWN = "relevance_unknown"
 _RETAINED = (DISPOSITION_FLAGGED, DISPOSITION_RETAINED)
 
 
-@dataclass(frozen=True)
-class StageDef:
-    name: str
-    deps: tuple[str, ...]
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    uses_backend: bool
-
-
-STAGES: tuple[StageDef, ...] = (
-    StageDef("ingest", (), (), (runfiles.ENTRIES, runfiles.REJECTS, runfiles.COHORT), False),
-    StageDef("filter", ("ingest",), (runfiles.ENTRIES, runfiles.COHORT), (runfiles.FILTERED,), True),
-    StageDef("extract", ("filter",), (runfiles.FILTERED,), (runfiles.FEATURES,), True),
-    StageDef(
-        "aggregate",
-        ("filter", "extract"),
-        (runfiles.FILTERED, runfiles.FEATURES, runfiles.COHORT),
-        (runfiles.SUMMARIES,),
-        True,
-    ),
-    StageDef("diagnose", ("aggregate",), (runfiles.SUMMARIES,), (runfiles.DIAGNOSIS,), True),
-    StageDef(
-        "recommend",
-        ("diagnose", "aggregate"),
-        (runfiles.DIAGNOSIS, runfiles.SUMMARIES),
-        (runfiles.RECOMMENDATIONS,),
-        True,
-    ),
-    StageDef("interact", ("filter",), (runfiles.FILTERED,), (runfiles.RELATIONS,), True),
-    StageDef(
-        "report",
-        ("ingest", "filter", "extract", "aggregate", "diagnose", "recommend", "interact"),
-        (
-            runfiles.COHORT,
-            runfiles.FILTERED,
-            runfiles.FEATURES,
-            runfiles.SUMMARIES,
-            runfiles.DIAGNOSIS,
-            runfiles.RECOMMENDATIONS,
-            runfiles.RELATIONS,
-        ),
-        (runfiles.REPORTS_DIR,),
-        False,
-    ),
-)
-
-STAGE_NAMES = tuple(stage.name for stage in STAGES)
+# Resource names: "prompts/<file>" resolves under config.prompts_dir(),
+# LEXICON to config.lexicon_path(), anything else to a packaged data file.
+LEXICON = "lexicon"
+MOCK_RULES = "data/mock_rules.json"
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +106,7 @@ def build_session(config: PipelineConfig, run_dir: Path) -> LlmSession:
             limiter=RateLimiter(config.limits.rps, config.limits.concurrency),
         )
     else:
-        backend = MockBackend(packaged_path("data/mock_rules.json"))
+        backend = MockBackend(packaged_path(MOCK_RULES))
     return LlmSession(backend, templates, model=config.backend.model, cache=cache)
 
 
@@ -157,11 +123,8 @@ def _write_backend_log(run_dir: Path, stage: str, session: LlmSession | None) ->
         return
     log_dir = run_dir / runfiles.LOGS_DIR
     log_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for record in session.records:
-        row = record.to_dict()
-        row["messages"] = record.messages
-        rows.append(row)
+    # vars() keeps the field order; asdict() would deep-copy every message list
+    rows = [vars(record) for record in session.records]
     runfiles.write_jsonl(log_dir / f"backend_{stage}.jsonl", rows)
 
 
@@ -170,50 +133,42 @@ def _write_backend_log(run_dir: Path, stage: str, session: LlmSession | None) ->
 # ---------------------------------------------------------------------------
 
 
-def stage_ingest(run_dir: Path, config: PipelineConfig, input_paths: list[Path]) -> dict:
-    """Parse dump files, write entries/rejects, and select the cohort."""
-    entries_path = run_dir / runfiles.ENTRIES
-    rejects_path = run_dir / runfiles.REJECTS
-    entry_rows: list[dict] = []
+def stage_ingest(run_dir: Path, config: PipelineConfig, session: None, manifest: dict) -> dict:
+    """Parse the manifest's dump files, write entries/rejects, and select the cohort."""
+    entries: list[RawEntry] = []
     reject_rows: list[dict] = []
-    authors: dict[str, int] = {}
     seen_ids: set[str] = set()
     lines = 0
-    for path in input_paths:
-        with Path(path).open(encoding="utf-8") as handle:
-            file_lines = 0
+    for path in map(Path, manifest["input_paths"]):
+        with path.open(encoding="utf-8") as handle:
             for item in iter_parse(handle, seen_ids=seen_ids):
-                file_lines += 1
+                lines += 1
                 if isinstance(item, RawEntry):
-                    entry_rows.append(item.to_dict())
-                    authors[item.author] = authors.get(item.author, 0) + 1
+                    entries.append(item)
                 else:
                     reject_rows.append(
                         {"file": str(path), "line_no": item.line_no, "reason": item.reason}
                     )
-            lines += file_lines
-    runfiles.write_jsonl(entries_path, entry_rows)
-    runfiles.write_jsonl(rejects_path, reject_rows)
+    runfiles.write_jsonl(run_dir / runfiles.ENTRIES, [entry.to_dict() for entry in entries])
+    runfiles.write_jsonl(run_dir / runfiles.REJECTS, reject_rows)
 
-    entries = [RawEntry.from_dict(row) for row in entry_rows]
     cohort = select_cohort(entries, config.pipeline.cohort_size)
     runfiles.write_json(run_dir / runfiles.COHORT, cohort.to_dict())
-    cohort_authors = cohort.authors()
     cohort_entries = sum(count for _, count in cohort.users)
     return {
         "lines": lines,
-        "parsed": len(entry_rows),
+        "parsed": len(entries),
         "rejected": len(reject_rows),
-        "distinct_authors": len(authors),
+        "distinct_authors": len({entry.author for entry in entries}),
         "cohort_authors": len(cohort.users),
         "cohort_entries": cohort_entries,
-        "noncohort_entries": len(entry_rows) - cohort_entries,
-        "cache_hits": 0,
-        "cache_misses": 0,
+        "noncohort_entries": len(entries) - cohort_entries,
     }
 
 
-def stage_filter(run_dir: Path, config: PipelineConfig, session: LlmSession) -> dict:
+def stage_filter(
+    run_dir: Path, config: PipelineConfig, session: LlmSession, manifest: dict
+) -> dict:
     """Clean, safety-screen, and relevance-filter the cohort's entries."""
     entry_rows = runfiles.read_jsonl(run_dir / runfiles.ENTRIES, "ingest")
     cohort = Cohort.from_dict(runfiles.read_json(run_dir / runfiles.COHORT, "ingest"))
@@ -221,7 +176,7 @@ def stage_filter(run_dir: Path, config: PipelineConfig, session: LlmSession) -> 
     lexicon = load_lexicon(config.lexicon_path())
 
     cohort_entries = [
-        RawEntry.from_dict(row) for row in entry_rows if row["author"] in cohort_authors
+        _from_row(RawEntry, row) for row in entry_rows if row["author"] in cohort_authors
     ]
 
     def process(entry: RawEntry) -> dict:
@@ -266,20 +221,25 @@ def stage_filter(run_dir: Path, config: PipelineConfig, session: LlmSession) -> 
         "irrelevant": dispositions.count(DISPOSITION_IRRELEVANT),
         "relevance_unknown": dispositions.count(DISPOSITION_UNKNOWN),
         "retained": sum(1 for d in dispositions if d in _RETAINED),
-        "cache_hits": session.hits,
-        "cache_misses": session.misses,
     }
+
+
+def _from_row(cls, row: dict):
+    """The dataclass ``cls`` built from the row keys that name its fields."""
+    return cls(**{f.name: row[f.name] for f in fields(cls)})
 
 
 def _clean_from_row(row: dict) -> CleanEntry:
     return CleanEntry(
-        entry=RawEntry.from_dict(row["entry"]),
+        entry=_from_row(RawEntry, row["entry"]),
         clean_text=row["clean_text"],
         removed=row.get("removed"),
     )
 
 
-def stage_extract(run_dir: Path, config: PipelineConfig, session: LlmSession) -> dict:
+def stage_extract(
+    run_dir: Path, config: PipelineConfig, session: LlmSession, manifest: dict
+) -> dict:
     """Per-entry non-temporal features and temporal annotations."""
     filtered = runfiles.read_jsonl(run_dir / runfiles.FILTERED, "filter")
     retained = [row for row in filtered if row["disposition"] in _RETAINED]
@@ -332,21 +292,12 @@ def stage_extract(run_dir: Path, config: PipelineConfig, session: LlmSession) ->
         "flagged_entries": sum(1 for row in rows if row["flagged"]),
         "timeline_found": sum(1 for row in ok_rows if row.get("timeline") is not None),
         "temporal_degraded": sum(1 for row in ok_rows if row.get("temporal_degraded")),
-        "cache_hits": session.hits,
-        "cache_misses": session.misses,
     }
 
 
-def _features_from_row(row: dict) -> NonTemporalFeatures:
-    return NonTemporalFeatures(
-        severity=row["severity"],
-        causes=row["causes"],
-        tone=row["tone"],
-        disorders=row["disorders"],
-    )
-
-
-def stage_aggregate(run_dir: Path, config: PipelineConfig, session: LlmSession) -> dict:
+def stage_aggregate(
+    run_dir: Path, config: PipelineConfig, session: LlmSession, manifest: dict
+) -> dict:
     """Build per-user records and produce both user-level summaries."""
     filtered = runfiles.read_jsonl(run_dir / runfiles.FILTERED, "filter")
     features = runfiles.read_jsonl(run_dir / runfiles.FEATURES, "extract")
@@ -365,7 +316,7 @@ def stage_aggregate(run_dir: Path, config: PipelineConfig, session: LlmSession) 
                 created_utc=row["created_utc"],
                 kind=row["kind"],
                 clean_text=source["clean_text"],
-                features=_features_from_row(row),
+                features=_from_row(NonTemporalFeatures, row),
                 annotation=TemporalAnnotation(
                     creation_time=row["created_utc"], timeline=row.get("timeline")
                 ),
@@ -385,10 +336,7 @@ def stage_aggregate(run_dir: Path, config: PipelineConfig, session: LlmSession) 
             "non_temporal": None,
             "temporal": None,
             "failure": None,
-            "chronology": [
-                {"date": e.date, "timeline": e.timeline, "content": e.content}
-                for e in chronology.events
-            ],
+            "chronology": [asdict(event) for event in chronology.events],
             "monthly_counts": monthly_counts(record),
             "entry_count": len(record.entries),
             "flagged_entries": sum(1 for e in record.entries if e.flagged),
@@ -407,22 +355,9 @@ def stage_aggregate(run_dir: Path, config: PipelineConfig, session: LlmSession) 
             row["failure"] = temporal_failure
             return row
         row["status"] = "ok"
-        row["non_temporal"] = {
-            "overall_severity": non_temporal.overall_severity,
-            "triggers": non_temporal.triggers,
-            "disorders": non_temporal.disorders,
-            "language_tone": non_temporal.language_tone,
-            "recurring_themes": non_temporal.recurring_themes,
-            "overall_status": non_temporal.overall_status,
-        }
+        row["non_temporal"] = asdict(non_temporal)
         if temporal is not None:
-            row["temporal"] = {
-                "chronological_events": temporal.chronological_events,
-                "duration": temporal.duration,
-                "frequency": temporal.frequency,
-                "recurrence": temporal.recurrence,
-                "explicit_times": temporal.explicit_times,
-            }
+            row["temporal"] = asdict(temporal)
         return row
 
     rows = _map_items(records, process, config.limits.concurrency)
@@ -437,44 +372,21 @@ def stage_aggregate(run_dir: Path, config: PipelineConfig, session: LlmSession) 
         "safety_excluded": statuses.count("safety_excluded"),
         "omitted_no_entries": omitted,
         "temporal_summaries": sum(1 for row in rows if row["temporal"] is not None),
-        "cache_hits": session.hits,
-        "cache_misses": session.misses,
     }
 
 
-def _summaries_from_row(row: dict) -> tuple[NonTemporalSummary, TemporalSummary | None]:
-    nt = row["non_temporal"]
-    non_temporal = NonTemporalSummary(
-        overall_severity=nt["overall_severity"],
-        triggers=nt["triggers"],
-        disorders=nt["disorders"],
-        language_tone=nt["language_tone"],
-        recurring_themes=nt["recurring_themes"],
-        overall_status=nt["overall_status"],
-    )
-    temporal = None
-    if row.get("temporal") is not None:
-        t = row["temporal"]
-        temporal = TemporalSummary(
-            chronological_events=t["chronological_events"],
-            duration=t["duration"],
-            frequency=t["frequency"],
-            recurrence=t["recurrence"],
-            explicit_times=t["explicit_times"],
-        )
-    return non_temporal, temporal
-
-
-def stage_diagnose(run_dir: Path, config: PipelineConfig, session: LlmSession) -> dict:
+def stage_diagnose(
+    run_dir: Path, config: PipelineConfig, session: LlmSession, manifest: dict
+) -> dict:
     """Fused diagnosis summary for every successfully summarized user."""
     summaries = runfiles.read_jsonl(run_dir / runfiles.SUMMARIES, "aggregate")
     ready = [row for row in summaries if row["status"] == "ok"]
 
     def process(row: dict) -> dict:
-        non_temporal, temporal = _summaries_from_row(row)
+        temporal = TemporalSummary(**row["temporal"]) if row["temporal"] else None
         summary, failure = diagnose(
             row["author"],
-            non_temporal,
+            NonTemporalSummary(**row["non_temporal"]),
             temporal,
             session,
             slack=config.pipeline.word_budget_slack,
@@ -497,17 +409,17 @@ def stage_diagnose(run_dir: Path, config: PipelineConfig, session: LlmSession) -
         "diagnosed": len(diagnosed),
         "failures": len(rows) - len(diagnosed),
         "over_budget": sum(1 for row in diagnosed if row["over_budget"]),
-        "cache_hits": session.hits,
-        "cache_misses": session.misses,
     }
 
 
-def stage_recommend(run_dir: Path, config: PipelineConfig, session: LlmSession) -> dict:
+def stage_recommend(
+    run_dir: Path, config: PipelineConfig, session: LlmSession, manifest: dict
+) -> dict:
     """Recommendation sets for diagnosed users; escalations for safety-excluded ones."""
     summaries = runfiles.read_jsonl(run_dir / runfiles.SUMMARIES, "aggregate")
     diagnosis_rows = runfiles.read_jsonl(run_dir / runfiles.DIAGNOSIS, "diagnose")
     diagnosis_by_author = {row["author"]: row for row in diagnosis_rows}
-    blocklist = load_blocklist(packaged_path("data/medication_blocklist.txt"))
+    blocklist = load_lexicon(packaged_path("data/medication_blocklist.txt"))
 
     diagnosed = [
         row
@@ -517,13 +429,7 @@ def stage_recommend(run_dir: Path, config: PipelineConfig, session: LlmSession) 
     ]
 
     def process(row: dict) -> dict:
-        diag_row = diagnosis_by_author[row["author"]]
-        diag = DiagnosisSummary(
-            author=diag_row["author"],
-            text=diag_row["text"],
-            word_count=diag_row["word_count"],
-            over_budget=diag_row["over_budget"],
-        )
+        diag = _from_row(DiagnosisSummary, diagnosis_by_author[row["author"]])
         rec, failure = recommend(diag, session, blocklist)
         if failure is not None:
             return {
@@ -562,12 +468,12 @@ def stage_recommend(run_dir: Path, config: PipelineConfig, session: LlmSession) 
         "truncation_warnings": sum(
             1 for row in ok_rows if any("truncated" in w for w in row["warnings"])
         ),
-        "cache_hits": session.hits,
-        "cache_misses": session.misses,
     }
 
 
-def stage_interact(run_dir: Path, config: PipelineConfig, session: LlmSession) -> dict:
+def stage_interact(
+    run_dir: Path, config: PipelineConfig, session: LlmSession, manifest: dict
+) -> dict:
     """Pair retained comments with their posts and classify each pair."""
     filtered = runfiles.read_jsonl(run_dir / runfiles.FILTERED, "filter")
     retained_rows = [row for row in filtered if row["disposition"] in _RETAINED]
@@ -597,20 +503,112 @@ def stage_interact(run_dir: Path, config: PipelineConfig, session: LlmSession) -
         "skipped_no_parent": skipped,
         "classified": len(rows),
         "unprocessed_safety": sum(1 for row in rows if row["relation"] == "unprocessed_safety"),
-        "cache_hits": session.hits,
-        "cache_misses": session.misses,
     }
 
 
-def stage_report(run_dir: Path, config: PipelineConfig, manifest: dict) -> dict:
+def stage_report(run_dir: Path, config: PipelineConfig, session: None, manifest: dict) -> dict:
     stage_stats = {
         name: record.get("stats", {})
         for name, record in manifest.get("stages", {}).items()
         if record.get("status") == "ok" and name != "report"
     }
-    counters = emit_reports(run_dir, config, stage_stats)
-    counters.update({"cache_hits": 0, "cache_misses": 0})
-    return counters
+    return emit_reports(run_dir, config, stage_stats)
+
+
+# ---------------------------------------------------------------------------
+# Stage table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StageDef:
+    """One stage: its function, the stages it follows, the run-dir files it
+    reads and writes, and the resource files whose bytes its outputs depend on."""
+
+    name: str
+    run: Callable[[Path, PipelineConfig, LlmSession | None, dict], dict]
+    deps: tuple[str, ...]
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    resources: tuple[str, ...] = ()
+    uses_backend: bool = True
+
+
+# Each entry: name, function, deps / run-dir inputs, outputs / resources.
+STAGES: tuple[StageDef, ...] = (
+    StageDef(
+        "ingest", stage_ingest, (),
+        (), (runfiles.ENTRIES, runfiles.REJECTS, runfiles.COHORT),
+        uses_backend=False,
+    ),
+    StageDef(
+        "filter", stage_filter, ("ingest",),
+        (runfiles.ENTRIES, runfiles.COHORT), (runfiles.FILTERED,),
+        ("prompts/relevance.txt", "prompts/safety.txt", LEXICON),
+    ),
+    StageDef(
+        "extract", stage_extract, ("filter",),
+        (runfiles.FILTERED,), (runfiles.FEATURES,),
+        ("prompts/extract_features.txt", "prompts/extract_temporal.txt"),
+    ),
+    StageDef(
+        "aggregate", stage_aggregate, ("filter", "extract"),
+        (runfiles.FILTERED, runfiles.FEATURES, runfiles.COHORT), (runfiles.SUMMARIES,),
+        ("prompts/summary_non_temporal.txt", "prompts/summary_temporal.txt"),
+    ),
+    StageDef(
+        "diagnose", stage_diagnose, ("aggregate",),
+        (runfiles.SUMMARIES,), (runfiles.DIAGNOSIS,),
+        ("prompts/diagnosis.txt",),
+    ),
+    StageDef(
+        "recommend", stage_recommend, ("diagnose", "aggregate"),
+        (runfiles.DIAGNOSIS, runfiles.SUMMARIES), (runfiles.RECOMMENDATIONS,),
+        ("prompts/recommendation.txt", "data/medication_blocklist.txt"),
+    ),
+    StageDef(
+        "interact", stage_interact, ("filter",),
+        (runfiles.FILTERED,), (runfiles.RELATIONS,),
+        ("prompts/relation.txt",),
+    ),
+    StageDef(
+        "report",
+        stage_report,
+        ("ingest", "filter", "extract", "aggregate", "diagnose", "recommend", "interact"),
+        (
+            runfiles.COHORT,
+            runfiles.FILTERED,
+            runfiles.FEATURES,
+            runfiles.SUMMARIES,
+            runfiles.DIAGNOSIS,
+            runfiles.RECOMMENDATIONS,
+            runfiles.RELATIONS,
+        ),
+        (runfiles.REPORTS_DIR,),
+        ("data/therapy_aliases.json",),
+        uses_backend=False,
+    ),
+)
+
+STAGE_NAMES = tuple(stage.name for stage in STAGES)
+_STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
+
+
+def resource_paths(stage: StageDef, config: PipelineConfig) -> list[Path]:
+    """The files outside the run directory whose bytes the stage's outputs depend on."""
+    names = list(stage.resources)
+    if stage.uses_backend and config.backend.kind != BACKEND_HTTP:
+        names.append(MOCK_RULES)
+    paths = []
+    for name in names:
+        folder, _, file_name = name.partition("/")
+        if name == LEXICON:
+            paths.append(config.lexicon_path())
+        elif folder == "prompts":
+            paths.append(config.prompts_dir() / file_name)
+        else:
+            paths.append(packaged_path(name))
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +619,7 @@ def stage_report(run_dir: Path, config: PipelineConfig, manifest: dict) -> dict:
 def _digest_paths(paths: list[Path], base: Path | None = None) -> str:
     hasher = hashlib.sha256()
     for path in paths:
-        label = str(path.relative_to(base)) if base else path.name
+        label = str(path.relative_to(base)) if base and path.is_relative_to(base) else path.name
         hasher.update(label.encode("utf-8"))
         hasher.update(b"\0")
         hasher.update(path.read_bytes())
@@ -640,10 +638,14 @@ def _expand(run_dir: Path, names: tuple[str, ...]) -> list[Path]:
     return paths
 
 
-def stage_input_digest(stage: StageDef, run_dir: Path, input_paths: list[Path]) -> str:
+def stage_input_digest(
+    stage: StageDef, run_dir: Path, config: PipelineConfig, input_paths: list[str]
+) -> str:
     if stage.name == "ingest":
-        return _digest_paths([Path(p) for p in input_paths])
-    return _digest_paths(_expand(run_dir, stage.inputs), base=run_dir)
+        inputs = [Path(p) for p in input_paths]
+    else:
+        inputs = _expand(run_dir, stage.inputs)
+    return _digest_paths(inputs + resource_paths(stage, config), base=run_dir)
 
 
 def stage_output_digest(stage: StageDef, run_dir: Path) -> str | None:
@@ -654,7 +656,9 @@ def stage_output_digest(stage: StageDef, run_dir: Path) -> str | None:
 
 
 def config_digest(config: PipelineConfig) -> str:
-    return hashlib.sha256(config.digest_source().encode("utf-8")).hexdigest()
+    """Digest of the config and the tool version; a change in either re-runs every stage."""
+    source = f"{__version__}\0{config.digest_source()}"
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def load_manifest(run_dir: Path) -> dict | None:
@@ -678,6 +682,22 @@ def new_manifest(config: PipelineConfig, input_paths: list[str]) -> dict:
         "stage_order": [],
         "cache": {"hits": 0, "misses": 0, "hit_ratio": None},
     }
+
+
+@contextmanager
+def _open_run(
+    config: PipelineConfig, input_paths: list[Path] | None, run_dir: Path
+) -> Iterator[dict]:
+    """Lock the run directory and yield its manifest, set to this config and these inputs."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    with RunLock(run_dir):
+        manifest = load_manifest(run_dir) or new_manifest(config, [])
+        manifest["tool_version"] = __version__
+        manifest["config"] = config.snapshot()
+        manifest["config_digest"] = config_digest(config)
+        if input_paths:
+            manifest["input_paths"] = [str(p) for p in input_paths]
+        yield manifest
 
 
 class RunLock:
@@ -722,45 +742,16 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _stage_by_name(name: str) -> StageDef:
-    for stage in STAGES:
-        if stage.name == name:
-            return stage
-    raise ValueError(f"unknown stage: {name}")
-
-
-def execute_stage(
-    name: str,
-    run_dir: Path,
-    config: PipelineConfig,
-    manifest: dict,
-    input_paths: list[Path] | None = None,
-) -> dict:
+def execute_stage(name: str, run_dir: Path, config: PipelineConfig, manifest: dict) -> dict:
     """Run one stage, record its manifest entry, persist the backend log."""
-    stage = _stage_by_name(name)
-    inputs = [Path(p) for p in (input_paths or manifest.get("input_paths", []))]
+    stage = _STAGE_BY_NAME[name]
     session = build_session(config, run_dir) if stage.uses_backend else None
     started = time.time()
     logger.info("stage %s: running", name)
     try:
-        if name == "ingest":
-            stats = stage_ingest(run_dir, config, inputs)
-        elif name == "filter":
-            stats = stage_filter(run_dir, config, session)
-        elif name == "extract":
-            stats = stage_extract(run_dir, config, session)
-        elif name == "aggregate":
-            stats = stage_aggregate(run_dir, config, session)
-        elif name == "diagnose":
-            stats = stage_diagnose(run_dir, config, session)
-        elif name == "recommend":
-            stats = stage_recommend(run_dir, config, session)
-        elif name == "interact":
-            stats = stage_interact(run_dir, config, session)
-        elif name == "report":
-            stats = stage_report(run_dir, config, manifest)
-        else:  # pragma: no cover - guarded by _stage_by_name
-            raise ValueError(name)
+        stats = stage.run(run_dir, config, session, manifest)
+        # a resource file that is missing fails the stage here, not in a traceback
+        input_digest = stage_input_digest(stage, run_dir, config, manifest["input_paths"])
     except Exception as exc:
         manifest["stages"][name] = {
             "status": "failed",
@@ -774,10 +765,12 @@ def execute_stage(
             raise
         raise StageError(name, str(exc)) from exc
 
+    stats["cache_hits"] = session.hits if session else 0
+    stats["cache_misses"] = session.misses if session else 0
     _write_backend_log(run_dir, name, session)
     record = {
         "status": "ok",
-        "input_digest": stage_input_digest(stage, run_dir, inputs),
+        "input_digest": input_digest,
         "output_digest": stage_output_digest(stage, run_dir),
         "config_digest": manifest["config_digest"],
         "started_at": started,
@@ -793,16 +786,9 @@ def execute_stage(
 
 
 def _refresh_cache_totals(manifest: dict) -> None:
-    hits = sum(
-        record.get("stats", {}).get("cache_hits", 0)
-        for record in manifest["stages"].values()
-        if record.get("status") == "ok"
-    )
-    misses = sum(
-        record.get("stats", {}).get("cache_misses", 0)
-        for record in manifest["stages"].values()
-        if record.get("status") == "ok"
-    )
+    ok = [r["stats"] for r in manifest["stages"].values() if r.get("status") == "ok"]
+    hits = sum(stats["cache_hits"] for stats in ok)
+    misses = sum(stats["cache_misses"] for stats in ok)
     total = hits + misses
     manifest["cache"] = {
         "hits": hits,
@@ -812,29 +798,23 @@ def _refresh_cache_totals(manifest: dict) -> None:
 
 
 def _stage_clean(
-    stage: StageDef,
-    run_dir: Path,
-    manifest: dict,
-    config_dig: str,
-    reran: set[str],
+    stage: StageDef, run_dir: Path, config: PipelineConfig, manifest: dict, reran: set[str]
 ) -> bool:
     if any(dep in reran for dep in stage.deps):
         return False
     record = manifest["stages"].get(stage.name)
     if record is None or record.get("status") != "ok":
         return False
-    if record.get("config_digest") != config_dig:
+    if record.get("config_digest") != manifest["config_digest"]:
         return False
-    inputs = [Path(p) for p in manifest.get("input_paths", [])]
     try:
-        if record.get("input_digest") != stage_input_digest(stage, run_dir, inputs):
-            return False
+        digest = stage_input_digest(stage, run_dir, config, manifest["input_paths"])
     except FileNotFoundError:
         return False
-    current_output = stage_output_digest(stage, run_dir)
-    if current_output is None or current_output != record.get("output_digest"):
+    if record.get("input_digest") != digest:
         return False
-    return True
+    current_output = stage_output_digest(stage, run_dir)
+    return current_output is not None and current_output == record.get("output_digest")
 
 
 def run_all(
@@ -847,29 +827,26 @@ def run_all(
     Returns the final run manifest. ``input_paths`` may be omitted when
     resuming a directory whose manifest already records them.
     """
-    run_dir.mkdir(parents=True, exist_ok=True)
-    with RunLock(run_dir):
-        manifest = load_manifest(run_dir)
-        if manifest is None:
-            if not input_paths:
-                raise StageError("ingest", "no input paths given and no manifest to resume")
-            manifest = new_manifest(config, [str(p) for p in input_paths])
-        else:
-            manifest["config"] = config.snapshot()
-            manifest["config_digest"] = config_digest(config)
-            if input_paths:
-                manifest["input_paths"] = [str(p) for p in input_paths]
-        config_dig = manifest["config_digest"]
-
+    with _open_run(config, input_paths, run_dir) as manifest:
+        if not manifest["input_paths"]:
+            raise StageError("ingest", "no input paths given and none recorded in the manifest")
         reran: set[str] = set()
         for stage in STAGES:
-            if _stage_clean(stage, run_dir, manifest, config_dig, reran):
+            if _stage_clean(stage, run_dir, config, manifest, reran):
                 logger.info("stage %s: up to date, skipping", stage.name)
                 continue
             execute_stage(stage.name, run_dir, config, manifest)
             reran.add(stage.name)
         save_manifest(run_dir, manifest)
     return manifest
+
+
+def run_stage(
+    name: str, config: PipelineConfig, input_paths: list[Path] | None, run_dir: Path
+) -> dict:
+    """Execute one stage on a run directory, whether or not its record is intact."""
+    with _open_run(config, input_paths, run_dir) as manifest:
+        return execute_stage(name, run_dir, config, manifest)
 
 
 def cache_stats(

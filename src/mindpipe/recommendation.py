@@ -47,15 +47,6 @@ def load_aliases(path: str | Path) -> dict[str, str]:
     return {key.casefold(): value for key, value in raw.items()}
 
 
-def load_blocklist(path: str | Path) -> list[str]:
-    terms = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        term = line.split("#", 1)[0].strip().lower()
-        if term:
-            terms.append(term)
-    return terms
-
-
 def canonical_therapy(name: str, aliases: dict[str, str]) -> str:
     """Case-fold, strip parenthesized acronyms, then map through the alias table."""
     stripped = _ACRONYM_RE.sub("", name).strip().rstrip(".")

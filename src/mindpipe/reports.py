@@ -43,9 +43,8 @@ def _load_stage_rows(run_dir: Path) -> dict:
     }
 
 
-def build_run_report(run_dir: Path, config: PipelineConfig, stage_stats: dict) -> dict:
-    """Assemble all run-level statistics from the stage files."""
-    rows = _load_stage_rows(run_dir)
+def build_run_report(rows: dict, stage_stats: dict) -> dict:
+    """Assemble all run-level statistics from the stage rows."""
     feature_rows = [r for r in rows["features"] if r["status"] == "ok"]
     aliases = load_aliases(packaged_path("data/therapy_aliases.json"))
 
@@ -151,10 +150,10 @@ def _run_report_markdown(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _user_payload(author: str, rows: dict) -> dict:
-    summary_row = next((r for r in rows["summaries"] if r["author"] == author), None)
-    diagnosis_row = next((r for r in rows["diagnosis"] if r["author"] == author), None)
-    rec_row = next((r for r in rows["recommendations"] if r["author"] == author), None)
+def _user_payload(author: str, by_author: dict[str, dict[str, dict]]) -> dict:
+    summary_row = by_author["summaries"].get(author)
+    diagnosis_row = by_author["diagnosis"].get(author)
+    rec_row = by_author["recommendations"].get(author)
     status = summary_row["status"] if summary_row else "no_surviving_entries"
     payload = {"author": author, "status": status}
     if status == "safety_excluded":
@@ -261,14 +260,19 @@ def emit_reports(run_dir: Path, config: PipelineConfig, stage_stats: dict) -> di
     users_dir = reports_dir / "users"
     users_dir.mkdir(parents=True, exist_ok=True)
 
-    authors = sorted({row["author"] for row in rows["summaries"]})
+    # built from the reversed rows, so each author maps to their first row
+    by_author = {
+        name: {row["author"]: row for row in reversed(rows[name])}
+        for name in ("summaries", "diagnosis", "recommendations")
+    }
+    authors = sorted(by_author["summaries"])
     for author in authors:
-        payload = _user_payload(author, rows)
+        payload = _user_payload(author, by_author)
         slug = author_slug(author)
         runfiles.write_json(users_dir / f"{slug}.json", payload)
         (users_dir / f"{slug}.md").write_text(_user_markdown(payload), encoding="utf-8")
 
-    report = build_run_report(run_dir, config, stage_stats)
+    report = build_run_report(rows, stage_stats)
     runfiles.write_json(reports_dir / "run_report.json", report)
     (reports_dir / "run_report.md").write_text(_run_report_markdown(report), encoding="utf-8")
     return {"users_reported": len(authors), "run_report": 1}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-import json
+import sys
+import threading
 
 from hypothesis import given, strategies as st
 
@@ -57,46 +58,57 @@ def test_put_get_roundtrip(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     key = _request().cache_key()
     assert cache.get(key) is None
-    cache.put(key, {"model": "m"}, "stored text\nwith lines")
+    cache.put(key, "stored text\nwith lines")
     assert cache.get(key) == "stored text\nwith lines"
 
 
 def test_missing_object_is_miss_and_rewritable(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     key = _request().cache_key()
-    cache.put(key, {}, "v1")
+    cache.put(key, "v1")
     (cache.objects / f"{key}.txt").unlink()
     assert cache.get(key) is None
-    cache.put(key, {}, "v2")
+    cache.put(key, "v2")
     assert cache.get(key) == "v2"
 
 
 def test_truncated_object_is_miss_and_rewritten(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     key = _request().cache_key()
-    cache.put(key, {}, "full response text")
+    cache.put(key, "full response text")
     path = cache.objects / f"{key}.txt"
     path.write_text(path.read_text()[:10], encoding="utf-8")  # crash mid-write
     assert cache.get(key) is None
-    cache.put(key, {}, "rewritten")
+    cache.put(key, "rewritten")
     assert cache.get(key) == "rewritten"
 
 
-def test_truncated_index_line_does_not_break_stats(tmp_path):
+def test_concurrent_puts_of_one_key_all_succeed(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
-    cache.put("a" * 64, {"model": "m"}, "text one")
-    with cache.index_path.open("a", encoding="utf-8") as handle:
-        handle.write('{"key": "trunc')  # simulated crash mid-append
-    cache.put("b" * 64, {"model": "m"}, "text two")
-    entries, size = cache.stats()
-    assert entries == 2
-    assert size > 0
+    key = _request().cache_key()
+    writers = 16
+    barrier = threading.Barrier(writers)
+    errors: list[BaseException] = []
 
+    def write(index: int) -> None:
+        barrier.wait()
+        for _ in range(50):
+            try:
+                cache.put(key, f"text {index}")
+            except Exception as exc:  # every failure is collected and reported
+                errors.append(exc)
 
-def test_index_records_are_json_with_key(tmp_path):
-    cache = ResponseCache(tmp_path / "cache")
-    cache.put("c" * 64, {"model": "m", "template": "relevance"}, "t")
-    record = json.loads(cache.index_path.read_text().splitlines()[0])
-    assert record["key"] == "c" * 64
-    assert record["template"] == "relevance"
-    assert "stored_at" in record
+    threads = [threading.Thread(target=write, args=(i,)) for i in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert cache.get(key) in {f"text {i}" for i in range(writers)}
+    assert list(cache.objects.iterdir()) == [cache.objects / f"{key}.txt"]

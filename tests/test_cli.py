@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import COHORT_SIZE
-from mindpipe.cli import main
+from mindpipe import pipeline
+from mindpipe.cli import build_parser, main
 
 
 def test_version(capsys):
@@ -74,3 +75,10 @@ def test_cache_requires_a_directory_argument(capsys):
 
 def test_cache_missing_dir_exits_2(tmp_path):
     assert main(["cache", "--cache-dir", str(tmp_path / "absent")]) == 2
+
+
+def test_stage_subcommands_are_the_stage_table():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    stage_commands = [name for name in commands.choices if name not in ("run-all", "cache")]
+    assert stage_commands == list(pipeline.STAGE_NAMES)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from conftest import COHORT_SIZE, read_jsonl
 from mindpipe import pipeline
-from mindpipe.config import load_config
-from mindpipe.errors import ConfigError, RunLockedError
+from mindpipe.config import PipelineConfig, load_config, packaged_path
+from mindpipe.errors import ConfigError, RunLockedError, StageError
 
 STAGE_FILES = [
     "entries.jsonl",
@@ -160,3 +162,91 @@ def test_features_gate_flagged_entries(fixture_run):
         assert row["severity"] == "extreme_uncategorized"
         assert row["causes"] == [] and row["tone"] == [] and row["disorders"] == []
         assert row["timeline"] is None
+
+
+def _rerun_order(config, corpus_path, run_dir, edit) -> list[str]:
+    """Run, apply ``edit``, run again; the stages the second run executed."""
+    pipeline.run_all(config, [corpus_path], run_dir)
+    executed = len(pipeline.load_manifest(run_dir)["stage_order"])
+    edit()
+    pipeline.run_all(config, [corpus_path], run_dir)
+    return pipeline.load_manifest(run_dir)["stage_order"][executed:]
+
+
+def test_lexicon_edit_reruns_filter_and_downstream_like_a_fresh_run(corpus_path, tmp_path):
+    lexicon = tmp_path / "lexicon.txt"
+    shutil.copy(packaged_path("data/safety_lexicon.txt"), lexicon)
+    config = _config(**{"paths.lexicon": str(lexicon)})
+
+    def add_term():
+        lexicon.write_text(lexicon.read_text(encoding="utf-8") + "anxious\n", encoding="utf-8")
+
+    order = _rerun_order(config, corpus_path, tmp_path / "run", add_term)
+    assert order == list(pipeline.STAGE_NAMES[1:])
+    resumed = pipeline.load_manifest(tmp_path / "run")["stages"]["filter"]["stats"]
+    fresh = pipeline.run_all(config, [corpus_path], tmp_path / "fresh")["stages"]["filter"]["stats"]
+    assert resumed["flagged"] == fresh["flagged"]
+    for name in STAGE_FILES:
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_prompt_edit_reruns_exactly_the_stages_that_read_it(corpus_path, tmp_path):
+    prompts = tmp_path / "prompts"
+    shutil.copytree(packaged_path("prompts"), prompts)
+    config = _config(**{"paths.prompts_dir": str(prompts)})
+    diagnosis = prompts / "diagnosis.txt"
+
+    def edit_prompt():
+        text = diagnosis.read_text(encoding="utf-8")
+        diagnosis.write_text(text.replace("You are an", "You are a careful"), encoding="utf-8")
+
+    order = _rerun_order(config, corpus_path, tmp_path / "run", edit_prompt)
+    assert order == ["diagnose", "recommend", "report"]
+
+
+def test_missing_resource_file_fails_the_stage_that_reads_it(corpus_path, tmp_path):
+    prompts = tmp_path / "prompts"
+    shutil.copytree(packaged_path("prompts"), prompts)
+    (prompts / "relation.txt").rename(prompts / "relation_v2.txt")
+    config = _config(**{"paths.prompts_dir": str(prompts)})
+    with pytest.raises(StageError, match="relation.txt"):
+        pipeline.run_all(config, [corpus_path], tmp_path / "run")
+    assert pipeline.load_manifest(tmp_path / "run")["stages"]["interact"]["status"] == "failed"
+
+
+def test_version_change_reruns_every_stage(corpus_path, tmp_path, monkeypatch):
+    order = _rerun_order(
+        _config(),
+        corpus_path,
+        tmp_path / "run",
+        lambda: monkeypatch.setattr(pipeline, "__version__", "0.0.0+changed"),
+    )
+    assert order == list(pipeline.STAGE_NAMES)
+
+
+def test_stages_come_after_their_deps():
+    seen: set[str] = set()
+    for stage in pipeline.STAGES:
+        assert set(stage.deps) <= seen, stage.name
+        seen.add(stage.name)
+
+
+def test_stage_inputs_are_outputs_of_transitive_deps():
+    by_name = {stage.name: stage for stage in pipeline.STAGES}
+
+    def upstream(name: str) -> set[str]:
+        deps = set(by_name[name].deps)
+        return deps.union(*(upstream(dep) for dep in deps))
+
+    for stage in pipeline.STAGES:
+        produced = {out for dep in upstream(stage.name) for out in by_name[dep].outputs}
+        assert set(stage.inputs) <= produced, stage.name
+
+
+def test_stage_resources_exist_under_the_default_config():
+    config = PipelineConfig()
+    for stage in pipeline.STAGES:
+        paths = pipeline.resource_paths(stage, config)
+        assert len(paths) == len(stage.resources) + stage.uses_backend, stage.name
+        for path in paths:
+            assert path.is_file(), (stage.name, path)

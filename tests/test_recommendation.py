@@ -6,11 +6,11 @@ from conftest import ScriptedSession
 from mindpipe.config import packaged_path
 from mindpipe.diagnosis import DiagnosisSummary
 from mindpipe.errors import ResponseFormatError
+from mindpipe.filtering import load_lexicon
 from mindpipe.recommendation import (
     ESCALATION_NOTICE,
     canonical_therapy,
     load_aliases,
-    load_blocklist,
     parse_recommendations,
     recommend,
     safety_notice,
@@ -102,7 +102,7 @@ def test_recommend_blocklist_strips_items():
         "Behavior changes:\n1. Take your SSRI daily\n2. Walk daily\n"
     )
     session = ScriptedSession({"recommendation": [response]})
-    blocklist = load_blocklist(packaged_path("data/medication_blocklist.txt"))
+    blocklist = load_lexicon(packaged_path("data/medication_blocklist.txt"))
     rec, failure = recommend(_diag(), session, blocklist)
     assert failure is None
     assert rec.therapies == ["CBT"]
