@@ -79,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_all.add_argument("--out", type=Path, required=True, help="run directory")
     _add_config_flags(run_all)
 
-    cache = sub.add_parser("cache", help="report cache entries, bytes, last hit ratio")
+    cache = sub.add_parser(
+        "cache", help="report cache entries, database file bytes, last-run hit ratio"
+    )
     cache.add_argument("--run", type=Path, default=None)
     cache.add_argument("--cache-dir", type=Path, default=None)
     return parser

@@ -22,6 +22,7 @@ from .ratelimit import RateLimiter
 logger = logging.getLogger(__name__)
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+RETRY_AFTER_STATUSES = frozenset({429, 503})
 _BACKOFF_BASE = 0.5
 _BACKOFF_CAP = 30.0
 
@@ -51,6 +52,7 @@ class HttpBackend:
             raise ConfigError(f"credential environment variable not set: {api_key_env}")
         if max_attempts < 1:
             raise ConfigError("retry.max_attempts must be >= 1")
+        self.identity = "http:" + base_url.rstrip("/")  # names this backend in the cache
         self._url = base_url.rstrip("/") + "/chat/completions"
         self._headers = {"Authorization": f"Bearer {api_key}"}
         self._max_attempts = max_attempts
@@ -64,6 +66,13 @@ class HttpBackend:
         delay = min(_BACKOFF_CAP, _BACKOFF_BASE * (2**attempt))
         return delay * self._rng.uniform(0.5, 1.5)
 
+    def _retry_delay(self, response: requests.Response, attempt: int) -> float:
+        """Retry-After's delta-seconds on 429/503, capped; else the jittered backoff."""
+        value = response.headers.get("Retry-After", "").strip()
+        if response.status_code in RETRY_AFTER_STATUSES and value.isascii() and value.isdigit():
+            return min(_BACKOFF_CAP, float(value))
+        return self._backoff(attempt)
+
     def _post_once(self, payload: dict) -> requests.Response:
         if self._limiter is not None:
             with self._limiter:
@@ -75,7 +84,7 @@ class HttpBackend:
         )
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        """Send one request; retries 429/5xx/timeouts with jittered backoff."""
+        """Send one request; retries 429/5xx/timeouts after Retry-After or a jittered backoff."""
         payload = {
             "model": request.model,
             "messages": request.messages,
@@ -103,7 +112,7 @@ class HttpBackend:
                 last_failure = f"http {response.status_code}"
                 logger.warning("attempt %d failed (%s)", attempt + 1, last_failure)
                 if attempt + 1 < self._max_attempts:
-                    self._sleep(self._backoff(attempt))
+                    self._sleep(self._retry_delay(response, attempt))
                 continue
             raise BackendError(
                 f"backend returned non-retryable status {response.status_code}",

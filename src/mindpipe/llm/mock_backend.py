@@ -9,6 +9,7 @@ wins. Same request in, same response out, always.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +35,10 @@ class MockBackend:
     """Rule-driven completion provider; counts every call it serves."""
 
     def __init__(self, rules_path: str | Path):
-        raw = json.loads(Path(rules_path).read_text(encoding="utf-8"))
+        data = Path(rules_path).read_bytes()
+        # names this backend in the response cache: editing a rule invalidates
+        self.identity = "mock:" + hashlib.sha256(data).hexdigest()
+        raw = json.loads(data)
         self.version = raw.get("version", "0")
         self._templates: dict[str, _TemplateRules] = {}
         for name, section in raw["templates"].items():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,6 +37,7 @@ class LlmSession:
 
     Thread-safe; per-entry work may call concurrently. Each logical
     request is logged exactly once, whether served from cache or not.
+    Identical requests in flight at once reach the backend only once.
     """
 
     def __init__(
@@ -53,6 +55,7 @@ class LlmSession:
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
+        self._in_flight: dict[str, Future] = {}
 
     def ask(
         self,
@@ -74,17 +77,7 @@ class LlmSession:
                 "content": messages[-1]["content"] + REASK_REMINDER,
             }
         request = CompletionRequest(model=self.model, messages=messages)
-        key = request.cache_key()
-
-        text: str | None = None
-        if self.cache is not None:
-            text = self.cache.get(key)
-        hit = text is not None
-        if not hit:
-            result = self.backend.complete(request)
-            text = result.text
-            if self.cache is not None:
-                self.cache.put(key, text)
+        text, hit = self._answer(request.cache_key(), request)
         with self._lock:
             if hit:
                 self.hits += 1
@@ -105,8 +98,36 @@ class LlmSession:
                     messages=messages,
                 )
             )
-        assert text is not None
         return text
+
+    def _answer(self, key: str, request: CompletionRequest) -> tuple[str, bool]:
+        """(text, hit) from the cache, from an identical request in flight, or the backend.
+
+        A thread asking for a key that another thread is fetching waits for
+        that answer and counts a hit, as it would in a serial run; a failure
+        of the fetch reaches it too, and nothing is cached.
+        """
+        with self._lock:
+            pending = self._in_flight.get(key)
+            if pending is None:
+                fetch = self._in_flight[key] = Future()
+        if pending is not None:
+            return pending.result(), True
+        try:
+            text = self.cache.get(key) if self.cache is not None else None
+            hit = text is not None
+            if not hit:
+                text = self.backend.complete(request).text
+                if self.cache is not None:
+                    self.cache.put(key, text)
+        except BaseException as exc:
+            fetch.set_exception(exc)
+            raise
+        finally:
+            with self._lock:
+                del self._in_flight[key]
+        fetch.set_result(text)
+        return text, hit
 
     def ask_parsed(
         self,

@@ -64,8 +64,7 @@ from .filtering import (
 )
 from .ingestion import Cohort, RawEntry, iter_parse, select_cohort
 from .interaction import classify_relation, pair_entries
-from .llm.cache import ResponseCache
-from .llm.http_backend import HttpBackend
+from .llm.cache import ResponseCache, read_stats
 from .llm.mock_backend import MockBackend
 from .llm.ratelimit import RateLimiter
 from .llm.session import LlmSession
@@ -97,8 +96,9 @@ MOCK_RULES = "data/mock_rules.json"
 
 def build_session(config: PipelineConfig, run_dir: Path) -> LlmSession:
     templates = load_templates(config.prompts_dir())
-    cache = ResponseCache(config.cache_dir(run_dir))
     if config.backend.kind == BACKEND_HTTP:
+        from .llm.http_backend import HttpBackend  # imports requests, which mock runs never use
+
         backend = HttpBackend(
             base_url=config.backend.base_url,
             api_key_env=config.backend.api_key_env,
@@ -107,6 +107,7 @@ def build_session(config: PipelineConfig, run_dir: Path) -> LlmSession:
         )
     else:
         backend = MockBackend(packaged_path(MOCK_RULES))
+    cache = ResponseCache(config.cache_dir(run_dir), backend.identity)
     return LlmSession(backend, templates, model=config.backend.model, cache=cache)
 
 
@@ -764,6 +765,9 @@ def execute_stage(name: str, run_dir: Path, config: PipelineConfig, manifest: di
         if isinstance(exc, StageError):
             raise
         raise StageError(name, str(exc)) from exc
+    finally:
+        if session is not None:
+            session.cache.close()
 
     stats["cache_hits"] = session.hits if session else 0
     stats["cache_misses"] = session.misses if session else 0
@@ -852,14 +856,17 @@ def run_stage(
 def cache_stats(
     run_dir: Path | None = None, cache_dir: Path | None = None
 ) -> tuple[int, int, float | None]:
-    """(entries, bytes, last-run hit ratio) for a cache or run directory."""
+    """(entries, database file bytes, last-run hit ratio) for a cache or run directory.
+
+    A cache directory without a database reads as (0, 0, ...) and is left as it is.
+    """
     if cache_dir is None:
         if run_dir is None:
             raise ValueError("cache_stats needs a run or cache directory")
         cache_dir = run_dir / "cache"
     if not Path(cache_dir).exists():
         raise FileNotFoundError(f"cache directory does not exist: {cache_dir}")
-    entries, size = ResponseCache(cache_dir).stats()
+    entries, size = read_stats(cache_dir)
     ratio = None
     if run_dir is not None:
         manifest = load_manifest(Path(run_dir))

@@ -6,9 +6,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from conftest import COHORT_SIZE
+from mindpipe import pipeline
+from mindpipe.config import load_config, packaged_path
 from mindpipe.errors import BackendError, BackendExhaustedError, ConfigError
 from mindpipe.llm.completion import CompletionRequest
-from mindpipe.llm.http_backend import HttpBackend
+from mindpipe.llm.http_backend import _BACKOFF_CAP, HttpBackend
+from mindpipe.llm.mock_backend import MockBackend
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -132,3 +136,119 @@ def test_malformed_success_body_is_backend_error(stub_server, monkeypatch):
     backend, _ = _backend(base, monkeypatch)
     with pytest.raises(BackendError, match="malformed"):
         backend.complete(_request())
+
+
+class _FakeResponse:
+    def __init__(self, status, headers=None, body=None):
+        self.status_code = status
+        self.headers = headers or {}
+        self._body = body
+
+    def json(self):
+        return self._body
+
+
+class _FakeSession:
+    def __init__(self, responses):
+        self.responses = list(responses)
+
+    def post(self, *args, **kwargs):
+        return self.responses.pop(0)
+
+
+class _CountingLimiter:
+    def __init__(self):
+        self.entered = 0
+
+    def __enter__(self):
+        self.entered += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+
+@pytest.mark.parametrize(
+    ("status", "retry_after", "expected"),
+    [
+        (429, "2", 2.0),
+        (503, " 0 ", 0.0),
+        (429, "3600", _BACKOFF_CAP),
+        (429, None, None),
+        (429, "soon", None),
+        (429, "-1", None),
+        (429, "1.5", None),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", None),
+        (500, "2", None),
+    ],
+)
+def test_retry_waits_retry_after_on_429_and_503(monkeypatch, status, retry_after, expected):
+    monkeypatch.setenv("TEST_API_KEY", "sekret")
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    session = _FakeSession([_FakeResponse(status, headers), _FakeResponse(200, body=_ok_body())])
+    limiter = _CountingLimiter()
+    sleeps = []
+    backend = HttpBackend(
+        base_url="http://stub",
+        api_key_env="TEST_API_KEY",
+        limiter=limiter,
+        sleeper=sleeps.append,
+        session=session,
+    )
+    assert backend.complete(_request()).text == "hello"
+    assert limiter.entered == 2  # the retry is paced like any request
+    assert len(sleeps) == 1
+    if expected is None:  # the jittered backoff of the first attempt
+        assert 0.25 <= sleeps[0] <= 0.75
+    else:
+        assert sleeps[0] == expected
+
+
+class _MockRulesHandler(BaseHTTPRequestHandler):
+    """Answers chat completions through the packaged mock rule table."""
+
+    backend = MockBackend(packaged_path("data/mock_rules.json"))
+    served = 0
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        request = CompletionRequest(model=payload["model"], messages=payload["messages"])
+        body = json.dumps(_ok_body(self.backend.complete(request).text)).encode()
+        type(self).served += 1
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_mock_and_http_runs_share_a_cache_dir_without_sharing_answers(
+    tmp_path, monkeypatch, corpus_path
+):
+    handler = type("Handler", (_MockRulesHandler,), {})
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    monkeypatch.setenv("TEST_API_KEY", "sekret")
+    shared = {"pipeline.cohort_size": COHORT_SIZE, "paths.cache_dir": str(tmp_path / "cache")}
+    http = {
+        "backend.kind": "http",
+        "backend.base_url": f"http://127.0.0.1:{server.server_port}/v1",
+        "backend.api_key_env": "TEST_API_KEY",
+        "limits.rps": 1000.0,
+    }
+    try:
+        mock_run = pipeline.run_all(load_config(overrides=shared), [corpus_path], tmp_path / "m")
+        http_run = pipeline.run_all(
+            load_config(overrides={**shared, **http}), [corpus_path], tmp_path / "h"
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    # the HTTP run is a cold run: its only hits are prompts it repeats itself
+    assert http_run["cache"] == mock_run["cache"]
+    assert handler.served == mock_run["cache"]["misses"] > 0

@@ -5,6 +5,7 @@ import pytest
 from conftest import COHORT_SIZE
 from mindpipe import pipeline
 from mindpipe.cli import build_parser, main
+from mindpipe.llm.cache import DB_NAME
 
 
 def test_version(capsys):
@@ -44,6 +45,13 @@ def test_run_all_and_cache_command(tmp_path, corpus_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "entries=" in out and "last_run_hit_ratio=" in out
+    assert f" bytes={(run_dir / 'cache' / DB_NAME).stat().st_size} " in out
+
+
+def test_cache_on_unreadable_database_reports_it_empty(tmp_path, capsys):
+    (tmp_path / DB_NAME).write_bytes(b"not a database " * 300)
+    assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("entries=0 bytes=")
 
 
 def test_stage_by_stage_matches_run_all(tmp_path, corpus_path):

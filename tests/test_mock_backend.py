@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from mindpipe.config import packaged_path
@@ -56,7 +59,7 @@ def test_deterministic_and_counts_calls(backend, templates):
 
 def test_session_logs_hits_and_misses(templates, tmp_path):
     backend = MockBackend(packaged_path("data/mock_rules.json"))
-    cache = ResponseCache(tmp_path / "cache")
+    cache = ResponseCache(tmp_path / "cache", backend.identity)
     session = LlmSession(backend, templates, model="m", cache=cache)
     tags = {"stage": "filter", "entry_id": "e1", "author": "a"}
     first = session.ask("relevance", {"text": "i feel anxious"}, tags=tags)
@@ -88,8 +91,61 @@ def test_session_reask_appends_reminder(templates):
 
 def test_session_reask_distinct_cache_key(templates, tmp_path):
     backend = MockBackend(packaged_path("data/mock_rules.json"))
-    cache = ResponseCache(tmp_path / "cache")
+    cache = ResponseCache(tmp_path / "cache", backend.identity)
     session = LlmSession(backend, templates, model="m", cache=cache)
     session.ask("relevance", {"text": "anxious"}, tags={})
     session.ask("relevance", {"text": "anxious"}, tags={}, reask=True)
     assert backend.calls == 2  # reminder suffix changes the prompt, so no hit
+
+
+class _BlockingBackend:
+    """Holds every call until released, then answers or fails."""
+
+    def __init__(self, fail: bool):
+        self.fail = fail
+        self.calls = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def complete(self, request):
+        self.calls += 1
+        self.entered.set()
+        assert self.release.wait(timeout=30)
+        if self.fail:
+            raise BackendError("backend down")
+        return MockBackend(packaged_path("data/mock_rules.json")).complete(request)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["answer", "failure"])
+def test_identical_requests_in_flight_reach_backend_once(templates, tmp_path, fail):
+    backend = _BlockingBackend(fail)
+    cache = ResponseCache(tmp_path / "cache", "blocking")
+    session = LlmSession(backend, templates, model="m", cache=cache)
+    outcomes: list[object] = []
+
+    def ask() -> None:
+        try:
+            outcomes.append(session.ask("relevance", {"text": "i feel anxious"}, tags={}))
+        except BackendError as exc:
+            outcomes.append(exc)
+
+    first = threading.Thread(target=ask)
+    first.start()
+    assert backend.entered.wait(timeout=30)
+    second = threading.Thread(target=ask)
+    second.start()
+    time.sleep(0.3)  # the second ask reaches the in-flight request and waits on it
+    backend.release.set()
+    for thread in (first, second):
+        thread.join(timeout=30)
+    assert not first.is_alive() and not second.is_alive()
+    assert backend.calls == 1
+    if fail:
+        assert [str(outcome) for outcome in outcomes] == ["backend down"] * 2
+        assert session.records == []
+        request = _request(templates, "relevance", {"text": "i feel anxious"})
+        assert cache.get(request.cache_key()) is None
+    else:
+        assert outcomes == ["yes", "yes"]
+        assert (session.hits, session.misses) == (1, 1)
+    cache.close()

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import logging
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,7 @@ from conftest import COHORT_SIZE, read_jsonl
 from mindpipe import pipeline
 from mindpipe.config import PipelineConfig, load_config, packaged_path
 from mindpipe.errors import ConfigError, RunLockedError, StageError
+from mindpipe.llm.cache import DB_NAME
 
 STAGE_FILES = [
     "entries.jsonl",
@@ -74,11 +80,22 @@ def test_manifest_digests_stable_across_reruns(fixture_run, corpus_path, tmp_pat
         assert first["stages"][name]["input_digest"] == second["stages"][name]["input_digest"]
 
 
+def _outputs(run_dir):
+    files = [run_dir / name for name in STAGE_FILES]
+    files += sorted(p for p in (run_dir / "reports").rglob("*") if p.is_file())
+    return {str(path.relative_to(run_dir)): path.read_bytes() for path in files}
+
+
 def test_concurrency_produces_identical_stage_files(fixture_run, corpus_path, tmp_path):
-    run_dir = tmp_path / "parallel"
-    pipeline.run_all(_config(**{"limits.concurrency": 4}), [corpus_path], run_dir)
-    for name in STAGE_FILES:
-        assert (run_dir / name).read_bytes() == (fixture_run / name).read_bytes(), name
+    # reports/ carry the cache counters, which match the serial run only if
+    # identical prompts in flight at once are sent to the backend once
+    serial = _outputs(fixture_run)
+    for attempt in range(15):
+        run_dir = tmp_path / f"parallel{attempt}"
+        pipeline.run_all(_config(**{"limits.concurrency": 8}), [corpus_path], run_dir)
+        outputs = _outputs(run_dir)
+        assert outputs.keys() == serial.keys()
+        assert [name for name in serial if outputs[name] != serial[name]] == [], attempt
 
 
 def test_run_lock_excludes_second_owner(tmp_path):
@@ -121,13 +138,57 @@ def test_stage_failure_recorded_and_resumable(tmp_path, corpus_path):
 
 def test_cache_stats_empty_and_after_run(tmp_path, fixture_run):
     empty = tmp_path / "cache"
-    (empty / "objects").mkdir(parents=True)
+    empty.mkdir()
     entries, size, ratio = pipeline.cache_stats(cache_dir=empty)
     assert (entries, size, ratio) == (0, 0, None)
+    assert list(empty.iterdir()) == []
 
     entries, size, ratio = pipeline.cache_stats(run_dir=fixture_run)
-    assert entries > 0 and size > 0
+    manifest = pipeline.load_manifest(fixture_run)
+    assert entries == manifest["cache"]["misses"]
+    assert size == (fixture_run / "cache" / DB_NAME).stat().st_size
     assert ratio is not None and ratio < 1.0
+    assert [p.name for p in (fixture_run / "cache").iterdir()] == [DB_NAME]
+
+
+def test_unreadable_cache_is_replaced_and_old_layout_left_alone(
+    fixture_run, corpus_path, tmp_path, caplog
+):
+    cache_dir = tmp_path / "cache"
+    (cache_dir / "objects").mkdir(parents=True)
+    old_object = cache_dir / "objects" / "0123.txt"
+    old_object.write_text('{"text": "yes"}', encoding="utf-8")
+    (cache_dir / DB_NAME).write_bytes(b"not a database " * 300)
+    run_dir = tmp_path / "run"
+    with caplog.at_level(logging.WARNING, logger="mindpipe.llm.cache"):
+        manifest = pipeline.run_all(
+            _config(**{"paths.cache_dir": str(cache_dir)}), [corpus_path], run_dir
+        )
+    assert "unreadable" in caplog.text
+    assert manifest["cache"] == pipeline.load_manifest(fixture_run)["cache"]
+    for name in STAGE_FILES:
+        assert (run_dir / name).read_bytes() == (fixture_run / name).read_bytes(), name
+    assert old_object.read_text(encoding="utf-8") == '{"text": "yes"}'
+    assert sorted(p.name for p in cache_dir.iterdir()) == ["objects", DB_NAME]
+
+
+def test_mock_run_does_not_import_requests(corpus_path, tmp_path):
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from mindpipe import pipeline\n"
+        "from mindpipe.config import load_config\n"
+        f"config = load_config(overrides={{'pipeline.cohort_size': {COHORT_SIZE}}})\n"
+        f"pipeline.run_all(config, [Path({str(corpus_path)!r})], Path({str(tmp_path / 'run')!r}))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'requests'))\n"
+    )
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_cache_stats_missing_dir_errors(tmp_path):
