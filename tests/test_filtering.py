@@ -19,6 +19,7 @@ from mindpipe.filtering import (
     safety_screen,
 )
 from mindpipe.ingestion import RawEntry
+from mindpipe.llm.session import LlmSession
 
 
 def _entry(body: str, entry_id="e1", author="alice") -> RawEntry:
@@ -125,6 +126,8 @@ def test_is_relevant_rejects_removed_entries():
 class _FailingSession:
     def ask(self, *args, **kwargs):
         raise BackendExhaustedError("gave up")
+
+    ask_parsed = LlmSession.ask_parsed
 
 
 def test_is_relevant_backend_failure_is_unknown():
