@@ -9,15 +9,12 @@ monthly posting counts appended to the temporal prompt.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .errors import BackendError, BackendExhaustedError, ResponseFormatError
+from .errors import ResponseFormatError
 from .extraction import NO_TIMELINE, NonTemporalFeatures, TemporalAnnotation
 from .extraction import parse_labeled_sections, _split_list
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_EVENT_CONTENT_BUDGET = 500
 
@@ -213,16 +210,12 @@ def summarize_non_temporal(record: UserRecord, session) -> tuple[NonTemporalSumm
     if not record.non_flagged():
         raise ValueError("summarize_non_temporal requires at least one non-flagged entry")
     tags = {"stage": "aggregate", "author": record.author}
-    try:
-        return session.ask_parsed(
-            "summary_non_temporal",
-            {"features": serialize_features_block(record)},
-            _parse_non_temporal_summary,
-            tags=tags,
-        )
-    except (BackendError, BackendExhaustedError) as exc:
-        logger.warning("non-temporal summary failed for %s: %s", record.author, exc)
-        return None, f"backend failure: {exc}"
+    return session.ask_parsed(
+        "summary_non_temporal",
+        {"features": serialize_features_block(record)},
+        _parse_non_temporal_summary,
+        tags=tags,
+    )
 
 
 def summarize_temporal(
@@ -235,10 +228,6 @@ def summarize_temporal(
         return None, None
     tags = {"stage": "aggregate", "author": record.author}
     block = serialize_chronology_block(chronology, monthly_counts(record))
-    try:
-        return session.ask_parsed(
-            "summary_temporal", {"chronology": block}, _parse_temporal_summary, tags=tags
-        )
-    except (BackendError, BackendExhaustedError) as exc:
-        logger.warning("temporal summary failed for %s: %s", record.author, exc)
-        return None, f"backend failure: {exc}"
+    return session.ask_parsed(
+        "summary_temporal", {"chronology": block}, _parse_temporal_summary, tags=tags
+    )

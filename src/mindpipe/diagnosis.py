@@ -8,13 +8,9 @@ never truncated.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .aggregation import NonTemporalSummary, TemporalSummary
-from .errors import BackendError, BackendExhaustedError
-
-logger = logging.getLogger(__name__)
 
 WORD_TARGET = 400
 DEFAULT_WORD_BUDGET_SLACK = 1.1
@@ -71,14 +67,16 @@ def diagnose(
     session,
     slack: float = DEFAULT_WORD_BUDGET_SLACK,
 ) -> tuple[DiagnosisSummary | None, str | None]:
-    """Run the diagnosis prompt for one user; returns (summary, failure)."""
+    """Run the diagnosis prompt for one user; returns (summary, failure).
+
+    Any text is a diagnosis, so only a backend failure is a failure; it is
+    never re-asked.
+    """
     tags = {"stage": "diagnose", "author": author}
     dataframe = serialize_dataframe(non_temporal, temporal)
-    try:
-        text = session.ask("diagnosis", {"Dataframe": dataframe}, tags=tags)
-    except (BackendError, BackendExhaustedError) as exc:
-        logger.warning("diagnosis failed for %s: %s", author, exc)
-        return None, f"backend failure: {exc}"
+    text, failure = session.ask_parsed("diagnosis", {"Dataframe": dataframe}, str, tags=tags)
+    if failure is not None:
+        return None, failure
     words = word_count(text)
     budget = int(round(WORD_TARGET * slack))
     return (

@@ -8,14 +8,11 @@ assigned the quarantine severity band with empty feature lists.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 
-from .errors import BackendError, BackendExhaustedError, ResponseFormatError
+from .errors import ResponseFormatError
 from .filtering import CleanEntry, SafetyFlag
-
-logger = logging.getLogger(__name__)
 
 SEVERITY_MILD = "mild"
 SEVERITY_MODERATE = "moderate"
@@ -111,19 +108,15 @@ def extract_non_temporal(
     """Extract the four non-temporal features for one relevant, cleaned entry.
 
     Returns (features, None) on success or (None, failure detail) when the
-    response stayed unparseable after one re-ask. Flagged entries are
-    quarantined without any backend call.
+    backend failed or the response stayed unparseable after one re-ask.
+    Flagged entries are quarantined without any backend call.
     """
     if flag.flagged:
         return NonTemporalFeatures(severity=SEVERITY_EXTREME), None
     tags = {"stage": "extract", "author": clean.entry.author, "entry_id": clean.entry.id}
-    try:
-        return session.ask_parsed(
-            "extract_features", {"text": clean.clean_text}, parse_feature_response, tags=tags
-        )
-    except (BackendError, BackendExhaustedError) as exc:
-        logger.warning("feature extraction failed for %s: %s", clean.entry.id, exc)
-        return None, f"backend failure: {exc}"
+    return session.ask_parsed(
+        "extract_features", {"text": clean.clean_text}, parse_feature_response, tags=tags
+    )
 
 
 def extract_temporal(clean: CleanEntry, session) -> tuple[TemporalAnnotation, bool]:
@@ -133,13 +126,9 @@ def extract_temporal(clean: CleanEntry, session) -> tuple[TemporalAnnotation, bo
     or unparseable response that fell back to the no-timeline sentinel.
     """
     tags = {"stage": "extract", "author": clean.entry.author, "entry_id": clean.entry.id}
-    try:
-        timeline, failure = session.ask_parsed(
-            "extract_temporal", {"text": clean.clean_text}, parse_timeline_response, tags=tags
-        )
-    except (BackendError, BackendExhaustedError) as exc:
-        logger.warning("temporal extraction degraded for %s: %s", clean.entry.id, exc)
-        return TemporalAnnotation(creation_time=clean.entry.created_utc), True
+    timeline, failure = session.ask_parsed(
+        "extract_temporal", {"text": clean.clean_text}, parse_timeline_response, tags=tags
+    )
     if failure is not None:
         return TemporalAnnotation(creation_time=clean.entry.created_utc), True
     return TemporalAnnotation(creation_time=clean.entry.created_utc, timeline=timeline), False

@@ -7,15 +7,12 @@ lexicon-first so the quarantine holds even fully offline.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BackendError, BackendExhaustedError
+from .errors import ResponseFormatError
 from .ingestion import RawEntry
-
-logger = logging.getLogger(__name__)
 
 REMOVED_DELETED = "deleted"
 REMOVED_MARKER = "removed_marker"
@@ -97,24 +94,12 @@ def lexicon_match(text: str, terms: list[str]) -> str | None:
     return None
 
 
-def _verdict_token(response: str) -> str | None:
-    """Normalize a yes/no answer: trim, lowercase, first token, or None."""
+def _parse_yes_no(response: str) -> bool:
+    """A yes/no answer: its first token, trimmed of punctuation, case-insensitive."""
     tokens = response.strip().lower().split()
-    if not tokens:
-        return None
-    token = tokens[0].strip(".,!:;\"'")
-    return token if token in ("yes", "no") else None
-
-
-def _ask_yes_no(session, template: str, text: str, tags: dict) -> bool | None:
-    """One backend question with a single format-reminder re-ask."""
-    response = session.ask(template, {"text": text}, tags=tags)
-    token = _verdict_token(response)
-    if token is None:
-        response = session.ask(template, {"text": text}, tags=tags, reask=True)
-        token = _verdict_token(response)
-    if token is None:
-        return None
+    token = tokens[0].strip(".,!:;\"'") if tokens else ""
+    if token not in ("yes", "no"):
+        raise ResponseFormatError("expected a yes or no answer")
     return token == "yes"
 
 
@@ -126,11 +111,10 @@ def is_relevant(clean: CleanEntry, session) -> bool | None:
     if clean.removed is not None:
         raise ValueError("is_relevant called on a removed entry")
     tags = {"stage": "filter", "author": clean.entry.author, "entry_id": clean.entry.id}
-    try:
-        return _ask_yes_no(session, "relevance", clean.clean_text, tags)
-    except (BackendError, BackendExhaustedError) as exc:
-        logger.warning("relevance check failed for %s: %s", clean.entry.id, exc)
-        return None
+    verdict, _failure = session.ask_parsed(
+        "relevance", {"text": clean.clean_text}, _parse_yes_no, tags=tags
+    )
+    return verdict
 
 
 def safety_screen(clean: CleanEntry, session, terms: list[str]) -> SafetyFlag:
@@ -144,11 +128,9 @@ def safety_screen(clean: CleanEntry, session, terms: list[str]) -> SafetyFlag:
     if term is not None:
         return SafetyFlag(entry_id=clean.entry.id, flagged=True, trigger=term)
     tags = {"stage": "filter", "author": clean.entry.author, "entry_id": clean.entry.id}
-    try:
-        verdict = _ask_yes_no(session, "safety", clean.clean_text, tags)
-    except (BackendError, BackendExhaustedError) as exc:
-        logger.warning("safety screen degraded to lexicon-only for %s: %s", clean.entry.id, exc)
-        verdict = None
+    verdict, _failure = session.ask_parsed(
+        "safety", {"text": clean.clean_text}, _parse_yes_no, tags=tags
+    )
     if verdict:
         return SafetyFlag(entry_id=clean.entry.id, flagged=True, trigger=BACKEND_TRIGGER)
     return SafetyFlag(entry_id=clean.entry.id, flagged=False)

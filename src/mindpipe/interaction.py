@@ -7,14 +7,11 @@ without any backend call.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
-from .errors import BackendError, BackendExhaustedError, ResponseFormatError
+from .errors import ResponseFormatError
 from .filtering import CleanEntry
 from .ingestion import KIND_COMMENT, KIND_POST
-
-logger = logging.getLogger(__name__)
 
 RELATION_TYPES = (
     "empathy",
@@ -123,26 +120,12 @@ def classify_relation(pair: Pair, session) -> RelationRecord:
         "post_author": pair.post.entry.author,
         "comment_author": pair.comment.entry.author,
     }
-    try:
-        label, failure = session.ask_parsed(
-            "relation",
-            {"post": pair.post.clean_text, "reply": pair.comment.clean_text},
-            _parse_relation_response,
-            tags=tags,
-        )
-    except (BackendError, BackendExhaustedError) as exc:
-        logger.warning(
-            "relation classification degraded for %s/%s: %s",
-            pair.post.entry.id,
-            pair.comment.entry.id,
-            exc,
-        )
-        return RelationRecord(
-            post_id=pair.post.entry.id,
-            comment_id=pair.comment.entry.id,
-            relation=RELATION_OTHER,
-            detail=BACKEND_ERROR_LABEL,
-        )
+    label, failure = session.ask_parsed(
+        "relation",
+        {"post": pair.post.clean_text, "reply": pair.comment.clean_text},
+        _parse_relation_response,
+        tags=tags,
+    )
     if failure is not None:
         return RelationRecord(
             post_id=pair.post.entry.id,

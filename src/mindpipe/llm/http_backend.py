@@ -7,6 +7,7 @@ Speaks the OpenAI-style chat-completions wire shape: POST
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import random
@@ -74,14 +75,14 @@ class HttpBackend:
         return self._backoff(attempt)
 
     def _post_once(self, payload: dict) -> requests.Response:
-        if self._limiter is not None:
-            with self._limiter:
-                return self._session.post(
-                    self._url, json=payload, headers=self._headers, timeout=self._timeout
-                )
-        return self._session.post(
-            self._url, json=payload, headers=self._headers, timeout=self._timeout
-        )
+        with self._limiter or contextlib.nullcontext():
+            return self._session.post(
+                self._url, json=payload, headers=self._headers, timeout=self._timeout
+            )
+
+    def close(self) -> None:
+        """Close the pooled connections of the HTTP session."""
+        self._session.close()
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         """Send one request; retries 429/5xx/timeouts after Retry-After or a jittered backoff."""

@@ -1,16 +1,24 @@
-"""Backend session: template rendering, caching, call logging, one-shot re-ask."""
+"""Backend session: template rendering, caching, call logging, one-shot re-ask.
+
+``ask_parsed`` is the one place where a backend error becomes the failure
+of a call: the stage records it as ``backend failure: <error>``, exactly
+as it records a response that stayed unparseable after the re-ask.
+"""
 
 from __future__ import annotations
 
+import logging
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import ResponseFormatError, TemplateError
+from ..errors import BackendError, BackendExhaustedError, ResponseFormatError, TemplateError
 from .cache import ResponseCache
 from .completion import CompletionRequest
 from .templates import PromptTemplate, render
+
+logger = logging.getLogger(__name__)
 
 REASK_REMINDER = "\n\nReminder: respond exactly in the required output format."
 
@@ -100,6 +108,14 @@ class LlmSession:
             )
         return text
 
+    def close(self) -> None:
+        """Close the cache and the backend's pooled connections, if it keeps any."""
+        if self.cache is not None:
+            self.cache.close()
+        close_backend = getattr(self.backend, "close", None)
+        if close_backend is not None:
+            close_backend()
+
     def _answer(self, key: str, request: CompletionRequest) -> tuple[str, bool]:
         """(text, hit) from the cache, from an identical request in flight, or the backend.
 
@@ -140,14 +156,17 @@ class LlmSession:
         """Ask once, re-ask once with a format reminder, then report failure.
 
         Returns (parsed value, None) on success or (None, failure detail).
+        A backend error on either ask is a failure too, detailed as
+        ``backend failure: <error>``; a failed ask is neither cached nor logged.
         """
-        response = self.ask(template_name, bindings, tags=tags)
-        try:
-            return parser(response), None
-        except ResponseFormatError:
-            pass
-        response = self.ask(template_name, bindings, tags=tags, reask=True)
-        try:
-            return parser(response), None
-        except ResponseFormatError as exc:
-            return None, str(exc)
+        for reask in (False, True):
+            try:
+                response = self.ask(template_name, bindings, tags=tags, reask=reask)
+            except (BackendError, BackendExhaustedError) as exc:
+                logger.warning("%s call failed (tags %s): %s", template_name, tags, exc)
+                return None, f"backend failure: {exc}"
+            try:
+                return parser(response), None
+            except ResponseFormatError as exc:
+                failure = str(exc)
+        return None, failure

@@ -394,13 +394,7 @@ def stage_diagnose(
         )
         if failure is not None:
             return {"author": row["author"], "status": "diagnosis_failure", "failure": failure}
-        return {
-            "author": summary.author,
-            "status": "ok",
-            "text": summary.text,
-            "word_count": summary.word_count,
-            "over_budget": summary.over_budget,
-        }
+        return {"author": summary.author, "status": "ok", **asdict(summary)}
 
     rows = _map_items(ready, process, config.limits.concurrency)
     runfiles.write_jsonl(run_dir / runfiles.DIAGNOSIS, rows)
@@ -438,14 +432,7 @@ def stage_recommend(
                 "status": "recommendation_failure",
                 "failure": failure,
             }
-        return {
-            "author": rec.author,
-            "status": "ok",
-            "therapies": rec.therapies,
-            "behavior_changes": rec.behavior_changes,
-            "raw_text": rec.raw_text,
-            "warnings": rec.warnings,
-        }
+        return {"author": rec.author, "status": "ok", **asdict(rec)}
 
     generated = _map_items(diagnosed, process, config.limits.concurrency)
     generated_by_author = {row["author"]: row for row in generated}
@@ -767,7 +754,7 @@ def execute_stage(name: str, run_dir: Path, config: PipelineConfig, manifest: di
         raise StageError(name, str(exc)) from exc
     finally:
         if session is not None:
-            session.cache.close()
+            session.close()
 
     stats["cache_hits"] = session.hits if session else 0
     stats["cache_misses"] = session.misses if session else 0

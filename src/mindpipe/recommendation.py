@@ -10,15 +10,12 @@ escalation record instead.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnosis import DiagnosisSummary
-from .errors import BackendError, BackendExhaustedError, ResponseFormatError
-
-logger = logging.getLogger(__name__)
+from .errors import ResponseFormatError
 
 MAX_THERAPIES = 3
 MAX_BEHAVIOR_CHANGES = 5
@@ -134,13 +131,9 @@ def recommend(
 ) -> tuple[RecommendationSet | None, str | None]:
     """Generate and parse recommendations for one diagnosed user."""
     tags = {"stage": "recommend", "author": diag.author}
-    try:
-        parsed, failure = session.ask_parsed(
-            "recommendation", {"Dataframe": diag.text}, parse_recommendations, tags=tags
-        )
-    except (BackendError, BackendExhaustedError) as exc:
-        logger.warning("recommendation failed for %s: %s", diag.author, exc)
-        return None, f"backend failure: {exc}"
+    parsed, failure = session.ask_parsed(
+        "recommendation", {"Dataframe": diag.text}, parse_recommendations, tags=tags
+    )
     if failure is not None:
         return None, failure
 

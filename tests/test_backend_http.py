@@ -5,6 +5,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
 from conftest import COHORT_SIZE
 from mindpipe import pipeline
@@ -51,6 +52,7 @@ def stub_server():
     yield start
     if "server" in handlers:
         handlers["server"].shutdown()
+        handlers["server"].server_close()
 
 
 def _ok_body(text="hello"):
@@ -252,3 +254,34 @@ def test_mock_and_http_runs_share_a_cache_dir_without_sharing_answers(
     # the HTTP run is a cold run: its only hits are prompts it repeats itself
     assert http_run["cache"] == mock_run["cache"]
     assert handler.served == mock_run["cache"]["misses"] > 0
+
+
+def test_each_backend_stage_closes_its_http_session(tmp_path, monkeypatch, corpus_path):
+    closes = []
+    close = requests.Session.close
+
+    def counting_close(self):
+        closes.append(self)
+        close(self)
+
+    monkeypatch.setattr(requests.Session, "close", counting_close)
+    monkeypatch.setenv("TEST_API_KEY", "sekret")
+    server = HTTPServer(("127.0.0.1", 0), type("Handler", (_MockRulesHandler,), {}))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    overrides = {
+        "pipeline.cohort_size": COHORT_SIZE,
+        "backend.kind": "http",
+        "backend.base_url": f"http://127.0.0.1:{server.server_port}/v1",
+        "backend.api_key_env": "TEST_API_KEY",
+        "limits.rps": 1000.0,
+    }
+    try:
+        pipeline.run_all(load_config(overrides=overrides), [corpus_path], tmp_path / "run")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    backend_stages = [stage.name for stage in pipeline.STAGES if stage.uses_backend]
+    assert len(backend_stages) == 6
+    assert len(closes) == len({id(s) for s in closes}) == len(backend_stages)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ScriptedSession
-from mindpipe.errors import BackendExhaustedError
+from mindpipe.errors import BackendExhaustedError, ResponseFormatError
 from mindpipe.filtering import (
     BACKEND_TRIGGER,
     REMOVED_DELETED,
@@ -13,6 +13,7 @@ from mindpipe.filtering import (
     CleanEntry,
     clean_entry,
     clean_string,
+    _parse_yes_no,
     is_relevant,
     lexicon_match,
     load_lexicon,
@@ -132,6 +133,14 @@ class _FailingSession:
 
 def test_is_relevant_backend_failure_is_unknown():
     assert is_relevant(_clean("i feel anxious"), _FailingSession()) is None
+
+
+def test_unusable_verdict_error_does_not_quote_the_response():
+    assert _parse_yes_no("Yes.") is True
+    assert _parse_yes_no(" no, not really") is False
+    with pytest.raises(ResponseFormatError) as err:
+        _parse_yes_no("perhaps; i feel low")
+    assert "perhaps" not in str(err.value) and "low" not in str(err.value)
 
 
 def test_safety_screen_lexicon_short_circuits_backend():

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from mindpipe.config import packaged_path
-from mindpipe.errors import BackendError, ResponseFormatError
+from mindpipe.errors import BackendError, BackendExhaustedError, ResponseFormatError
 from mindpipe.llm.cache import ResponseCache
 from mindpipe.llm.completion import CompletionRequest
 from mindpipe.llm.mock_backend import MockBackend
@@ -148,4 +148,51 @@ def test_identical_requests_in_flight_reach_backend_once(templates, tmp_path, fa
     else:
         assert outcomes == ["yes", "yes"]
         assert (session.hits, session.misses) == (1, 1)
+    cache.close()
+
+
+class _FailingOnBackend:
+    """The mock rule table, except that the call numbered ``fail_on`` raises ``error``."""
+
+    def __init__(self, fail_on: int, error: Exception):
+        self.mock = MockBackend(packaged_path("data/mock_rules.json"))
+        self.fail_on = fail_on
+        self.error = error
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise self.error
+        return self.mock.complete(request)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [BackendError("status 400", status=400), BackendExhaustedError("gave up after 4 attempts")],
+    ids=["non_retryable", "exhausted"],
+)
+@pytest.mark.parametrize("fail_on", [1, 2], ids=["first_ask", "reask"])
+def test_ask_parsed_turns_a_backend_error_into_a_failure(templates, tmp_path, fail_on, error):
+    backend = _FailingOnBackend(fail_on, error)
+    cache = ResponseCache(tmp_path / "cache", "failing")
+    session = LlmSession(backend, templates, model="m", cache=cache)
+
+    def parse(text):
+        raise ResponseFormatError("always fails")  # so the first answer is re-asked
+
+    value, failure = session.ask_parsed(
+        "relevance", {"text": "i feel anxious"}, parse, tags={"stage": "t"}
+    )
+    assert (value, failure) == (None, f"backend failure: {error}")
+    assert backend.calls == fail_on
+    # only the answered ask is logged and cached; the failed one is neither
+    assert [r.reask for r in session.records] == [False] * (fail_on - 1)
+    assert (session.hits, session.misses) == (0, fail_on - 1)
+    request = _request(templates, "relevance", {"text": "i feel anxious"})
+    reminded = [*request.messages[:-1], dict(request.messages[-1])]
+    reminded[-1]["content"] += REASK_REMINDER
+    reask = CompletionRequest(model="m", messages=reminded)
+    cached = [cache.get(r.cache_key()) is not None for r in (request, reask)]
+    assert cached == [fail_on == 2, False]
     cache.close()
