@@ -20,30 +20,18 @@ REASON_MALFORMED = "malformed"
 REASON_DUPLICATE_ID = "duplicate_id"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RawEntry:
-    """One post or comment as parsed from a dump line."""
+    """One post or comment as parsed from a dump line; its row is ``asdict``."""
 
     id: str
     author: str
     kind: str
     created_utc: int
     subreddit: str
-    body: str
     title: str | None = None
+    body: str
     parent_id: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "author": self.author,
-            "kind": self.kind,
-            "created_utc": self.created_utc,
-            "subreddit": self.subreddit,
-            "title": self.title,
-            "body": self.body,
-            "parent_id": self.parent_id,
-        }
 
 
 @dataclass

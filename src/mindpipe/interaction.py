@@ -40,8 +40,12 @@ class Pair:
 
 @dataclass
 class RelationRecord:
+    """One labeled pair; its row in ``relations.jsonl`` is ``asdict``."""
+
     post_id: str
     comment_id: str
+    post_author: str
+    comment_author: str
     relation: str
     detail: str | None = None
 
@@ -107,12 +111,15 @@ def _parse_relation_response(text: str) -> str:
 
 def classify_relation(pair: Pair, session) -> RelationRecord:
     """Label one post-comment pair; safety-flagged pairs bypass the backend."""
+    record = RelationRecord(
+        post_id=pair.post.entry.id,
+        comment_id=pair.comment.entry.id,
+        post_author=pair.post.entry.author,
+        comment_author=pair.comment.entry.author,
+        relation=RELATION_SAFETY,
+    )
     if pair.post_flagged or pair.comment_flagged:
-        return RelationRecord(
-            post_id=pair.post.entry.id,
-            comment_id=pair.comment.entry.id,
-            relation=RELATION_SAFETY,
-        )
+        return record
     tags = {
         "stage": "interact",
         "post_id": pair.post.entry.id,
@@ -127,16 +134,7 @@ def classify_relation(pair: Pair, session) -> RelationRecord:
         tags=tags,
     )
     if failure is not None:
-        return RelationRecord(
-            post_id=pair.post.entry.id,
-            comment_id=pair.comment.entry.id,
-            relation=RELATION_OTHER,
-            detail=BACKEND_ERROR_LABEL,
-        )
-    relation, detail = normalize_relation(label)
-    return RelationRecord(
-        post_id=pair.post.entry.id,
-        comment_id=pair.comment.entry.id,
-        relation=relation,
-        detail=detail,
-    )
+        record.relation, record.detail = RELATION_OTHER, BACKEND_ERROR_LABEL
+    else:
+        record.relation, record.detail = normalize_relation(label)
+    return record

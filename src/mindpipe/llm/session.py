@@ -60,8 +60,6 @@ class LlmSession:
         self.model = model
         self.cache = cache
         self.records: list[CallRecord] = []
-        self.hits = 0
-        self.misses = 0
         self._lock = threading.Lock()
         self._in_flight: dict[str, Future] = {}
 
@@ -87,10 +85,6 @@ class LlmSession:
         request = CompletionRequest(model=self.model, messages=messages)
         text, hit = self._answer(request.cache_key(), request)
         with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
             self.records.append(
                 CallRecord(
                     seq=len(self.records) + 1,
@@ -107,6 +101,12 @@ class LlmSession:
                 )
             )
         return text
+
+    def take_records(self) -> list[CallRecord]:
+        """The calls logged since the last take; the next call's ``seq`` is 1 again."""
+        with self._lock:
+            records, self.records = self.records, []
+        return records
 
     def close(self) -> None:
         """Close the cache and the backend's pooled connections, if it keeps any."""

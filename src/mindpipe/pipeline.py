@@ -3,14 +3,24 @@
 Stage graph (deps in parentheses):
 
     ingest() -> filter(ingest) -> extract(filter)
-    aggregate(filter, extract) -> diagnose(aggregate) -> recommend(diagnose, aggregate)
+    aggregate(ingest, filter, extract) -> diagnose(aggregate) -> recommend(diagnose, aggregate)
     interact(filter)
     report(everything)
 
-``STAGES`` is the one description of a stage: its function, deps, the
-run-dir files it reads and writes, and the resource files (prompt
-templates, data files) it reads. ``run-all``, the single-stage CLI and the
-skip check all read it.
+``STAGES`` is the one description of a stage: its function, the run-dir
+files it reads and writes, and the resource files (prompt templates, data
+files) it reads. A stage's deps are the producers of its inputs, and it
+uses the backend when it renders prompts. ``run-all``, the single-stage CLI
+and the skip check all read the table.
+
+Only ``execute_stage`` touches the run directory for a stage. It reads the
+declared inputs, calls ``stage.run(inputs, config, session, manifest)``,
+which returns ``({relative path: rows | object | text}, stats)``, and
+writes those files only after the stage body and its input digest have
+both succeeded. The files must fill exactly the stage's declared outputs
+(a directory output, ``reports``, holds several). One backend session
+serves the whole run: it is built at the first backend stage that
+executes and closed when the run ends.
 
 A stage is skipped on rerun when its manifest record is intact: same
 config digest (the config plus the tool version), same input digest,
@@ -22,6 +32,7 @@ files, and of the mock rule table when a backend stage runs on the mock.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -67,9 +78,9 @@ from .interaction import classify_relation, pair_entries
 from .llm.cache import ResponseCache, read_stats
 from .llm.mock_backend import MockBackend
 from .llm.ratelimit import RateLimiter
-from .llm.session import LlmSession
+from .llm.session import CallRecord, LlmSession
 from .llm.templates import load_templates
-from .recommendation import recommend, safety_notice
+from .recommendation import load_aliases, recommend, safety_notice
 from .reports import emit_reports
 
 logger = logging.getLogger(__name__)
@@ -119,14 +130,10 @@ def _map_items(items: list, fn: Callable, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _write_backend_log(run_dir: Path, stage: str, session: LlmSession | None) -> None:
-    if session is None:
-        return
-    log_dir = run_dir / runfiles.LOGS_DIR
-    log_dir.mkdir(parents=True, exist_ok=True)
+def _write_backend_log(run_dir: Path, stage: str, records: list[CallRecord]) -> None:
+    path = run_dir / runfiles.LOGS_DIR / f"backend_{stage}.jsonl"
     # vars() keeps the field order; asdict() would deep-copy every message list
-    rows = [vars(record) for record in session.records]
-    runfiles.write_jsonl(log_dir / f"backend_{stage}.jsonl", rows)
+    runfiles.write_jsonl(path, [vars(r) for r in records])
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +141,14 @@ def _write_backend_log(run_dir: Path, stage: str, session: LlmSession | None) ->
 # ---------------------------------------------------------------------------
 
 
-def stage_ingest(run_dir: Path, config: PipelineConfig, session: None, manifest: dict) -> dict:
-    """Parse the manifest's dump files, write entries/rejects, and select the cohort."""
+# A stage body's result: the files it produces, keyed by path in the run dir, and its stats.
+StageResult = tuple[dict[str, object], dict]
+
+
+def stage_ingest(
+    inputs: dict, config: PipelineConfig, session: None, manifest: dict
+) -> StageResult:
+    """Parse the manifest's dump files into entries and rejects, and select the cohort."""
     entries: list[RawEntry] = []
     reject_rows: list[dict] = []
     seen_ids: set[str] = set()
@@ -150,13 +163,14 @@ def stage_ingest(run_dir: Path, config: PipelineConfig, session: None, manifest:
                     reject_rows.append(
                         {"file": str(path), "line_no": item.line_no, "reason": item.reason}
                     )
-    runfiles.write_jsonl(run_dir / runfiles.ENTRIES, [entry.to_dict() for entry in entries])
-    runfiles.write_jsonl(run_dir / runfiles.REJECTS, reject_rows)
-
     cohort = select_cohort(entries, config.pipeline.cohort_size)
-    runfiles.write_json(run_dir / runfiles.COHORT, cohort.to_dict())
     cohort_entries = sum(count for _, count in cohort.users)
-    return {
+    files = {
+        runfiles.ENTRIES: [asdict(entry) for entry in entries],
+        runfiles.REJECTS: reject_rows,
+        runfiles.COHORT: cohort.to_dict(),
+    }
+    return files, {
         "lines": lines,
         "parsed": len(entries),
         "rejected": len(reject_rows),
@@ -168,27 +182,21 @@ def stage_ingest(run_dir: Path, config: PipelineConfig, session: None, manifest:
 
 
 def stage_filter(
-    run_dir: Path, config: PipelineConfig, session: LlmSession, manifest: dict
-) -> dict:
+    inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
+) -> StageResult:
     """Clean, safety-screen, and relevance-filter the cohort's entries."""
-    entry_rows = runfiles.read_jsonl(run_dir / runfiles.ENTRIES, "ingest")
-    cohort = Cohort.from_dict(runfiles.read_json(run_dir / runfiles.COHORT, "ingest"))
-    cohort_authors = cohort.authors()
+    cohort_authors = Cohort.from_dict(inputs[runfiles.COHORT]).authors()
     lexicon = load_lexicon(config.lexicon_path())
 
     cohort_entries = [
-        _from_row(RawEntry, row) for row in entry_rows if row["author"] in cohort_authors
+        _from_row(RawEntry, row)
+        for row in inputs[runfiles.ENTRIES]
+        if row["author"] in cohort_authors
     ]
 
     def process(entry: RawEntry) -> dict:
         clean = clean_entry(entry)
-        row = {
-            "entry": entry.to_dict(),
-            "clean_text": clean.clean_text,
-            "removed": clean.removed,
-            "relevant": None,
-            "safety": None,
-        }
+        row = {**asdict(clean), "relevant": None, "safety": None}
         if clean.removed is not None:
             row["disposition"] = DISPOSITION_REMOVED
             return row
@@ -211,10 +219,8 @@ def stage_filter(
         return row
 
     rows = _map_items(cohort_entries, process, config.limits.concurrency)
-    runfiles.write_jsonl(run_dir / runfiles.FILTERED, rows)
-
     dispositions = [row["disposition"] for row in rows]
-    return {
+    return {runfiles.FILTERED: rows}, {
         "input_entries": len(rows),
         "removed": dispositions.count(DISPOSITION_REMOVED),
         "flagged": dispositions.count(DISPOSITION_FLAGGED),
@@ -239,11 +245,10 @@ def _clean_from_row(row: dict) -> CleanEntry:
 
 
 def stage_extract(
-    run_dir: Path, config: PipelineConfig, session: LlmSession, manifest: dict
-) -> dict:
+    inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
+) -> StageResult:
     """Per-entry non-temporal features and temporal annotations."""
-    filtered = runfiles.read_jsonl(run_dir / runfiles.FILTERED, "filter")
-    retained = [row for row in filtered if row["disposition"] in _RETAINED]
+    retained = [row for row in inputs[runfiles.FILTERED] if row["disposition"] in _RETAINED]
 
     def process(row: dict) -> dict:
         clean = _clean_from_row(row)
@@ -284,9 +289,8 @@ def stage_extract(
         return out
 
     rows = _map_items(retained, process, config.limits.concurrency)
-    runfiles.write_jsonl(run_dir / runfiles.FEATURES, rows)
     ok_rows = [row for row in rows if row["status"] == "ok"]
-    return {
+    return {runfiles.FEATURES: rows}, {
         "input_entries": len(retained),
         "features_ok": len(ok_rows),
         "parse_failures": len(rows) - len(ok_rows),
@@ -297,17 +301,14 @@ def stage_extract(
 
 
 def stage_aggregate(
-    run_dir: Path, config: PipelineConfig, session: LlmSession, manifest: dict
-) -> dict:
+    inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
+) -> StageResult:
     """Build per-user records and produce both user-level summaries."""
-    filtered = runfiles.read_jsonl(run_dir / runfiles.FILTERED, "filter")
-    features = runfiles.read_jsonl(run_dir / runfiles.FEATURES, "extract")
-    cohort = Cohort.from_dict(runfiles.read_json(run_dir / runfiles.COHORT, "ingest"))
-
-    clean_by_id = {row["entry"]["id"]: row for row in filtered}
+    cohort = Cohort.from_dict(inputs[runfiles.COHORT])
+    clean_by_id = {row["entry"]["id"]: row for row in inputs[runfiles.FILTERED]}
     entries: list[UserEntry] = []
     authors_by_entry: dict[str, str] = {}
-    for row in features:
+    for row in inputs[runfiles.FEATURES]:
         if row["status"] != "ok":
             continue
         source = clean_by_id[row["entry_id"]]
@@ -362,9 +363,8 @@ def stage_aggregate(
         return row
 
     rows = _map_items(records, process, config.limits.concurrency)
-    runfiles.write_jsonl(run_dir / runfiles.SUMMARIES, rows)
     statuses = [row["status"] for row in rows]
-    return {
+    return {runfiles.SUMMARIES: rows}, {
         "input_entries": len(entries),
         "cohort_users": len(cohort.users),
         "users_with_entries": len(records),
@@ -377,11 +377,10 @@ def stage_aggregate(
 
 
 def stage_diagnose(
-    run_dir: Path, config: PipelineConfig, session: LlmSession, manifest: dict
-) -> dict:
+    inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
+) -> StageResult:
     """Fused diagnosis summary for every successfully summarized user."""
-    summaries = runfiles.read_jsonl(run_dir / runfiles.SUMMARIES, "aggregate")
-    ready = [row for row in summaries if row["status"] == "ok"]
+    ready = [row for row in inputs[runfiles.SUMMARIES] if row["status"] == "ok"]
 
     def process(row: dict) -> dict:
         temporal = TemporalSummary(**row["temporal"]) if row["temporal"] else None
@@ -397,9 +396,8 @@ def stage_diagnose(
         return {"author": summary.author, "status": "ok", **asdict(summary)}
 
     rows = _map_items(ready, process, config.limits.concurrency)
-    runfiles.write_jsonl(run_dir / runfiles.DIAGNOSIS, rows)
     diagnosed = [row for row in rows if row["status"] == "ok"]
-    return {
+    return {runfiles.DIAGNOSIS: rows}, {
         "input_users": len(ready),
         "diagnosed": len(diagnosed),
         "failures": len(rows) - len(diagnosed),
@@ -408,12 +406,11 @@ def stage_diagnose(
 
 
 def stage_recommend(
-    run_dir: Path, config: PipelineConfig, session: LlmSession, manifest: dict
-) -> dict:
+    inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
+) -> StageResult:
     """Recommendation sets for diagnosed users; escalations for safety-excluded ones."""
-    summaries = runfiles.read_jsonl(run_dir / runfiles.SUMMARIES, "aggregate")
-    diagnosis_rows = runfiles.read_jsonl(run_dir / runfiles.DIAGNOSIS, "diagnose")
-    diagnosis_by_author = {row["author"]: row for row in diagnosis_rows}
+    summaries = inputs[runfiles.SUMMARIES]
+    diagnosis_by_author = {row["author"]: row for row in inputs[runfiles.DIAGNOSIS]}
     blocklist = load_lexicon(packaged_path("data/medication_blocklist.txt"))
 
     diagnosed = [
@@ -445,10 +442,9 @@ def stage_recommend(
             escalations += 1
         elif row["author"] in generated_by_author:
             rows.append(generated_by_author[row["author"]])
-    runfiles.write_jsonl(run_dir / runfiles.RECOMMENDATIONS, rows)
 
     ok_rows = [row for row in rows if row["status"] == "ok"]
-    return {
+    return {runfiles.RECOMMENDATIONS: rows}, {
         "input_users": len(diagnosed),
         "sets": len(ok_rows),
         "failures": sum(1 for row in rows if row["status"] == "recommendation_failure"),
@@ -460,11 +456,10 @@ def stage_recommend(
 
 
 def stage_interact(
-    run_dir: Path, config: PipelineConfig, session: LlmSession, manifest: dict
-) -> dict:
+    inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
+) -> StageResult:
     """Pair retained comments with their posts and classify each pair."""
-    filtered = runfiles.read_jsonl(run_dir / runfiles.FILTERED, "filter")
-    retained_rows = [row for row in filtered if row["disposition"] in _RETAINED]
+    retained_rows = [row for row in inputs[runfiles.FILTERED] if row["disposition"] in _RETAINED]
     retained = [_clean_from_row(row) for row in retained_rows]
     flagged_ids = {
         row["entry"]["id"] for row in retained_rows if row["disposition"] == DISPOSITION_FLAGGED
@@ -473,19 +468,10 @@ def stage_interact(
     pairs, skipped = pair_entries(retained, flagged_ids)
 
     def process(pair) -> dict:
-        record = classify_relation(pair, session)
-        return {
-            "post_id": record.post_id,
-            "comment_id": record.comment_id,
-            "post_author": pair.post.entry.author,
-            "comment_author": pair.comment.entry.author,
-            "relation": record.relation,
-            "detail": record.detail,
-        }
+        return asdict(classify_relation(pair, session))
 
     rows = _map_items(pairs, process, config.limits.concurrency)
-    runfiles.write_jsonl(run_dir / runfiles.RELATIONS, rows)
-    return {
+    return {runfiles.RELATIONS: rows}, {
         "input_comments": sum(1 for c in retained if c.entry.kind == "comment"),
         "pairs": len(pairs),
         "skipped_no_parent": skipped,
@@ -494,13 +480,19 @@ def stage_interact(
     }
 
 
-def stage_report(run_dir: Path, config: PipelineConfig, session: None, manifest: dict) -> dict:
+def stage_report(
+    inputs: dict, config: PipelineConfig, session: None, manifest: dict
+) -> StageResult:
+    """Per-user and run reports from the stage rows and the recorded stage stats."""
     stage_stats = {
         name: record.get("stats", {})
         for name, record in manifest.get("stages", {}).items()
         if record.get("status") == "ok" and name != "report"
     }
-    return emit_reports(run_dir, config, stage_stats)
+    aliases = load_aliases(packaged_path("data/therapy_aliases.json"))
+    files = emit_reports(inputs, stage_stats, aliases)
+    users = {row["author"] for row in inputs[runfiles.SUMMARIES]}
+    return files, {"users_reported": len(users), "run_report": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -510,59 +502,60 @@ def stage_report(run_dir: Path, config: PipelineConfig, session: None, manifest:
 
 @dataclass(frozen=True)
 class StageDef:
-    """One stage: its function, the stages it follows, the run-dir files it
-    reads and writes, and the resource files whose bytes its outputs depend on."""
+    """One stage: its function, the run-dir files it reads and writes, and the
+    resource files whose bytes its outputs depend on."""
 
     name: str
-    run: Callable[[Path, PipelineConfig, LlmSession | None, dict], dict]
-    deps: tuple[str, ...]
+    run: Callable[[dict, PipelineConfig, LlmSession | None, dict], StageResult]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     resources: tuple[str, ...] = ()
-    uses_backend: bool = True
+
+    @property
+    def deps(self) -> tuple[str, ...]:
+        """The stages that produce this stage's inputs."""
+        return tuple(dict.fromkeys(_PRODUCERS[name] for name in self.inputs))
+
+    @property
+    def uses_backend(self) -> bool:
+        return any(name.startswith("prompts/") for name in self.resources)
 
 
-# Each entry: name, function, deps / run-dir inputs, outputs / resources.
+# Each entry: name, function, run-dir inputs, outputs, resources.
 STAGES: tuple[StageDef, ...] = (
+    StageDef("ingest", stage_ingest, (), (runfiles.ENTRIES, runfiles.REJECTS, runfiles.COHORT)),
     StageDef(
-        "ingest", stage_ingest, (),
-        (), (runfiles.ENTRIES, runfiles.REJECTS, runfiles.COHORT),
-        uses_backend=False,
-    ),
-    StageDef(
-        "filter", stage_filter, ("ingest",),
+        "filter", stage_filter,
         (runfiles.ENTRIES, runfiles.COHORT), (runfiles.FILTERED,),
         ("prompts/relevance.txt", "prompts/safety.txt", LEXICON),
     ),
     StageDef(
-        "extract", stage_extract, ("filter",),
+        "extract", stage_extract,
         (runfiles.FILTERED,), (runfiles.FEATURES,),
         ("prompts/extract_features.txt", "prompts/extract_temporal.txt"),
     ),
     StageDef(
-        "aggregate", stage_aggregate, ("filter", "extract"),
+        "aggregate", stage_aggregate,
         (runfiles.FILTERED, runfiles.FEATURES, runfiles.COHORT), (runfiles.SUMMARIES,),
         ("prompts/summary_non_temporal.txt", "prompts/summary_temporal.txt"),
     ),
     StageDef(
-        "diagnose", stage_diagnose, ("aggregate",),
+        "diagnose", stage_diagnose,
         (runfiles.SUMMARIES,), (runfiles.DIAGNOSIS,),
         ("prompts/diagnosis.txt",),
     ),
     StageDef(
-        "recommend", stage_recommend, ("diagnose", "aggregate"),
+        "recommend", stage_recommend,
         (runfiles.DIAGNOSIS, runfiles.SUMMARIES), (runfiles.RECOMMENDATIONS,),
         ("prompts/recommendation.txt", "data/medication_blocklist.txt"),
     ),
     StageDef(
-        "interact", stage_interact, ("filter",),
+        "interact", stage_interact,
         (runfiles.FILTERED,), (runfiles.RELATIONS,),
         ("prompts/relation.txt",),
     ),
     StageDef(
-        "report",
-        stage_report,
-        ("ingest", "filter", "extract", "aggregate", "diagnose", "recommend", "interact"),
+        "report", stage_report,
         (
             runfiles.COHORT,
             runfiles.FILTERED,
@@ -574,12 +567,12 @@ STAGES: tuple[StageDef, ...] = (
         ),
         (runfiles.REPORTS_DIR,),
         ("data/therapy_aliases.json",),
-        uses_backend=False,
     ),
 )
 
 STAGE_NAMES = tuple(stage.name for stage in STAGES)
 _STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
+_PRODUCERS = {output: stage.name for stage in STAGES for output in stage.outputs}
 
 
 def resource_paths(stage: StageDef, config: PipelineConfig) -> list[Path]:
@@ -675,8 +668,13 @@ def new_manifest(config: PipelineConfig, input_paths: list[str]) -> dict:
 @contextmanager
 def _open_run(
     config: PipelineConfig, input_paths: list[Path] | None, run_dir: Path
-) -> Iterator[dict]:
-    """Lock the run directory and yield its manifest, set to this config and these inputs."""
+) -> Iterator[tuple[dict, Callable[[], LlmSession]]]:
+    """Lock the run directory; yield its manifest, set to this config and these
+    inputs, and a getter for the run's one backend session.
+
+    The session is built at the getter's first call and closed when the run
+    ends, so a run that executes no backend stage needs no credentials.
+    """
     run_dir.mkdir(parents=True, exist_ok=True)
     with RunLock(run_dir):
         manifest = load_manifest(run_dir) or new_manifest(config, [])
@@ -685,61 +683,75 @@ def _open_run(
         manifest["config_digest"] = config_digest(config)
         if input_paths:
             manifest["input_paths"] = [str(p) for p in input_paths]
-        yield manifest
+        built: list[LlmSession] = []
+
+        def get_session() -> LlmSession:
+            if not built:
+                built.append(build_session(config, run_dir))
+            return built[0]
+
+        try:
+            yield manifest, get_session
+        finally:
+            for opened in built:
+                opened.close()
 
 
 class RunLock:
-    """One process owns one run directory; stale locks from dead pids are reclaimed."""
+    """One process owns one run directory, through an exclusive ``flock`` on ``.lock``.
+
+    The kernel releases the lock when its owner exits, however it exits, so
+    a lock is never stale. The file stays in place: unlinking it would let
+    one process lock a new file of that name while another still holds the
+    old one. While held, it carries the owner's pid, for the error message.
+    """
 
     def __init__(self, run_dir: Path):
         self.path = run_dir / runfiles.LOCK_FILE
 
     def __enter__(self) -> "RunLock":
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
-            handle = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            owner = self._owner()
-            if owner is not None and _pid_alive(owner):
-                raise RunLockedError(
-                    f"run directory locked by pid {owner}: {self.path}"
-                ) from None
-            self.path.unlink(missing_ok=True)
-            handle = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.write(handle, str(os.getpid()).encode("ascii"))
-        os.close(handle)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            owner = os.read(fd, 32).decode("ascii", "replace").strip() or "unknown"
+            os.close(fd)
+            raise RunLockedError(f"run directory locked by pid {owner}: {self.path}") from None
+        os.ftruncate(fd, 0)
+        os.write(fd, str(os.getpid()).encode("ascii"))
+        self._fd = fd
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.path.unlink(missing_ok=True)
-
-    def _owner(self) -> int | None:
-        try:
-            return int(self.path.read_text(encoding="ascii").strip())
-        except (OSError, ValueError):
-            return None
+        os.ftruncate(self._fd, 0)
+        os.close(self._fd)  # releases the lock
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
-def execute_stage(name: str, run_dir: Path, config: PipelineConfig, manifest: dict) -> dict:
-    """Run one stage, record its manifest entry, persist the backend log."""
+def execute_stage(
+    name: str,
+    run_dir: Path,
+    config: PipelineConfig,
+    manifest: dict,
+    get_session: Callable[[], LlmSession],
+) -> dict:
+    """Run one stage: read its inputs, call it, write its outputs and backend log,
+    and record it in the manifest. ``get_session`` returns the run's backend session."""
     stage = _STAGE_BY_NAME[name]
-    session = build_session(config, run_dir) if stage.uses_backend else None
+    session = get_session() if stage.uses_backend else None
+    records: list[CallRecord] = []
     started = time.time()
     logger.info("stage %s: running", name)
     try:
-        stats = stage.run(run_dir, config, session, manifest)
-        # a resource file that is missing fails the stage here, not in a traceback
+        inputs = {path: runfiles.read(run_dir / path, _PRODUCERS[path]) for path in stage.inputs}
+        files, stats = stage.run(inputs, config, session, manifest)
+        # a resource file that is missing fails the stage here, before any output is written
         input_digest = stage_input_digest(stage, run_dir, config, manifest["input_paths"])
+        written = {path.split("/")[0] for path in files}
+        if written != set(stage.outputs):
+            raise StageError(name, f"wrote {sorted(written)}, declares {sorted(stage.outputs)}")
+        for path, content in files.items():
+            runfiles.write(run_dir / path, content)
     except Exception as exc:
         manifest["stages"][name] = {
             "status": "failed",
@@ -754,11 +766,13 @@ def execute_stage(name: str, run_dir: Path, config: PipelineConfig, manifest: di
         raise StageError(name, str(exc)) from exc
     finally:
         if session is not None:
-            session.close()
+            records = session.take_records()  # the next stage's calls are numbered from 1
 
-    stats["cache_hits"] = session.hits if session else 0
-    stats["cache_misses"] = session.misses if session else 0
-    _write_backend_log(run_dir, name, session)
+    hits = sum(r.cache_hit for r in records)
+    stats["cache_hits"] = hits
+    stats["cache_misses"] = len(records) - hits
+    if session is not None:
+        _write_backend_log(run_dir, name, records)
     record = {
         "status": "ok",
         "input_digest": input_digest,
@@ -818,7 +832,7 @@ def run_all(
     Returns the final run manifest. ``input_paths`` may be omitted when
     resuming a directory whose manifest already records them.
     """
-    with _open_run(config, input_paths, run_dir) as manifest:
+    with _open_run(config, input_paths, run_dir) as (manifest, get_session):
         if not manifest["input_paths"]:
             raise StageError("ingest", "no input paths given and none recorded in the manifest")
         reran: set[str] = set()
@@ -826,7 +840,7 @@ def run_all(
             if _stage_clean(stage, run_dir, config, manifest, reran):
                 logger.info("stage %s: up to date, skipping", stage.name)
                 continue
-            execute_stage(stage.name, run_dir, config, manifest)
+            execute_stage(stage.name, run_dir, config, manifest, get_session)
             reran.add(stage.name)
         save_manifest(run_dir, manifest)
     return manifest
@@ -836,8 +850,8 @@ def run_stage(
     name: str, config: PipelineConfig, input_paths: list[Path] | None, run_dir: Path
 ) -> dict:
     """Execute one stage on a run directory, whether or not its record is intact."""
-    with _open_run(config, input_paths, run_dir) as manifest:
-        return execute_stage(name, run_dir, config, manifest)
+    with _open_run(config, input_paths, run_dir) as (manifest, get_session):
+        return execute_stage(name, run_dir, config, manifest, get_session)
 
 
 def cache_stats(

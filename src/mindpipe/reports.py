@@ -1,6 +1,7 @@
 """Per-user and run-level report emission: structured JSON plus Markdown.
 
-Reports are pure functions of the stage files; authors are emitted in
+Reports are pure functions of the stage rows, keyed by stage file name;
+this module neither reads nor writes files. Authors are emitted in
 ascending order and human-readable fractions are rounded to two decimals
 while the structured output keeps full precision.
 """
@@ -9,11 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from pathlib import Path
 
 from . import runfiles, stats
-from .config import PipelineConfig, packaged_path
-from .recommendation import load_aliases
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9_.-]")
 
@@ -31,27 +29,14 @@ def _fmt(fraction: float) -> str:
     return f"{fraction:.2f}"
 
 
-def _load_stage_rows(run_dir: Path) -> dict:
-    return {
-        "cohort": runfiles.read_json(run_dir / runfiles.COHORT, "ingest"),
-        "filtered": runfiles.read_jsonl(run_dir / runfiles.FILTERED, "filter"),
-        "features": runfiles.read_jsonl(run_dir / runfiles.FEATURES, "extract"),
-        "summaries": runfiles.read_jsonl(run_dir / runfiles.SUMMARIES, "aggregate"),
-        "diagnosis": runfiles.read_jsonl(run_dir / runfiles.DIAGNOSIS, "diagnose"),
-        "recommendations": runfiles.read_jsonl(run_dir / runfiles.RECOMMENDATIONS, "recommend"),
-        "relations": runfiles.read_jsonl(run_dir / runfiles.RELATIONS, "interact"),
-    }
-
-
-def build_run_report(rows: dict, stage_stats: dict) -> dict:
+def build_run_report(rows: dict, stage_stats: dict, aliases: dict[str, str]) -> dict:
     """Assemble all run-level statistics from the stage rows."""
-    feature_rows = [r for r in rows["features"] if r["status"] == "ok"]
-    aliases = load_aliases(packaged_path("data/therapy_aliases.json"))
+    feature_rows = [r for r in rows[runfiles.FEATURES] if r["status"] == "ok"]
 
     severity = stats.severity_distribution(feature_rows) if feature_rows else None
-    entry_frac, user_frac = stats.temporal_coverage(feature_rows, rows["summaries"])
-    therapy_table = stats.therapy_frequency(rows["recommendations"], aliases)
-    relations = stats.relation_distribution(rows["relations"])
+    entry_frac, user_frac = stats.temporal_coverage(feature_rows, rows[runfiles.SUMMARIES])
+    therapy_table = stats.therapy_frequency(rows[runfiles.RECOMMENDATIONS], aliases)
+    relations = stats.relation_distribution(rows[runfiles.RELATIONS])
 
     cache_hits = sum(s.get("cache_hits", 0) for s in stage_stats.values())
     cache_misses = sum(s.get("cache_misses", 0) for s in stage_stats.values())
@@ -151,9 +136,9 @@ def _run_report_markdown(report: dict) -> str:
 
 
 def _user_payload(author: str, by_author: dict[str, dict[str, dict]]) -> dict:
-    summary_row = by_author["summaries"].get(author)
-    diagnosis_row = by_author["diagnosis"].get(author)
-    rec_row = by_author["recommendations"].get(author)
+    summary_row = by_author[runfiles.SUMMARIES].get(author)
+    diagnosis_row = by_author[runfiles.DIAGNOSIS].get(author)
+    rec_row = by_author[runfiles.RECOMMENDATIONS].get(author)
     status = summary_row["status"] if summary_row else "no_surviving_entries"
     payload = {"author": author, "status": status}
     if status == "safety_excluded":
@@ -253,26 +238,20 @@ def _user_markdown(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_reports(run_dir: Path, config: PipelineConfig, stage_stats: dict) -> dict:
-    """Write per-user reports and the run report; returns emission counters."""
-    rows = _load_stage_rows(run_dir)
-    reports_dir = run_dir / runfiles.REPORTS_DIR
-    users_dir = reports_dir / "users"
-    users_dir.mkdir(parents=True, exist_ok=True)
-
+def emit_reports(rows: dict, stage_stats: dict, aliases: dict[str, str]) -> dict[str, object]:
+    """Per-user reports and the run report, keyed by path in the run directory."""
     # built from the reversed rows, so each author maps to their first row
     by_author = {
         name: {row["author"]: row for row in reversed(rows[name])}
-        for name in ("summaries", "diagnosis", "recommendations")
+        for name in (runfiles.SUMMARIES, runfiles.DIAGNOSIS, runfiles.RECOMMENDATIONS)
     }
-    authors = sorted(by_author["summaries"])
-    for author in authors:
+    files: dict[str, object] = {}
+    for author in sorted(by_author[runfiles.SUMMARIES]):
         payload = _user_payload(author, by_author)
-        slug = author_slug(author)
-        runfiles.write_json(users_dir / f"{slug}.json", payload)
-        (users_dir / f"{slug}.md").write_text(_user_markdown(payload), encoding="utf-8")
-
-    report = build_run_report(rows, stage_stats)
-    runfiles.write_json(reports_dir / "run_report.json", report)
-    (reports_dir / "run_report.md").write_text(_run_report_markdown(report), encoding="utf-8")
-    return {"users_reported": len(authors), "run_report": 1}
+        stem = f"{runfiles.REPORTS_DIR}/users/{author_slug(author)}"
+        files[f"{stem}.json"] = payload
+        files[f"{stem}.md"] = _user_markdown(payload)
+    report = build_run_report(rows, stage_stats, aliases)
+    files[f"{runfiles.REPORTS_DIR}/run_report.json"] = report
+    files[f"{runfiles.REPORTS_DIR}/run_report.md"] = _run_report_markdown(report)
+    return files

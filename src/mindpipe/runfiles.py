@@ -1,6 +1,8 @@
 """Run-directory contract: stage file names and JSON/JSONL helpers.
 
-The run directory is the only persistence. All writes are atomic
+The run directory is the only persistence. ``read`` and ``write`` pick
+the format from the file suffix: ``.jsonl`` holds rows, ``.json`` one
+object, anything else (the Markdown reports) text. All writes are atomic
 (temp file + rename) and byte-deterministic for fixed inputs.
 """
 
@@ -61,3 +63,18 @@ def read_json(path: Path, stage: str) -> dict:
     if not path.exists():
         raise MissingStageFileError(stage, str(path))
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def read(path: Path, stage: str) -> list[dict] | dict:
+    """A stage file's rows (``.jsonl``) or object (``.json``); ``stage`` is its producer."""
+    return (read_jsonl if path.suffix == ".jsonl" else read_json)(path, stage)
+
+
+def write(path: Path, content: list[dict] | dict | str) -> None:
+    """Write rows (``.jsonl``), one object (``.json``) or text (any other suffix)."""
+    if path.suffix == ".jsonl":
+        write_jsonl(path, content)
+    elif path.suffix == ".json":
+        write_json(path, content)
+    else:
+        _atomic_write(path, content)

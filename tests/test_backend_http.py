@@ -14,6 +14,7 @@ from mindpipe.errors import BackendError, BackendExhaustedError, ConfigError
 from mindpipe.llm.completion import CompletionRequest
 from mindpipe.llm.http_backend import _BACKOFF_CAP, HttpBackend
 from mindpipe.llm.mock_backend import MockBackend
+from mindpipe.llm.ratelimit import RateLimiter
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -256,32 +257,47 @@ def test_mock_and_http_runs_share_a_cache_dir_without_sharing_answers(
     assert handler.served == mock_run["cache"]["misses"] > 0
 
 
-def test_each_backend_stage_closes_its_http_session(tmp_path, monkeypatch, corpus_path):
-    closes = []
-    close = requests.Session.close
+def test_http_run_builds_one_limiter_and_one_http_session(tmp_path, monkeypatch, corpus_path):
+    # one limiter paces the requests of every stage, so rps holds across stage boundaries
+    limiters, opened, closed = [], [], []
 
-    def counting_close(self):
-        closes.append(self)
-        close(self)
+    def recording(method, seen):
+        def record(self, *args, **kwargs):
+            seen.append(self)
+            return method(self, *args, **kwargs)
 
-    monkeypatch.setattr(requests.Session, "close", counting_close)
+        return record
+
+    monkeypatch.setattr(RateLimiter, "__init__", recording(RateLimiter.__init__, limiters))
+    monkeypatch.setattr(
+        requests.Session, "__init__", recording(requests.Session.__init__, opened)
+    )
+    monkeypatch.setattr(requests.Session, "close", recording(requests.Session.close, closed))
     monkeypatch.setenv("TEST_API_KEY", "sekret")
     server = HTTPServer(("127.0.0.1", 0), type("Handler", (_MockRulesHandler,), {}))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    overrides = {
-        "pipeline.cohort_size": COHORT_SIZE,
-        "backend.kind": "http",
-        "backend.base_url": f"http://127.0.0.1:{server.server_port}/v1",
-        "backend.api_key_env": "TEST_API_KEY",
-        "limits.rps": 1000.0,
-    }
+    config = load_config(
+        overrides={
+            "pipeline.cohort_size": COHORT_SIZE,
+            "backend.kind": "http",
+            "backend.base_url": f"http://127.0.0.1:{server.server_port}/v1",
+            "backend.api_key_env": "TEST_API_KEY",
+            "limits.rps": 1000.0,
+        }
+    )
     try:
-        pipeline.run_all(load_config(overrides=overrides), [corpus_path], tmp_path / "run")
+        manifest = pipeline.run_all(config, [corpus_path], tmp_path / "run")
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
-    backend_stages = [stage.name for stage in pipeline.STAGES if stage.uses_backend]
-    assert len(backend_stages) == 6
-    assert len(closes) == len({id(s) for s in closes}) == len(backend_stages)
+    assert manifest["stage_order"] == list(pipeline.STAGE_NAMES)
+    assert len(limiters) == len(opened) == 1
+    assert closed == opened
+    # a no-op rerun and a stage without a backend build no session, so need no credential
+    monkeypatch.delenv("TEST_API_KEY")
+    rerun = pipeline.run_all(config, None, tmp_path / "run")
+    assert rerun["stage_order"] == manifest["stage_order"]
+    pipeline.run_stage("report", config, None, tmp_path / "run")
+    assert len(limiters) == len(opened) == 1

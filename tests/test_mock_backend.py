@@ -57,6 +57,11 @@ def test_deterministic_and_counts_calls(backend, templates):
     assert first.prompt_tokens > 0
 
 
+def _hits_and_misses(records) -> tuple[int, int]:
+    hits = sum(record.cache_hit for record in records)
+    return hits, len(records) - hits
+
+
 def test_session_logs_hits_and_misses(templates, tmp_path):
     backend = MockBackend(packaged_path("data/mock_rules.json"))
     cache = ResponseCache(tmp_path / "cache", backend.identity)
@@ -66,11 +71,21 @@ def test_session_logs_hits_and_misses(templates, tmp_path):
     second = session.ask("relevance", {"text": "i feel anxious"}, tags=tags)
     assert first == second == "yes"
     assert backend.calls == 1
-    assert (session.hits, session.misses) == (1, 1)
+    assert _hits_and_misses(session.records) == (1, 1)
     assert [r.cache_hit for r in session.records] == [False, True]
     assert session.records[0].tags["entry_id"] == "e1"
     assert session.records[0].temperature == 0.0
     assert session.records[0].max_tokens == 1000
+
+
+def test_take_records_empties_the_log_and_restarts_seq(templates):
+    session = LlmSession(MockBackend(packaged_path("data/mock_rules.json")), templates, model="m")
+    session.ask("relevance", {"text": "i feel anxious"}, tags={})
+    session.ask("relevance", {"text": "i feel calm"}, tags={})
+    assert [r.seq for r in session.take_records()] == [1, 2]
+    assert session.records == []
+    session.ask("relevance", {"text": "i feel anxious"}, tags={})
+    assert [r.seq for r in session.take_records()] == [1]
 
 
 def test_session_reask_appends_reminder(templates):
@@ -147,7 +162,7 @@ def test_identical_requests_in_flight_reach_backend_once(templates, tmp_path, fa
         assert cache.get(request.cache_key()) is None
     else:
         assert outcomes == ["yes", "yes"]
-        assert (session.hits, session.misses) == (1, 1)
+        assert _hits_and_misses(session.records) == (1, 1)
     cache.close()
 
 
@@ -188,7 +203,7 @@ def test_ask_parsed_turns_a_backend_error_into_a_failure(templates, tmp_path, fa
     assert backend.calls == fail_on
     # only the answered ask is logged and cached; the failed one is neither
     assert [r.reask for r in session.records] == [False] * (fail_on - 1)
-    assert (session.hits, session.misses) == (0, fail_on - 1)
+    assert _hits_and_misses(session.records) == (0, fail_on - 1)
     request = _request(templates, "relevance", {"text": "i feel anxious"})
     reminded = [*request.messages[:-1], dict(request.messages[-1])]
     reminded[-1]["content"] += REASK_REMINDER

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import logging
 import os
 import shutil
@@ -114,6 +115,44 @@ def test_stale_lock_from_dead_pid_is_reclaimed(tmp_path):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     (run_dir / ".lock").write_text("999999999")
+    with pipeline.RunLock(run_dir):
+        pass
+
+
+def test_lock_file_naming_a_live_pid_without_a_lock_is_acquired(tmp_path):
+    # pid reuse: the recorded owner is alive but holds no lock on the file
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / ".lock").write_text(str(os.getpid()))
+    with pipeline.RunLock(run_dir):
+        pass
+
+
+def test_lock_of_a_killed_owner_is_released(tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    script = (
+        "import sys, time\n"
+        "from pathlib import Path\n"
+        "from mindpipe import pipeline\n"
+        "pipeline.RunLock(Path(sys.argv[1])).__enter__()\n"
+        "print('locked', flush=True)\n"
+        "time.sleep(120)\n"
+    )
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.Popen(
+        [sys.executable, "-c", script, str(run_dir)], stdout=subprocess.PIPE, text=True, env=env
+    )
+    try:
+        assert child.stdout.readline() == "locked\n"
+        with pytest.raises(RunLockedError, match=f"pid {child.pid}"):
+            with pipeline.RunLock(run_dir):
+                pass
+    finally:
+        child.kill()  # SIGKILL: the child runs no cleanup
+        child.wait(timeout=30)
+        child.stdout.close()
     with pipeline.RunLock(run_dir):
         pass
 
@@ -273,6 +312,35 @@ def test_missing_resource_file_fails_the_stage_that_reads_it(corpus_path, tmp_pa
     with pytest.raises(StageError, match="relation.txt"):
         pipeline.run_all(config, [corpus_path], tmp_path / "run")
     assert pipeline.load_manifest(tmp_path / "run")["stages"]["interact"]["status"] == "failed"
+
+
+def test_a_failed_stage_writes_no_outputs(corpus_path, tmp_path):
+    prompts = tmp_path / "prompts"
+    shutil.copytree(packaged_path("prompts"), prompts)
+    # the template still loads, so the stage body succeeds and its input digest fails
+    (prompts / "relation.txt").rename(prompts / "relation_v2.txt")
+    config = _config(**{"paths.prompts_dir": str(prompts)})
+    with pytest.raises(StageError, match="relation.txt"):
+        pipeline.run_all(config, [corpus_path], tmp_path / "run")
+    assert not (tmp_path / "run" / "relations.jsonl").exists()
+    assert not (tmp_path / "run" / "logs" / "backend_interact.jsonl").exists()
+
+
+def test_a_stage_returning_an_undeclared_file_fails_and_writes_nothing(
+    fixture_run, tmp_path, monkeypatch
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(fixture_run, run_dir)
+    before = _outputs(run_dir)
+    report = pipeline._STAGE_BY_NAME["report"]
+    stray = dataclasses.replace(
+        report, run=lambda *args: ({**report.run(*args)[0], "stray.json": {}}, {})
+    )
+    monkeypatch.setitem(pipeline._STAGE_BY_NAME, "report", stray)
+    with pytest.raises(StageError, match="declares"):
+        pipeline.run_stage("report", _config(), None, run_dir)
+    assert not (run_dir / "stray.json").exists()
+    assert _outputs(run_dir) == before
 
 
 def test_version_change_reruns_every_stage(corpus_path, tmp_path, monkeypatch):

@@ -6,9 +6,10 @@ import shutil
 import pytest
 
 from conftest import SAFETY_USERS
+from mindpipe import pipeline
 from mindpipe.config import load_config
-from mindpipe.errors import MissingStageFileError
-from mindpipe.reports import author_slug, emit_reports
+from mindpipe.errors import MissingStageFileError, StageError
+from mindpipe.reports import author_slug
 
 
 def test_one_report_pair_per_user_plus_run_report(fixture_run):
@@ -63,10 +64,10 @@ def test_missing_stage_file_names_the_stage(fixture_run, tmp_path):
     partial = tmp_path / "partial"
     shutil.copytree(fixture_run, partial)
     (partial / "relations.jsonl").unlink()
-    config = load_config()
-    with pytest.raises(MissingStageFileError) as err:
-        emit_reports(partial, config, {})
-    assert err.value.stage == "interact"
+    with pytest.raises(StageError) as err:
+        pipeline.run_stage("report", load_config(), None, partial)
+    assert isinstance(err.value.__cause__, MissingStageFileError)
+    assert err.value.__cause__.stage == "interact"
 
 
 def test_author_slug_sanitizes_and_disambiguates():
