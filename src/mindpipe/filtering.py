@@ -86,10 +86,14 @@ def load_lexicon(path: str | Path) -> list[str]:
 
 
 def lexicon_match(text: str, terms: list[str]) -> str | None:
-    """First lexicon term present in text (word-bounded, case-insensitive)."""
+    """First lexicon term present in text (word-bounded, case-insensitive).
+
+    Terms are lowercase (``load_lexicon``), so a term that is not a substring
+    of the lowered text cannot match and skips the regex search.
+    """
     lowered = text.lower()
     for term in terms:
-        if re.search(rf"(?<!\w){re.escape(term)}(?!\w)", lowered):
+        if term in lowered and re.search(rf"(?<!\w){re.escape(term)}(?!\w)", lowered):
             return term
     return None
 

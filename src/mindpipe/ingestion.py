@@ -22,7 +22,7 @@ REASON_DUPLICATE_ID = "duplicate_id"
 
 @dataclass(kw_only=True)
 class RawEntry:
-    """One post or comment as parsed from a dump line; its row is ``asdict``."""
+    """One post or comment as parsed from a dump line; its row holds its fields in order."""
 
     id: str
     author: str

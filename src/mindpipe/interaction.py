@@ -40,7 +40,7 @@ class Pair:
 
 @dataclass
 class RelationRecord:
-    """One labeled pair; its row in ``relations.jsonl`` is ``asdict``."""
+    """One labeled pair; its row in ``relations.jsonl`` holds its fields in order."""
 
     post_id: str
     comment_id: str

@@ -10,6 +10,9 @@ DEFAULT_TEMPERATURE = 0.0
 DEFAULT_MAX_TOKENS = 1000
 DEFAULT_TOP_P = 1.0
 
+# shared, so that a cache key does not build a new encoder
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
 
 @dataclass
 class CompletionRequest:
@@ -32,7 +35,7 @@ class CompletionRequest:
             "stop": self.stop,
             "messages": self.messages,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        return _CANONICAL_ENCODER.encode(payload)
 
     def cache_key(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()

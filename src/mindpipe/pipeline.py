@@ -18,9 +18,9 @@ declared inputs, calls ``stage.run(inputs, config, session, manifest)``,
 which returns ``({relative path: rows | object | text}, stats)``, and
 writes those files only after the stage body and its input digest have
 both succeeded. The files must fill exactly the stage's declared outputs
-(a directory output, ``reports``, holds several). One backend session
-serves the whole run: it is built at the first backend stage that
-executes and closed when the run ends.
+(a directory output, ``reports``, holds several, and any other file in it
+is deleted). One backend session serves the whole run: it is built at the
+first backend stage that executes and closed when the run ends.
 
 A stage is skipped on rerun when its manifest record is intact: same
 config digest (the config plus the tool version), same input digest,
@@ -40,7 +40,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -132,8 +132,19 @@ def _map_items(items: list, fn: Callable, workers: int) -> list:
 
 def _write_backend_log(run_dir: Path, stage: str, records: list[CallRecord]) -> None:
     path = run_dir / runfiles.LOGS_DIR / f"backend_{stage}.jsonl"
-    # vars() keeps the field order; asdict() would deep-copy every message list
-    runfiles.write_jsonl(path, [vars(r) for r in records])
+    runfiles.write_jsonl(path, [_row(r) for r in records])
+
+
+def _row(obj) -> dict:
+    """A dataclass's fields, in field order, as a row; a nested dataclass
+    (``CleanEntry.entry``) becomes a row too.
+
+    Unlike ``asdict`` it copies nothing below the top level: lists are shared
+    with ``obj``, which is safe because rows are only serialized.
+    """
+    return {
+        name: _row(value) if is_dataclass(value) else value for name, value in vars(obj).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +177,7 @@ def stage_ingest(
     cohort = select_cohort(entries, config.pipeline.cohort_size)
     cohort_entries = sum(count for _, count in cohort.users)
     files = {
-        runfiles.ENTRIES: [asdict(entry) for entry in entries],
+        runfiles.ENTRIES: [_row(entry) for entry in entries],
         runfiles.REJECTS: reject_rows,
         runfiles.COHORT: cohort.to_dict(),
     }
@@ -196,7 +207,7 @@ def stage_filter(
 
     def process(entry: RawEntry) -> dict:
         clean = clean_entry(entry)
-        row = {**asdict(clean), "relevant": None, "safety": None}
+        row = {**_row(clean), "relevant": None, "safety": None}
         if clean.removed is not None:
             row["disposition"] = DISPOSITION_REMOVED
             return row
@@ -338,7 +349,7 @@ def stage_aggregate(
             "non_temporal": None,
             "temporal": None,
             "failure": None,
-            "chronology": [asdict(event) for event in chronology.events],
+            "chronology": [_row(event) for event in chronology.events],
             "monthly_counts": monthly_counts(record),
             "entry_count": len(record.entries),
             "flagged_entries": sum(1 for e in record.entries if e.flagged),
@@ -357,9 +368,9 @@ def stage_aggregate(
             row["failure"] = temporal_failure
             return row
         row["status"] = "ok"
-        row["non_temporal"] = asdict(non_temporal)
+        row["non_temporal"] = _row(non_temporal)
         if temporal is not None:
-            row["temporal"] = asdict(temporal)
+            row["temporal"] = _row(temporal)
         return row
 
     rows = _map_items(records, process, config.limits.concurrency)
@@ -393,7 +404,7 @@ def stage_diagnose(
         )
         if failure is not None:
             return {"author": row["author"], "status": "diagnosis_failure", "failure": failure}
-        return {"author": summary.author, "status": "ok", **asdict(summary)}
+        return {"author": summary.author, "status": "ok", **_row(summary)}
 
     rows = _map_items(ready, process, config.limits.concurrency)
     diagnosed = [row for row in rows if row["status"] == "ok"]
@@ -429,7 +440,7 @@ def stage_recommend(
                 "status": "recommendation_failure",
                 "failure": failure,
             }
-        return {"author": rec.author, "status": "ok", **asdict(rec)}
+        return {"author": rec.author, "status": "ok", **_row(rec)}
 
     generated = _map_items(diagnosed, process, config.limits.concurrency)
     generated_by_author = {row["author"]: row for row in generated}
@@ -468,7 +479,7 @@ def stage_interact(
     pairs, skipped = pair_entries(retained, flagged_ids)
 
     def process(pair) -> dict:
-        return asdict(classify_relation(pair, session))
+        return _row(classify_relation(pair, session))
 
     rows = _map_items(pairs, process, config.limits.concurrency)
     return {runfiles.RELATIONS: rows}, {
@@ -752,6 +763,10 @@ def execute_stage(
             raise StageError(name, f"wrote {sorted(written)}, declares {sorted(stage.outputs)}")
         for path, content in files.items():
             runfiles.write(run_dir / path, content)
+        # a directory output holds exactly what the stage returned, not an earlier run's files
+        for path in _expand(run_dir, stage.outputs):
+            if path.relative_to(run_dir).as_posix() not in files:
+                path.unlink()
     except Exception as exc:
         manifest["stages"][name] = {
             "status": "failed",

@@ -37,9 +37,13 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+# json.dumps(row, ensure_ascii=False) builds a new encoder per call; this one is shared
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_jsonl(path: Path, rows: Iterable[dict]) -> int:
     """Write one JSON object per line; returns the row count."""
-    lines = [json.dumps(row, ensure_ascii=False) for row in rows]
+    lines = [_ROW_ENCODER.encode(row) for row in rows]
     _atomic_write(path, "".join(line + "\n" for line in lines))
     return len(lines)
 

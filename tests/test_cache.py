@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import logging
+import os
 import sqlite3
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 from hypothesis import given, strategies as st
 
+from mindpipe.llm import cache as cache_module
 from mindpipe.llm.cache import DB_NAME, ResponseCache, read_stats
 from mindpipe.llm.completion import CompletionRequest
 
@@ -69,6 +73,46 @@ def test_put_get_roundtrip(tmp_path):
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [DB_NAME]
 
 
+def test_pending_puts_are_served_before_any_flush(tmp_path):
+    cache = ResponseCache(tmp_path / "cache", NAMESPACE)
+    keys = [_request(max_tokens=n).cache_key() for n in range(1, 11)]
+    for key in keys:
+        cache.put(key, f"{key} text")
+    assert [cache.get(key) for key in keys] == [f"{key} text" for key in keys]
+    cache.put(keys[0], "replaced")
+    assert cache.get(keys[0]) == "replaced"
+    assert read_stats(tmp_path / "cache")[0] == 0  # nothing committed yet
+    cache.close()
+    assert read_stats(tmp_path / "cache")[0] == len(keys)
+    reopened = ResponseCache(tmp_path / "cache", NAMESPACE)
+    assert reopened.get(keys[0]) == "replaced"
+    reopened.close()
+
+
+def test_a_process_killed_without_close_loses_only_its_last_partial_batch(tmp_path):
+    batch = cache_module._FLUSH_EVERY
+    puts = batch + 10
+    script = (
+        "import os, sys\n"
+        "from mindpipe.llm.cache import ResponseCache\n"
+        "cache = ResponseCache(sys.argv[1], sys.argv[2])\n"
+        f"for n in range({puts}):\n"
+        "    cache.put(f'key {n}', f'text {n}')\n"
+        "os._exit(0)\n"  # no close(), no interpreter cleanup
+    )
+    src = str(Path(cache_module.__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "cache"), NAMESPACE],
+        env=env, check=True, timeout=60,
+    )
+    assert read_stats(tmp_path / "cache")[0] == batch
+    cache = ResponseCache(tmp_path / "cache", NAMESPACE)
+    assert cache.get(f"key {batch - 1}") == f"text {batch - 1}"
+    assert cache.get(f"key {batch}") is None  # a resumed run asks for it again
+    cache.close()
+
+
 def test_namespaces_do_not_serve_each_other(tmp_path):
     mock = ResponseCache(tmp_path / "cache", "mock:rules")
     http = ResponseCache(tmp_path / "cache", "http:http://127.0.0.1:1/v1")
@@ -85,6 +129,7 @@ def test_deleted_row_is_miss_and_rewritable(tmp_path):
     cache = ResponseCache(tmp_path / "cache", NAMESPACE)
     key = _request().cache_key()
     cache.put(key, "v1")
+    cache.flush()  # another connection sees a put only once it is flushed
     conn = sqlite3.connect(cache.path)
     with conn:
         assert conn.execute("DELETE FROM responses").rowcount == 1
@@ -163,8 +208,10 @@ def test_two_caches_on_one_directory_interleave(tmp_path):
         try:
             for key in mine:
                 cache.put(key, f"{key} v1")
+                cache.flush()
                 assert other.get(key) == f"{key} v1"  # the other connection sees the commit
                 other.put(key, f"{key} v2")
+                other.flush()
                 assert cache.get(key) == f"{key} v2"
         except Exception as exc:  # every failure is collected and reported
             errors.append(exc)

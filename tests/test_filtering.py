@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,6 +96,26 @@ def test_lexicon_match_word_bounded():
     assert lexicon_match("I want to end it all", terms) == "end it all"
     assert lexicon_match("my self-harmless joke", terms) is None
     assert lexicon_match("nothing here", terms) is None
+
+
+def test_lexicon_match_golden():
+    # the trigger is the first term in lexicon order, not the leftmost match
+    assert lexicon_match("I die inside, I want to die", ["want to die", "die"]) == "want to die"
+    assert lexicon_match("suicides", ["suicide"]) is None
+    # the substring check passes on "suicides"; the bounded occurrence comes later
+    assert lexicon_match("suicides, then suicide", ["suicide"]) == "suicide"
+
+
+@given(
+    st.text(alphabet="aB -", max_size=12),
+    # lowercase terms, as load_lexicon makes them
+    st.lists(st.text(alphabet="ab -", min_size=1, max_size=4), max_size=4),
+)
+def test_lexicon_match_equals_the_ungated_search(text, terms):
+    expected = next(
+        (t for t in terms if re.search(rf"(?<!\w){re.escape(t)}(?!\w)", text.lower())), None
+    )
+    assert lexicon_match(text, terms) == expected
 
 
 def _clean(text, entry_id="e1") -> CleanEntry:

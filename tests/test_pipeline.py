@@ -14,7 +14,7 @@ from conftest import COHORT_SIZE, read_jsonl
 from mindpipe import pipeline
 from mindpipe.config import PipelineConfig, load_config, packaged_path
 from mindpipe.errors import ConfigError, RunLockedError, StageError
-from mindpipe.llm.cache import DB_NAME
+from mindpipe.llm.cache import DB_NAME, read_stats
 
 STAGE_FILES = [
     "entries.jsonl",
@@ -314,7 +314,7 @@ def test_missing_resource_file_fails_the_stage_that_reads_it(corpus_path, tmp_pa
     assert pipeline.load_manifest(tmp_path / "run")["stages"]["interact"]["status"] == "failed"
 
 
-def test_a_failed_stage_writes_no_outputs(corpus_path, tmp_path):
+def test_a_failed_stage_writes_no_outputs(fixture_run, corpus_path, tmp_path):
     prompts = tmp_path / "prompts"
     shutil.copytree(packaged_path("prompts"), prompts)
     # the template still loads, so the stage body succeeds and its input digest fails
@@ -324,6 +324,34 @@ def test_a_failed_stage_writes_no_outputs(corpus_path, tmp_path):
         pipeline.run_all(config, [corpus_path], tmp_path / "run")
     assert not (tmp_path / "run" / "relations.jsonl").exists()
     assert not (tmp_path / "run" / "logs" / "backend_interact.jsonl").exists()
+    # closing the run flushed the cache: every answer of the earlier stages, and of
+    # interact's body, is there
+    stages = pipeline.load_manifest(tmp_path / "run")["stages"]
+    misses = sum(r["stats"]["cache_misses"] for r in stages.values() if r["status"] == "ok")
+    interact = pipeline.load_manifest(fixture_run)["stages"]["interact"]["stats"]
+    assert misses > 0
+    assert read_stats(tmp_path / "run" / "cache")[0] == misses + interact["cache_misses"]
+
+
+def test_a_smaller_cohort_rerun_leaves_no_stale_reports(corpus_path, tmp_path):
+    run_dir = tmp_path / "run"
+    pipeline.run_all(_config(), [corpus_path], run_dir)
+    # the fresh run starts from the cache the rerun finds, so the cache counters agree
+    shutil.copytree(run_dir / "cache", tmp_path / "cache")
+    smaller = {"pipeline.cohort_size": COHORT_SIZE // 2}
+    pipeline.run_all(_config(**smaller), [corpus_path], run_dir)
+    fresh = tmp_path / "fresh"
+    pipeline.run_all(
+        _config(**smaller, **{"paths.cache_dir": str(tmp_path / "cache")}), [corpus_path], fresh
+    )
+
+    def reports(root):
+        files = (p for p in (root / "reports").rglob("*") if p.is_file())
+        return {str(p.relative_to(root)): p.read_bytes() for p in files}
+
+    assert reports(run_dir) == reports(fresh)
+    stats = pipeline.load_manifest(run_dir)["stages"]["report"]["stats"]
+    assert len(list((run_dir / "reports" / "users").glob("*.json"))) == stats["users_reported"]
 
 
 def test_a_stage_returning_an_undeclared_file_fails_and_writes_nothing(
