@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import BackendError, BackendExhaustedError, ResponseFormatError, TemplateError
@@ -22,10 +22,19 @@ logger = logging.getLogger(__name__)
 
 REASK_REMINDER = "\n\nReminder: respond exactly in the required output format."
 
+# Acceptance criterion 2 audits the rendered prompts of these templates, so
+# their records keep ``messages``; every other record keeps only the request
+# digest, because the prompt holds the user's own post text.
+LOGGED_PROMPT_TEMPLATES = frozenset({"diagnosis", "recommendation"})
+
 
 @dataclass
 class CallRecord:
-    """One completion request as issued by the pipeline (hit or miss)."""
+    """One completion request as issued by the pipeline (hit or miss).
+
+    ``request_digest`` is the request's ``cache_key()``; ``messages`` is None
+    outside ``LOGGED_PROMPT_TEMPLATES``.
+    """
 
     seq: int
     template: str
@@ -37,7 +46,8 @@ class CallRecord:
     max_tokens: int
     top_p: float
     stop: list[str] | None
-    messages: list[dict[str, str]] = field(default_factory=list)
+    request_digest: str
+    messages: list[dict[str, str]] | None
 
 
 class LlmSession:
@@ -83,7 +93,8 @@ class LlmSession:
                 "content": messages[-1]["content"] + REASK_REMINDER,
             }
         request = CompletionRequest(model=self.model, messages=messages)
-        text, hit = self._answer(request.cache_key(), request)
+        key = request.cache_key()
+        text, hit = self._answer(key, request)
         with self._lock:
             self.records.append(
                 CallRecord(
@@ -97,7 +108,8 @@ class LlmSession:
                     max_tokens=request.max_tokens,
                     top_p=request.top_p,
                     stop=request.stop,
-                    messages=messages,
+                    request_digest=key,
+                    messages=messages if template_name in LOGGED_PROMPT_TEMPLATES else None,
                 )
             )
         return text

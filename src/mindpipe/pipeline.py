@@ -874,18 +874,18 @@ def cache_stats(
 ) -> tuple[int, int, float | None]:
     """(entries, database file bytes, last-run hit ratio) for a cache or run directory.
 
-    A cache directory without a database reads as (0, 0, ...) and is left as it is.
+    A run directory's cache is the ``paths.cache_dir`` its manifest records, if
+    any, else ``<run>/cache``. A cache directory without a database reads as
+    (0, 0, ...) and is left as it is.
     """
+    manifest = load_manifest(Path(run_dir)) if run_dir is not None else None
     if cache_dir is None:
         if run_dir is None:
             raise ValueError("cache_stats needs a run or cache directory")
-        cache_dir = run_dir / "cache"
+        shared = manifest and manifest["config"]["paths"]["cache_dir"]
+        cache_dir = Path(shared) if shared else Path(run_dir) / "cache"
     if not Path(cache_dir).exists():
         raise FileNotFoundError(f"cache directory does not exist: {cache_dir}")
     entries, size = read_stats(cache_dir)
-    ratio = None
-    if run_dir is not None:
-        manifest = load_manifest(Path(run_dir))
-        if manifest is not None:
-            ratio = manifest.get("cache", {}).get("hit_ratio")
+    ratio = None if manifest is None else manifest.get("cache", {}).get("hit_ratio")
     return entries, size, ratio

@@ -101,7 +101,12 @@ def test_session_reask_appends_reminder(templates):
     assert value is None
     assert failure == "always fails"
     assert [r.reask for r in session.records] == [False, True]
-    assert session.records[1].messages[-1]["content"].endswith(REASK_REMINDER)
+    request = _request(templates, "relevance", {"text": "anxious"})
+    reminded = [*request.messages[:-1], dict(request.messages[-1])]
+    reminded[-1]["content"] += REASK_REMINDER
+    reask = CompletionRequest(model="m", messages=reminded)
+    assert reask.messages[-1]["content"].endswith(REASK_REMINDER)
+    assert session.records[1].request_digest == reask.cache_key()
 
 
 def test_session_reask_distinct_cache_key(templates, tmp_path):

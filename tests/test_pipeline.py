@@ -1,20 +1,28 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import logging
 import os
 import shutil
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
 
-from conftest import COHORT_SIZE, read_jsonl
+from conftest import COHORT_SIZE, read_backend_log, read_jsonl
 from mindpipe import pipeline
 from mindpipe.config import PipelineConfig, load_config, packaged_path
 from mindpipe.errors import ConfigError, RunLockedError, StageError
 from mindpipe.llm.cache import DB_NAME, read_stats
+from mindpipe.llm.completion import CompletionRequest
+from mindpipe.llm.mock_backend import MockBackend
+from mindpipe.llm.session import LOGGED_PROMPT_TEMPLATES, REASK_REMINDER
+from mindpipe.llm.templates import render
 
 STAGE_FILES = [
     "entries.jsonl",
@@ -235,11 +243,66 @@ def test_cache_stats_missing_dir_errors(tmp_path):
         pipeline.cache_stats(cache_dir=tmp_path / "absent")
 
 
+def test_cache_stats_of_a_run_reads_its_shared_cache_dir(corpus_path, tmp_path):
+    shared, run_dir = tmp_path / "shared", tmp_path / "run"
+    manifest = pipeline.run_all(
+        _config(**{"paths.cache_dir": str(shared)}), [corpus_path], run_dir
+    )
+    assert not (run_dir / "cache").exists()
+    entries, size, ratio = pipeline.cache_stats(run_dir=run_dir)
+    assert entries == manifest["cache"]["misses"]
+    assert size == (shared / DB_NAME).stat().st_size
+    assert ratio == manifest["cache"]["hit_ratio"]
+
+
 def test_backend_log_has_stage_tags(fixture_run):
     filter_log = read_jsonl(fixture_run / "logs" / "backend_filter.jsonl")
     assert filter_log
     assert all(rec["tags"]["stage"] == "filter" for rec in filter_log)
     assert all("entry_id" in rec["tags"] for rec in filter_log)
+
+
+def test_backend_log_keeps_no_post_text_outside_audited_prompts(fixture_run):
+    assert LOGGED_PROMPT_TEMPLATES == {"diagnosis", "recommendation"}
+    records = read_backend_log(fixture_run)
+    for record in records:
+        assert (record["messages"] is None) == (record["template"] not in LOGGED_PROMPT_TEMPLATES)
+    texts = [row["clean_text"] for row in read_jsonl(fixture_run / "filtered.jsonl")]
+    texts = [text for text in texts if text]
+    assert texts
+    lines = [
+        line
+        for log in sorted((fixture_run / "logs").glob("backend_*.jsonl"))
+        for line in log.read_text(encoding="utf-8").splitlines()
+    ]
+    assert len(lines) == len(records)
+    for text in texts:
+        encoded = json.dumps(text, ensure_ascii=False)[1:-1]
+        assert not any(text in line or encoded in line for line in lines), text
+
+
+def test_backend_log_digest_joins_a_record_to_its_request(fixture_run, templates):
+    clean_text = {
+        row["entry"]["id"]: row["clean_text"]
+        for row in read_jsonl(fixture_run / "filtered.jsonl")
+    }
+    model = _config().backend.model
+    identity = MockBackend(packaged_path(pipeline.MOCK_RULES)).identity
+    with closing(sqlite3.connect(fixture_run / "cache" / DB_NAME)) as db:
+        row_keys = {key for (key,) in db.execute("SELECT key FROM responses")}
+    joined = 0
+    for record in read_jsonl(fixture_run / "logs" / "backend_filter.jsonl"):
+        assert record["template"] in ("relevance", "safety")
+        text = clean_text[record["tags"]["entry_id"]]
+        messages = render(templates[record["template"]], {"text": text})
+        if record["reask"]:
+            messages[-1] = {"role": "user", "content": messages[-1]["content"] + REASK_REMINDER}
+        request = CompletionRequest(model=model, messages=messages)
+        assert record["request_digest"] == request.cache_key()
+        row_key = hashlib.sha256(f"{identity}\0{record['request_digest']}".encode()).hexdigest()
+        assert row_key in row_keys
+        joined += 1
+    assert joined > 0
 
 
 def test_filtered_rows_carry_disposition_and_safety(fixture_run):
