@@ -5,71 +5,59 @@ Usage (from the root of a checkout):
     python3 scripts/scale_run.py --copies 200
 
 The corpus is N renamed copies of the fixture with unique text per copy
-(``perfbench.corpus.scale_lines``), so no copy is served from cache by
-duplication; ``pipeline.cohort_size`` is 12 x N, so every copy's authors
-are in the cohort. The run uses the mock backend at concurrency 1, in a
-spawned process, so its peak RSS is its own and no import or warm state
-comes from this one. Prints one JSON line: wall time, peak RSS, and the
-bytes the run directory and its ``logs/`` take on disk (allocated blocks,
-counted by ``perfbench.child.disk_usage``).
+(``perfbench.corpus.write_corpus``, seed 7), so no copy is served from
+cache by duplication; ``pipeline.cohort_size`` is 12 x N, so every copy's
+authors are in the cohort. The run is ``perfbench/child.py`` in a new
+interpreter: the mock backend at concurrency 1, one cold ``run_all`` and
+one no-op rerun, so its peak RSS is its own and no import or warm state
+comes from this one. Prints one JSON line: wall time of the cold run,
+peak RSS, and the bytes the run directory and its ``logs/`` take on disk
+(allocated blocks, counted by ``perfbench.child.disk_usage``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
-import resource
 import shutil
+import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.child import disk_usage  # noqa: E402
-from perfbench.corpus import FIXTURE, scale_lines  # noqa: E402
+from perfbench.corpus import write_corpus  # noqa: E402
 
 FIXTURE_COHORT = 12
+SEED = 7
 
 
-def _run(corpus: Path, run_dir: Path, cohort_size: int, conn) -> None:
-    from mindpipe import pipeline
-    from mindpipe.config import load_config
-
-    config = load_config(overrides={"pipeline.cohort_size": cohort_size})
-    started = time.perf_counter()
-    pipeline.run_all(config, [corpus], run_dir)
-    wall_s = time.perf_counter() - started
-    conn.send((wall_s, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))  # KiB on Linux
-
-
-def measure(copies: int, seed: int, work: Path) -> dict:
-    lines = (ROOT / FIXTURE).read_text(encoding="utf-8").splitlines()
-    corpus = work / "corpus.jsonl"
-    scaled = scale_lines(lines, copies, seed, ROOT / "src" / "mindpipe")
-    corpus.write_text("".join(line + "\n" for line in scaled), encoding="utf-8")
+def measure(copies: int, work: Path) -> dict:
     run_dir = work / "run"
-    receive, send = multiprocessing.Pipe(duplex=False)
-    child = multiprocessing.get_context("spawn").Process(
-        target=_run, args=(corpus, run_dir, FIXTURE_COHORT * copies, send)
+    job = {
+        "root": str(ROOT),
+        "corpus": str(write_corpus(ROOT, work / "corpus.jsonl", copies, SEED)),
+        "run_dir": str(run_dir),
+        "overrides": {"pipeline.cohort_size": FIXTURE_COHORT * copies},
+        "trace": False,
+        "time_noop": False,
+    }
+    child = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(job)],
+        capture_output=True, text=True, check=False,
     )
-    child.start()
-    send.close()
-    try:
-        wall_s, peak_rss_kib = receive.recv()
-    except EOFError:
-        child.join()
-        raise SystemExit(f"run_all failed in the child process (exit code {child.exitcode})")
-    child.join()
+    lines = child.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {"ok": False, "error": child.stderr.strip()}
+    if not result["ok"]:
+        raise SystemExit(f"run_all failed in the child process: {result['error']}")
     return {
         "copies": copies,
-        "seed": seed,
-        "wall_s": round(wall_s, 3),
-        "peak_rss_mb": round(peak_rss_kib * 1024 / 1e6, 3),
-        "run_dir_mb": round(disk_usage(run_dir)[1] / 1e6, 3),
+        "wall_s": round(result["wall_s"], 3),
+        "peak_rss_mb": round(result["peak_rss_kib"] * 1024 / 1e6, 3),
+        "run_dir_mb": round(result["run_dir_bytes"] / 1e6, 3),
         "logs_mb": round(disk_usage(run_dir / "logs")[1] / 1e6, 3),
     }
 
@@ -77,13 +65,12 @@ def measure(copies: int, seed: int, work: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--copies", type=int, required=True, help="corpus scale N (>= 1)")
-    parser.add_argument("--seed", type=int, default=7, help="seed of the per-copy tokens")
     args = parser.parse_args()
     if args.copies < 1:
         parser.error("--copies must be at least 1")
     work = Path(tempfile.mkdtemp(prefix="mindpipe-scale-"))
     try:
-        result = measure(args.copies, args.seed, work)
+        result = measure(args.copies, work)
     finally:
         shutil.rmtree(work)
     print(json.dumps(result))

@@ -101,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("cache requires --run or --cache-dir")
             try:
                 entries, size, ratio = pipeline.cache_stats(args.run, args.cache_dir)
-            except FileNotFoundError as exc:
+            except (FileNotFoundError, ValueError) as exc:
                 print(str(exc), file=sys.stderr)
                 return 2
             ratio_text = "n/a" if ratio is None else f"{ratio:.3f}"

@@ -58,6 +58,11 @@ class PipelineKnobs:
     word_budget_slack: float = 1.1
 
 
+def run_cache_dir(cache_dir: str | None, run_dir: Path) -> Path:
+    """The cache a run uses: ``paths.cache_dir`` if set, else ``<run>/cache``."""
+    return Path(cache_dir) if cache_dir else run_dir / "cache"
+
+
 @dataclass
 class PipelineConfig:
     backend: BackendSettings = field(default_factory=BackendSettings)
@@ -95,9 +100,7 @@ class PipelineConfig:
         return packaged_path("data/safety_lexicon.txt")
 
     def cache_dir(self, run_dir: Path) -> Path:
-        if self.paths.cache_dir:
-            return Path(self.paths.cache_dir)
-        return run_dir / "cache"
+        return run_cache_dir(self.paths.cache_dir, run_dir)
 
     def snapshot(self) -> dict:
         """Plain-dict copy recorded in the run manifest."""

@@ -56,7 +56,7 @@ from .aggregation import (
     summarize_non_temporal,
     summarize_temporal,
 )
-from .config import BACKEND_HTTP, PipelineConfig, packaged_path
+from .config import BACKEND_HTTP, PipelineConfig, packaged_path, run_cache_dir
 from .diagnosis import DiagnosisSummary, diagnose
 from .errors import RunLockedError, StageError
 from .extraction import (
@@ -875,15 +875,21 @@ def cache_stats(
     """(entries, database file bytes, last-run hit ratio) for a cache or run directory.
 
     A run directory's cache is the ``paths.cache_dir`` its manifest records, if
-    any, else ``<run>/cache``. A cache directory without a database reads as
-    (0, 0, ...) and is left as it is.
+    any, else ``<run>/cache``; a recorded relative path is refused, since it
+    names a directory relative to wherever the run was started. A cache
+    directory without a database reads as (0, 0, ...) and is left as it is.
     """
     manifest = load_manifest(Path(run_dir)) if run_dir is not None else None
     if cache_dir is None:
         if run_dir is None:
             raise ValueError("cache_stats needs a run or cache directory")
-        shared = manifest and manifest["config"]["paths"]["cache_dir"]
-        cache_dir = Path(shared) if shared else Path(run_dir) / "cache"
+        recorded = manifest["config"]["paths"]["cache_dir"] if manifest else None
+        if recorded and not Path(recorded).is_absolute():
+            raise ValueError(
+                f"run {run_dir} used the relative paths.cache_dir {recorded!r}; "
+                "name its cache with --cache-dir"
+            )
+        cache_dir = run_cache_dir(recorded, Path(run_dir))
     if not Path(cache_dir).exists():
         raise FileNotFoundError(f"cache directory does not exist: {cache_dir}")
     entries, size = read_stats(cache_dir)

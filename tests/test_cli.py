@@ -85,6 +85,24 @@ def test_cache_missing_dir_exits_2(tmp_path):
     assert main(["cache", "--cache-dir", str(tmp_path / "absent")]) == 2
 
 
+def test_cache_of_a_run_with_a_relative_cache_dir_exits_2(
+    tmp_path, corpus_path, capsys, monkeypatch
+):
+    # "shared" is found from tmp_path, where the run was started, and from
+    # nowhere else: the run alone cannot say which directory it meant
+    monkeypatch.chdir(tmp_path)
+    common = ["--input", str(corpus_path), "--cohort-size", str(COHORT_SIZE)]
+    assert main(["run-all", *common, "--out", "run", "--cache-dir", "shared"]) == 0
+    capsys.readouterr()
+
+    with pytest.raises(ValueError, match="relative paths.cache_dir 'shared'"):
+        pipeline.cache_stats(run_dir=tmp_path / "run")
+    assert main(["cache", "--run", "run"]) == 2
+    assert "--cache-dir" in capsys.readouterr().err
+    assert main(["cache", "--cache-dir", "shared"]) == 0
+    assert f" bytes={(tmp_path / 'shared' / DB_NAME).stat().st_size} " in capsys.readouterr().out
+
+
 def test_stage_subcommands_are_the_stage_table():
     parser = build_parser()
     (commands,) = [a for a in parser._actions if a.dest == "command"]
