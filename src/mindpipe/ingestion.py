@@ -44,26 +44,13 @@ class Reject:
 
 @dataclass
 class Cohort:
-    """The selected most-active authors, ordered by entry count."""
+    """The selected most-active authors, ordered by entry count; its row is ``cohort.json``."""
 
-    users: list[tuple[str, int]]
     selection_size: int
+    users: list[dict]  # {"author", "entry_count"} rows
 
     def authors(self) -> set[str]:
-        return {author for author, _ in self.users}
-
-    def to_dict(self) -> dict:
-        return {
-            "selection_size": self.selection_size,
-            "users": [{"author": a, "entry_count": c} for a, c in self.users],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Cohort":
-        return cls(
-            users=[(u["author"], u["entry_count"]) for u in data["users"]],
-            selection_size=data["selection_size"],
-        )
+        return {user["author"] for user in self.users}
 
 
 def _coerce_epoch(value) -> int | None:
@@ -189,4 +176,5 @@ def select_cohort(entries: Iterable[RawEntry], n: int) -> Cohort:
         raise ValueError("cohort size must be >= 0")
     counts = Counter(entry.author for entry in entries)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return Cohort(users=ranked[:n], selection_size=n)
+    users = [{"author": author, "entry_count": count} for author, count in ranked[:n]]
+    return Cohort(selection_size=n, users=users)

@@ -1,25 +1,1 @@
 """Completion backend abstraction: templates, HTTP client, mock backend, cache."""
-
-from .completion import (
-    DEFAULT_MAX_TOKENS,
-    DEFAULT_TEMPERATURE,
-    DEFAULT_TOP_P,
-    CompletionRequest,
-    CompletionResult,
-)
-from .templates import PromptTemplate, load_template, load_templates, render
-from .session import CallRecord, LlmSession
-
-__all__ = [
-    "DEFAULT_MAX_TOKENS",
-    "DEFAULT_TEMPERATURE",
-    "DEFAULT_TOP_P",
-    "CompletionRequest",
-    "CompletionResult",
-    "PromptTemplate",
-    "load_template",
-    "load_templates",
-    "render",
-    "CallRecord",
-    "LlmSession",
-]

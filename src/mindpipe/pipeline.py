@@ -5,7 +5,7 @@ Stage graph (deps in parentheses):
     ingest() -> filter(ingest) -> extract(filter)
     aggregate(ingest, filter, extract) -> diagnose(aggregate) -> recommend(diagnose, aggregate)
     interact(filter)
-    report(everything)
+    report(extract, aggregate, diagnose, recommend, interact)
 
 ``STAGES`` is the one description of a stage: its function, the run-dir
 files it reads and writes, and the resource files (prompt templates, data
@@ -21,6 +21,11 @@ both succeeded. The files must fill exactly the stage's declared outputs
 (a directory output, ``reports``, holds several, and any other file in it
 is deleted). One backend session serves the whole run: it is built at the
 first backend stage that executes and closed when the run ends.
+
+A stage's ``stats`` hold only facts about its rows. A backend stage's
+manifest record also holds its cache hits and misses (``cache``), and the
+manifest's ``cache`` block totals them; ``reports/`` holds neither, so it
+is the same for a cold and a warm-cache run.
 
 A stage is skipped on rerun when its manifest record is intact: same
 config digest (the config plus the tool version), same input digest,
@@ -175,11 +180,11 @@ def stage_ingest(
                         {"file": str(path), "line_no": item.line_no, "reason": item.reason}
                     )
     cohort = select_cohort(entries, config.pipeline.cohort_size)
-    cohort_entries = sum(count for _, count in cohort.users)
+    cohort_entries = sum(user["entry_count"] for user in cohort.users)
     files = {
         runfiles.ENTRIES: [_row(entry) for entry in entries],
         runfiles.REJECTS: reject_rows,
-        runfiles.COHORT: cohort.to_dict(),
+        runfiles.COHORT: _row(cohort),
     }
     return files, {
         "lines": lines,
@@ -196,7 +201,7 @@ def stage_filter(
     inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
 ) -> StageResult:
     """Clean, safety-screen, and relevance-filter the cohort's entries."""
-    cohort_authors = Cohort.from_dict(inputs[runfiles.COHORT]).authors()
+    cohort_authors = Cohort(**inputs[runfiles.COHORT]).authors()
     lexicon = load_lexicon(config.lexicon_path())
 
     cohort_entries = [
@@ -264,11 +269,7 @@ def stage_extract(
     def process(row: dict) -> dict:
         clean = _clean_from_row(row)
         flagged = row["disposition"] == DISPOSITION_FLAGGED
-        flag = SafetyFlag(
-            entry_id=clean.entry.id,
-            flagged=flagged,
-            trigger=(row.get("safety") or {}).get("trigger"),
-        )
+        flag = SafetyFlag(entry_id=clean.entry.id, flagged=flagged)
         out = {
             "entry_id": clean.entry.id,
             "author": clean.entry.author,
@@ -287,15 +288,7 @@ def stage_extract(
         else:
             annotation, degraded = extract_temporal(clean, session)
         out.update(
-            {
-                "status": "ok",
-                "severity": features.severity,
-                "causes": features.causes,
-                "tone": features.tone,
-                "disorders": features.disorders,
-                "timeline": annotation.timeline,
-                "temporal_degraded": degraded,
-            }
+            status="ok", **_row(features), timeline=annotation.timeline, temporal_degraded=degraded
         )
         return out
 
@@ -315,7 +308,7 @@ def stage_aggregate(
     inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
 ) -> StageResult:
     """Build per-user records and produce both user-level summaries."""
-    cohort = Cohort.from_dict(inputs[runfiles.COHORT])
+    cohort = Cohort(**inputs[runfiles.COHORT])
     clean_by_id = {row["entry"]["id"]: row for row in inputs[runfiles.FILTERED]}
     entries: list[UserEntry] = []
     authors_by_entry: dict[str, str] = {}
@@ -338,7 +331,7 @@ def stage_aggregate(
         )
         authors_by_entry[row["entry_id"]] = row["author"]
 
-    cohort_order = [author for author, _ in cohort.users]
+    cohort_order = [user["author"] for user in cohort.users]
     records, omitted = build_user_records(cohort_order, entries, authors_by_entry)
 
     def process(record: UserRecord) -> dict:
@@ -420,18 +413,22 @@ def stage_recommend(
     inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
 ) -> StageResult:
     """Recommendation sets for diagnosed users; escalations for safety-excluded ones."""
-    summaries = inputs[runfiles.SUMMARIES]
     diagnosis_by_author = {row["author"]: row for row in inputs[runfiles.DIAGNOSIS]}
     blocklist = load_lexicon(packaged_path("data/medication_blocklist.txt"))
 
-    diagnosed = [
+    selected = [
         row
-        for row in summaries
-        if row["status"] == "ok"
-        and diagnosis_by_author.get(row["author"], {}).get("status") == "ok"
+        for row in inputs[runfiles.SUMMARIES]
+        if row["status"] == "safety_excluded"
+        or (
+            row["status"] == "ok"
+            and diagnosis_by_author.get(row["author"], {}).get("status") == "ok"
+        )
     ]
 
     def process(row: dict) -> dict:
+        if row["status"] == "safety_excluded":
+            return safety_notice(row["author"])  # no backend call
         diag = _from_row(DiagnosisSummary, diagnosis_by_author[row["author"]])
         rec, failure = recommend(diag, session, blocklist)
         if failure is not None:
@@ -442,23 +439,14 @@ def stage_recommend(
             }
         return {"author": rec.author, "status": "ok", **_row(rec)}
 
-    generated = _map_items(diagnosed, process, config.limits.concurrency)
-    generated_by_author = {row["author"]: row for row in generated}
-
-    rows: list[dict] = []
-    escalations = 0
-    for row in summaries:
-        if row["status"] == "safety_excluded":
-            rows.append(safety_notice(row["author"]))
-            escalations += 1
-        elif row["author"] in generated_by_author:
-            rows.append(generated_by_author[row["author"]])
-
+    rows = _map_items(selected, process, config.limits.concurrency)
+    statuses = [row["status"] for row in rows]
+    escalations = statuses.count("escalation")
     ok_rows = [row for row in rows if row["status"] == "ok"]
     return {runfiles.RECOMMENDATIONS: rows}, {
-        "input_users": len(diagnosed),
+        "input_users": len(rows) - escalations,
         "sets": len(ok_rows),
-        "failures": sum(1 for row in rows if row["status"] == "recommendation_failure"),
+        "failures": statuses.count("recommendation_failure"),
         "escalations": escalations,
         "truncation_warnings": sum(
             1 for row in ok_rows if any("truncated" in w for w in row["warnings"])
@@ -568,8 +556,6 @@ STAGES: tuple[StageDef, ...] = (
     StageDef(
         "report", stage_report,
         (
-            runfiles.COHORT,
-            runfiles.FILTERED,
             runfiles.FEATURES,
             runfiles.SUMMARIES,
             runfiles.DIAGNOSIS,
@@ -783,11 +769,11 @@ def execute_stage(
         if session is not None:
             records = session.take_records()  # the next stage's calls are numbered from 1
 
-    hits = sum(r.cache_hit for r in records)
-    stats["cache_hits"] = hits
-    stats["cache_misses"] = len(records) - hits
+    counts = {}
     if session is not None:
         _write_backend_log(run_dir, name, records)
+        hits = sum(r.cache_hit for r in records)
+        counts["cache"] = {"hits": hits, "misses": len(records) - hits}
     record = {
         "status": "ok",
         "input_digest": input_digest,
@@ -796,6 +782,7 @@ def execute_stage(
         "started_at": started,
         "finished_at": time.time(),
         "stats": stats,
+        **counts,
     }
     manifest["stages"][name] = record
     manifest["stage_order"].append(name)
@@ -806,9 +793,10 @@ def execute_stage(
 
 
 def _refresh_cache_totals(manifest: dict) -> None:
-    ok = [r["stats"] for r in manifest["stages"].values() if r.get("status") == "ok"]
-    hits = sum(stats["cache_hits"] for stats in ok)
-    misses = sum(stats["cache_misses"] for stats in ok)
+    # only an ok record of a backend stage, written by this version, has counts
+    counts = [r["cache"] for r in manifest["stages"].values() if "cache" in r]
+    hits = sum(c["hits"] for c in counts)
+    misses = sum(c["misses"] for c in counts)
     total = hits + misses
     manifest["cache"] = {
         "hits": hits,
@@ -825,6 +813,8 @@ def _stage_clean(
     record = manifest["stages"].get(stage.name)
     if record is None or record.get("status") != "ok":
         return False
+    if "cache_hits" in record["stats"]:
+        return False  # written when stats held the cache counts, which the report copies
     if record.get("config_digest") != manifest["config_digest"]:
         return False
     try:

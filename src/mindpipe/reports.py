@@ -1,9 +1,9 @@
 """Per-user and run-level report emission: structured JSON plus Markdown.
 
-Reports are pure functions of the stage rows, keyed by stage file name;
-this module neither reads nor writes files. Authors are emitted in
-ascending order and human-readable fractions are rounded to two decimals
-while the structured output keeps full precision.
+Reports are pure functions of the stage rows, keyed by stage file name,
+and of the stages' stats; this module neither reads nor writes files.
+Authors are emitted in ascending order and human-readable fractions are
+rounded to two decimals while the structured output keeps full precision.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def _fmt(fraction: float) -> str:
 
 
 def build_run_report(rows: dict, stage_stats: dict, aliases: dict[str, str]) -> dict:
-    """Assemble all run-level statistics from the stage rows."""
+    """Assemble all run-level statistics from the stage rows and stats."""
     feature_rows = [r for r in rows[runfiles.FEATURES] if r["status"] == "ok"]
 
     severity = stats.severity_distribution(feature_rows) if feature_rows else None
@@ -38,11 +38,7 @@ def build_run_report(rows: dict, stage_stats: dict, aliases: dict[str, str]) -> 
     therapy_table = stats.therapy_frequency(rows[runfiles.RECOMMENDATIONS], aliases)
     relations = stats.relation_distribution(rows[runfiles.RELATIONS])
 
-    cache_hits = sum(s.get("cache_hits", 0) for s in stage_stats.values())
-    cache_misses = sum(s.get("cache_misses", 0) for s in stage_stats.values())
-    total_calls = cache_hits + cache_misses
-
-    report = {
+    return {
         "stage_counts": stage_stats,
         "severity": {
             "entry_level": severity.entry_level if severity else {},
@@ -59,14 +55,8 @@ def build_run_report(rows: dict, stage_stats: dict, aliases: dict[str, str]) -> 
             "related_fraction": relations.related_fraction,
             "total_pairs": relations.total,
         },
-        "cache": {
-            "hits": cache_hits,
-            "misses": cache_misses,
-            "hit_ratio": (cache_hits / total_calls) if total_calls else None,
-        },
         "conservation_violations": stats.conservation_violations(stage_stats),
     }
-    return report
 
 
 def _run_report_markdown(report: dict) -> str:
@@ -112,12 +102,6 @@ def _run_report_markdown(report: dict) -> str:
     lines.append("| --- | --- |")
     for label, fraction in report["relations"]["fractions"].items():
         lines.append(f"| {label} | {_fmt(fraction)} |")
-    lines.append("")
-    cache = report["cache"]
-    ratio = "n/a" if cache["hit_ratio"] is None else _fmt(cache["hit_ratio"])
-    lines.append("## Cache")
-    lines.append("")
-    lines.append(f"- Hits: {cache['hits']}, misses: {cache['misses']}, hit ratio: {ratio}")
     lines.append("")
     lines.append("## Stage counts")
     lines.append("")

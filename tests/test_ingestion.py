@@ -158,7 +158,7 @@ def test_select_cohort_tie_breaks_lexicographically():
     )
     entries, _ = parse_dump(lines)
     cohort = select_cohort(entries, 2)
-    assert cohort.users == [("a", 3), ("b", 3)]
+    assert cohort.users == [{"author": "a", "entry_count": 3}, {"author": "b", "entry_count": 3}]
 
 
 def test_select_cohort_larger_n_returns_all():
@@ -180,5 +180,9 @@ def test_select_cohort_invariant_under_permutation(order):
 
 
 def test_cohort_roundtrip_dict():
-    cohort = Cohort(users=[("a", 3), ("b", 1)], selection_size=2)
-    assert Cohort.from_dict(cohort.to_dict()) == cohort
+    users = [{"author": "a", "entry_count": 3}, {"author": "b", "entry_count": 1}]
+    cohort = Cohort(selection_size=2, users=users)
+    # the row written as cohort.json, in field order, reads back as the same cohort
+    row = json.loads(json.dumps(vars(cohort)))
+    assert list(row) == ["selection_size", "users"]
+    assert Cohort(**row) == cohort

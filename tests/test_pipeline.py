@@ -96,8 +96,8 @@ def _outputs(run_dir):
 
 
 def test_concurrency_produces_identical_stage_files(fixture_run, corpus_path, tmp_path):
-    # reports/ carry the cache counters, which match the serial run only if
-    # identical prompts in flight at once are sent to the backend once
+    # neither the stage files nor reports/ hold cache counts, so however the
+    # parallel calls interleave, the outputs must equal the serial run's
     serial = _outputs(fixture_run)
     for attempt in range(15):
         run_dir = tmp_path / f"parallel{attempt}"
@@ -390,23 +390,39 @@ def test_a_failed_stage_writes_no_outputs(fixture_run, corpus_path, tmp_path):
     # closing the run flushed the cache: every answer of the earlier stages, and of
     # interact's body, is there
     stages = pipeline.load_manifest(tmp_path / "run")["stages"]
-    misses = sum(r["stats"]["cache_misses"] for r in stages.values() if r["status"] == "ok")
-    interact = pipeline.load_manifest(fixture_run)["stages"]["interact"]["stats"]
+    # only the ok records of backend stages hold counts
+    misses = sum(r["cache"]["misses"] for r in stages.values() if "cache" in r)
+    interact = pipeline.load_manifest(fixture_run)["stages"]["interact"]["cache"]
     assert misses > 0
-    assert read_stats(tmp_path / "run" / "cache")[0] == misses + interact["cache_misses"]
+    assert read_stats(tmp_path / "run" / "cache")[0] == misses + interact["misses"]
+
+
+def test_a_run_dir_with_cache_counts_in_stats_resumes_like_a_fresh_run(
+    fixture_run, corpus_path, tmp_path
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(fixture_run, run_dir, ignore=shutil.ignore_patterns("cache"))
+    # the earlier manifest layout: every stage's stats end with its cache counts
+    manifest = pipeline.load_manifest(run_dir)
+    for record in manifest["stages"].values():
+        counts = record.pop("cache", {"hits": 0, "misses": 0})
+        record["stats"].update(cache_hits=counts["hits"], cache_misses=counts["misses"])
+    # the report read seven stage files then, so its recorded input digest is another
+    manifest["stages"]["report"]["input_digest"] = "0" * 64
+    pipeline.save_manifest(run_dir, manifest)
+    resumed = pipeline.run_all(_config(), [corpus_path], run_dir)
+    assert _outputs(run_dir) == _outputs(fixture_run)
+    assert resumed["cache"] == pipeline.load_manifest(fixture_run)["cache"]
+    assert all("cache_hits" not in r["stats"] for r in resumed["stages"].values())
 
 
 def test_a_smaller_cohort_rerun_leaves_no_stale_reports(corpus_path, tmp_path):
     run_dir = tmp_path / "run"
     pipeline.run_all(_config(), [corpus_path], run_dir)
-    # the fresh run starts from the cache the rerun finds, so the cache counters agree
-    shutil.copytree(run_dir / "cache", tmp_path / "cache")
     smaller = {"pipeline.cohort_size": COHORT_SIZE // 2}
     pipeline.run_all(_config(**smaller), [corpus_path], run_dir)
     fresh = tmp_path / "fresh"
-    pipeline.run_all(
-        _config(**smaller, **{"paths.cache_dir": str(tmp_path / "cache")}), [corpus_path], fresh
-    )
+    pipeline.run_all(_config(**smaller), [corpus_path], fresh)
 
     def reports(root):
         files = (p for p in (root / "reports").rglob("*") if p.is_file())

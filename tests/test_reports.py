@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from conftest import SAFETY_USERS
+from conftest import COHORT_SIZE, SAFETY_USERS
 from mindpipe import pipeline
 from mindpipe.config import load_config
 from mindpipe.errors import MissingStageFileError, StageError
@@ -83,3 +83,18 @@ def test_run_report_authors_sorted(fixture_run):
     names = sorted(p.stem for p in users_dir.glob("*.json"))
     payloads = [json.loads((users_dir / f"{n}.json").read_text())["author"] for n in names]
     assert payloads == sorted(payloads)
+
+
+def test_cold_and_warm_cache_runs_give_identical_reports(corpus_path, tmp_path):
+    config = load_config(
+        overrides={"pipeline.cohort_size": COHORT_SIZE, "paths.cache_dir": str(tmp_path / "cache")}
+    )
+    cold = pipeline.run_all(config, [corpus_path], tmp_path / "cold")
+    warm = pipeline.run_all(config, [corpus_path], tmp_path / "warm")
+    assert cold["cache"]["misses"] > 0 and warm["cache"]["misses"] == 0
+
+    def reports(run_dir):
+        files = (p for p in (run_dir / "reports").rglob("*") if p.is_file())
+        return {str(p.relative_to(run_dir)): p.read_bytes() for p in files}
+
+    assert reports(tmp_path / "cold") == reports(tmp_path / "warm")
