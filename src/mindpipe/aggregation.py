@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from .config import PipelineKnobs
 from .errors import ResponseFormatError
 from .extraction import NO_TIMELINE, NonTemporalFeatures, TemporalAnnotation
 from .extraction import parse_labeled_sections, _split_list
-
-DEFAULT_EVENT_CONTENT_BUDGET = 500
-
 
 @dataclass
 class UserEntry:
@@ -104,7 +102,7 @@ def build_user_records(
 
 
 def build_chronology(
-    record: UserRecord, content_budget: int = DEFAULT_EVENT_CONTENT_BUDGET
+    record: UserRecord, content_budget: int = PipelineKnobs.event_content_budget
 ) -> ChronologicalSequence:
     """Events are exactly the entries carrying a timeline, in record order."""
     events = [

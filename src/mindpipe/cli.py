@@ -20,37 +20,24 @@ logger = logging.getLogger(__name__)
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="YAML config file")
-    parser.add_argument("--backend-kind", choices=["mock", "http"], default=None)
-    parser.add_argument("--base-url", default=None)
-    parser.add_argument("--model", default=None)
-    parser.add_argument("--api-key-env", default=None)
-    parser.add_argument("--rps", type=float, default=None)
-    parser.add_argument("--concurrency", type=int, default=None)
-    parser.add_argument("--max-attempts", type=int, default=None)
-    parser.add_argument("--prompts-dir", default=None)
-    parser.add_argument("--lexicon", default=None, help="safety lexicon file")
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--cohort-size", type=int, default=None)
-    parser.add_argument("--event-content-budget", type=int, default=None)
-    parser.add_argument("--word-budget-slack", type=float, default=None)
+    parser.add_argument("--backend-kind", dest="backend.kind", choices=["mock", "http"])
+    parser.add_argument("--base-url", dest="backend.base_url")
+    parser.add_argument("--model", dest="backend.model")
+    parser.add_argument("--api-key-env", dest="backend.api_key_env")
+    parser.add_argument("--rps", dest="limits.rps", type=float)
+    parser.add_argument("--concurrency", dest="limits.concurrency", type=int)
+    parser.add_argument("--max-attempts", dest="retry.max_attempts", type=int)
+    parser.add_argument("--prompts-dir", dest="paths.prompts_dir")
+    parser.add_argument("--lexicon", dest="paths.lexicon", help="safety lexicon file")
+    parser.add_argument("--cache-dir", dest="paths.cache_dir")
+    parser.add_argument("--cohort-size", dest="pipeline.cohort_size", type=int)
+    parser.add_argument("--event-content-budget", dest="pipeline.event_content_budget", type=int)
+    parser.add_argument("--word-budget-slack", dest="pipeline.word_budget_slack", type=float)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    return {
-        "backend.kind": args.backend_kind,
-        "backend.base_url": args.base_url,
-        "backend.model": args.model,
-        "backend.api_key_env": args.api_key_env,
-        "limits.rps": args.rps,
-        "limits.concurrency": args.concurrency,
-        "retry.max_attempts": args.max_attempts,
-        "paths.prompts_dir": args.prompts_dir,
-        "paths.lexicon": args.lexicon,
-        "paths.cache_dir": args.cache_dir,
-        "pipeline.cohort_size": args.cohort_size,
-        "pipeline.event_content_budget": args.event_content_budget,
-        "pipeline.word_budget_slack": args.word_budget_slack,
-    }
+    """The config flags, keyed by the ``section.key`` each one stores into."""
+    return {key: value for key, value in vars(args).items() if "." in key}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -110,38 +111,33 @@ class PipelineConfig:
         return json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
 
 
-_SECTION_FIELDS = {
-    "backend": BackendSettings,
-    "limits": LimitSettings,
-    "retry": RetrySettings,
-    "paths": PathSettings,
-    "pipeline": PipelineKnobs,
-}
-
-
-def _apply_mapping(config: PipelineConfig, data: dict) -> None:
-    for section_name, section_cls in _SECTION_FIELDS.items():
-        incoming = data.get(section_name)
-        if incoming is None:
-            continue
-        if not isinstance(incoming, dict):
-            raise ConfigError(f"config section '{section_name}' must be a mapping")
-        section = getattr(config, section_name)
-        valid = set(section_cls.__dataclass_fields__)
-        for key, value in incoming.items():
-            if key not in valid:
-                raise ConfigError(f"unknown config key: {section_name}.{key}")
-            setattr(section, key, value)
-    unknown = set(data) - set(_SECTION_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
+def _set(config: PipelineConfig, dotted: str, value: object) -> None:
+    """Set one ``section.key``, refusing unknown keys and values whose type is
+    not the default's: an int passes for a float, a bool never passes, and a
+    key that defaults to ``None`` is a path and takes a string or ``None``."""
+    section_name, _, key = dotted.partition(".")
+    if section_name not in PipelineConfig.__dataclass_fields__:
+        raise ConfigError(f"unknown config key: {dotted}")
+    section = getattr(config, section_name)
+    known = type(section).__dataclass_fields__
+    if key not in known:
+        raise ConfigError(f"unknown config key: {dotted}")
+    default = known[key].default
+    expected = str if default is None else type(default)
+    accepted = (int, float) if expected is float else expected
+    wrong_type = isinstance(value, bool) or not isinstance(value, accepted)
+    if wrong_type and not (value is None and default is None):
+        raise ConfigError(f"{dotted} must be {expected.__name__}, not {value!r}")
+    setattr(section, key, value)
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> PipelineConfig:
     """Build a validated config from defaults, an optional file, and overrides.
 
     ``overrides`` uses dotted keys (e.g. ``{"limits.rps": 2.0}``) as
-    produced by CLI flags.
+    produced by CLI flags; a ``None`` value leaves the key as it is. Every
+    ``paths.*`` value set is made absolute against the working directory,
+    so the manifest records the files the run used.
     """
     config = PipelineConfig()
     if path is not None:
@@ -155,16 +151,20 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raw = {}
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a mapping at the top level")
-        _apply_mapping(config, raw)
+        for section_name, incoming in raw.items():
+            if section_name not in PipelineConfig.__dataclass_fields__:
+                raise ConfigError(f"unknown config section: {section_name}")
+            if incoming is None:
+                continue
+            if not isinstance(incoming, dict):
+                raise ConfigError(f"config section '{section_name}' must be a mapping")
+            for key, value in incoming.items():
+                _set(config, f"{section_name}.{key}", value)
     for dotted, value in (overrides or {}).items():
-        if value is None:
-            continue
-        section_name, _, key = dotted.partition(".")
-        if section_name not in _SECTION_FIELDS or not key:
-            raise ConfigError(f"unknown override: {dotted}")
-        section = getattr(config, section_name)
-        if key not in type(section).__dataclass_fields__:
-            raise ConfigError(f"unknown override: {dotted}")
-        setattr(section, key, value)
+        if value is not None:
+            _set(config, dotted, value)
+    for key, value in vars(config.paths).items():
+        if value is not None:
+            setattr(config.paths, key, os.path.abspath(value))
     config.validate()
     return config

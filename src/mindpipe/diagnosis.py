@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .aggregation import NonTemporalSummary, TemporalSummary
+from .config import PipelineKnobs
 
 WORD_TARGET = 400
-DEFAULT_WORD_BUDGET_SLACK = 1.1
 
 TEMPORAL_ABSENT_LINE = "Temporal summary: none"
 
@@ -65,7 +65,7 @@ def diagnose(
     non_temporal: NonTemporalSummary,
     temporal: TemporalSummary | None,
     session,
-    slack: float = DEFAULT_WORD_BUDGET_SLACK,
+    slack: float = PipelineKnobs.word_budget_slack,
 ) -> tuple[DiagnosisSummary | None, str | None]:
     """Run the diagnosis prompt for one user; returns (summary, failure).
 

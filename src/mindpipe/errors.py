@@ -31,10 +31,6 @@ class BackendExhaustedError(MindpipeError):
     """Retryable failures persisted past the configured attempt cap."""
 
 
-class EmptyCorpusError(MindpipeError):
-    """A statistic was requested over an empty feature set."""
-
-
 class MissingStageFileError(MindpipeError):
     """A stage input file is absent from the run directory."""
 

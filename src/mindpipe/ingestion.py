@@ -158,18 +158,6 @@ def iter_parse(
         yield parsed
 
 
-def parse_dump(lines: Iterable[str]) -> tuple[list[RawEntry], list[Reject]]:
-    """Collect iter_parse output into (entries, rejects) lists."""
-    entries: list[RawEntry] = []
-    rejects: list[Reject] = []
-    for item in iter_parse(lines):
-        if isinstance(item, RawEntry):
-            entries.append(item)
-        else:
-            rejects.append(item)
-    return entries, rejects
-
-
 def select_cohort(entries: Iterable[RawEntry], n: int) -> Cohort:
     """Pick the n most active authors; ties break on author ascending."""
     if n < 0:

@@ -39,7 +39,6 @@ class MockBackend:
         # names this backend in the response cache: editing a rule invalidates
         self.identity = "mock:" + hashlib.sha256(data).hexdigest()
         raw = json.loads(data)
-        self.version = raw.get("version", "0")
         self._templates: dict[str, _TemplateRules] = {}
         for name, section in raw["templates"].items():
             self._templates[name] = _TemplateRules(

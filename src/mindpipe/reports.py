@@ -32,29 +32,17 @@ def _fmt(fraction: float) -> str:
 def build_run_report(rows: dict, stage_stats: dict, aliases: dict[str, str]) -> dict:
     """Assemble all run-level statistics from the stage rows and stats."""
     feature_rows = [r for r in rows[runfiles.FEATURES] if r["status"] == "ok"]
-
-    severity = stats.severity_distribution(feature_rows) if feature_rows else None
     entry_frac, user_frac = stats.temporal_coverage(feature_rows, rows[runfiles.SUMMARIES])
     therapy_table = stats.therapy_frequency(rows[runfiles.RECOMMENDATIONS], aliases)
-    relations = stats.relation_distribution(rows[runfiles.RELATIONS])
-
     return {
         "stage_counts": stage_stats,
-        "severity": {
-            "entry_level": severity.entry_level if severity else {},
-            "user_level": severity.user_level if severity else {},
-            "users_excluded_all_flagged": severity.users_excluded_all_flagged if severity else 0,
-        },
+        "severity": stats.severity_distribution(feature_rows),
         "temporal_coverage": {
             "entry_fraction_with_timeline": entry_frac,
             "user_fraction_with_temporal_summary": user_frac,
         },
         "therapy_frequency": [{"therapy": name, "users": count} for name, count in therapy_table],
-        "relations": {
-            "fractions": relations.fractions,
-            "related_fraction": relations.related_fraction,
-            "total_pairs": relations.total,
-        },
+        "relations": stats.relation_distribution(rows[runfiles.RELATIONS]),
         "conservation_violations": stats.conservation_violations(stage_stats),
     }
 

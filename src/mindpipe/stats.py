@@ -15,36 +15,43 @@ excluded from the user-level map and counted separately.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
-from .errors import EmptyCorpusError
 from .extraction import (
     SEVERITY_EXTREME,
     SEVERITY_MILD,
     SEVERITY_MODERATE,
     SEVERITY_SEVERE,
 )
-
-ENTRY_BANDS = (SEVERITY_MILD, SEVERITY_MODERATE, SEVERITY_SEVERE, SEVERITY_EXTREME)
-USER_BANDS = ("mild_to_moderate", "moderate_to_severe", "severe")
+from .recommendation import canonical_therapy
 
 BAND_MILD_TO_MODERATE = "mild_to_moderate"
 BAND_MODERATE_TO_SEVERE = "moderate_to_severe"
 BAND_SEVERE = "severe"
 
+ENTRY_BANDS = (SEVERITY_MILD, SEVERITY_MODERATE, SEVERITY_SEVERE, SEVERITY_EXTREME)
+USER_BANDS = (BAND_MILD_TO_MODERATE, BAND_MODERATE_TO_SEVERE, BAND_SEVERE)
 
-@dataclass
-class SeverityDistribution:
-    entry_level: dict[str, float]
-    user_level: dict[str, float]
-    users_excluded_all_flagged: int = 0
-
-
-@dataclass
-class RelationDistribution:
-    fractions: dict[str, float] = field(default_factory=dict)
-    related_fraction: float = 0.0
-    total: int = 0
+# (stage, total, parts): a stage's total stat must equal the sum of its parts
+CONSERVATION_LAWS = (
+    ("ingest", "lines", ("parsed", "rejected")),
+    ("ingest", "parsed", ("cohort_entries", "noncohort_entries")),
+    (
+        "filter",
+        "input_entries",
+        ("removed", "flagged", "relevant", "irrelevant", "relevance_unknown"),
+    ),
+    ("filter", "retained", ("flagged", "relevant")),
+    ("extract", "input_entries", ("features_ok", "parse_failures")),
+    (
+        "aggregate",
+        "cohort_users",
+        ("summarized", "summary_failures", "safety_excluded", "omitted_no_entries"),
+    ),
+    ("diagnose", "input_users", ("diagnosed", "failures")),
+    ("recommend", "input_users", ("sets", "failures")),
+    ("interact", "input_comments", ("pairs", "skipped_no_parent")),
+    ("interact", "pairs", ("classified",)),
+)
 
 
 def roll_up_user(severities: list[str]) -> str:
@@ -61,18 +68,19 @@ def roll_up_user(severities: list[str]) -> str:
     return BAND_MILD_TO_MODERATE
 
 
-def severity_distribution(feature_rows: list[dict]) -> SeverityDistribution:
-    """Entry-level fractions by direct count; user-level via the roll-up rule.
+def severity_distribution(feature_rows: list[dict]) -> dict:
+    """The run report's severity section: entry-level fractions by direct
+    count, user-level fractions via the roll-up rule, and the users left out.
 
     ``feature_rows`` are parsed rows with at least author, severity, and
     flagged fields; rows must all carry a severity (parse failures are not
-    feature rows).
+    feature rows). An empty feature set gives empty fraction maps.
     """
-    if not feature_rows:
-        raise EmptyCorpusError("severity distribution over empty feature set")
     entry_counts = Counter(row["severity"] for row in feature_rows)
     total = len(feature_rows)
-    entry_level = {band: entry_counts.get(band, 0) / total for band in ENTRY_BANDS}
+    entry_level = (
+        {band: entry_counts.get(band, 0) / total for band in ENTRY_BANDS} if total else {}
+    )
 
     per_user: dict[str, list[str]] = {}
     users_seen: set[str] = set()
@@ -87,19 +95,17 @@ def severity_distribution(feature_rows: list[dict]) -> SeverityDistribution:
         if user_total
         else {}
     )
-    return SeverityDistribution(
-        entry_level=entry_level,
-        user_level=user_level,
-        users_excluded_all_flagged=len(users_seen) - len(per_user),
-    )
+    return {
+        "entry_level": entry_level,
+        "user_level": user_level,
+        "users_excluded_all_flagged": len(users_seen) - len(per_user),
+    }
 
 
 def therapy_frequency(
     recommendation_rows: list[dict], aliases: dict[str, str]
 ) -> list[tuple[str, int]]:
     """User counts per canonical therapy, descending, ties by name ascending."""
-    from .recommendation import canonical_therapy
-
     counts: Counter[str] = Counter()
     for row in recommendation_rows:
         if row.get("status") != "ok":
@@ -109,15 +115,14 @@ def therapy_frequency(
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
-def relation_distribution(relation_rows: list[dict]) -> RelationDistribution:
-    """Fractions per relation label plus the related fraction.
+def relation_distribution(relation_rows: list[dict]) -> dict:
+    """The run report's relations section: fractions per relation label, the
+    related fraction, and the pair count.
 
     A pair counts as related unless it is not_related, unprocessed for
     safety, or a backend-error fallback.
     """
     total = len(relation_rows)
-    if total == 0:
-        return RelationDistribution()
     counts = Counter(row["relation"] for row in relation_rows)
     unrelated = sum(
         1
@@ -125,11 +130,11 @@ def relation_distribution(relation_rows: list[dict]) -> RelationDistribution:
         if row["relation"] in ("not_related", "unprocessed_safety")
         or (row["relation"] == "other" and row.get("detail") == "backend_error")
     )
-    return RelationDistribution(
-        fractions={label: count / total for label, count in sorted(counts.items())},
-        related_fraction=1.0 - unrelated / total,
-        total=total,
-    )
+    return {
+        "fractions": {label: count / total for label, count in sorted(counts.items())},
+        "related_fraction": 1.0 - unrelated / total if total else 0.0,
+        "total_pairs": total,
+    }
 
 
 def temporal_coverage(
@@ -153,84 +158,15 @@ def temporal_coverage(
 
 
 def conservation_violations(stage_stats: dict[str, dict]) -> list[str]:
-    """Check that every stage's inputs equal the sum of its terminal dispositions."""
-    violations: list[str] = []
-
-    def check(stage: str, expression: str, left: int, right: int) -> None:
+    """Each conservation law whose stage has stats and whose total is not
+    the sum of its parts, as ``stage: total = a + b: total != sum``."""
+    violations = []
+    for stage, total, parts in CONSERVATION_LAWS:
+        counts = stage_stats.get(stage)
+        if not counts:
+            continue
+        left = counts[total]
+        right = sum(counts[part] for part in parts)
         if left != right:
-            violations.append(f"{stage}: {expression}: {left} != {right}")
-
-    ingest = stage_stats.get("ingest")
-    if ingest:
-        check("ingest", "lines = parsed + rejected", ingest["lines"], ingest["parsed"] + ingest["rejected"])
-        check(
-            "ingest",
-            "parsed = cohort + non-cohort entries",
-            ingest["parsed"],
-            ingest["cohort_entries"] + ingest["noncohort_entries"],
-        )
-
-    filt = stage_stats.get("filter")
-    if filt:
-        check(
-            "filter",
-            "input = removed + flagged + relevant + irrelevant + unknown",
-            filt["input_entries"],
-            filt["removed"]
-            + filt["flagged"]
-            + filt["relevant"]
-            + filt["irrelevant"]
-            + filt["relevance_unknown"],
-        )
-        check("filter", "retained = flagged + relevant", filt["retained"], filt["flagged"] + filt["relevant"])
-
-    extract = stage_stats.get("extract")
-    if extract:
-        check(
-            "extract",
-            "input = features + parse failures",
-            extract["input_entries"],
-            extract["features_ok"] + extract["parse_failures"],
-        )
-
-    aggregate = stage_stats.get("aggregate")
-    if aggregate:
-        check(
-            "aggregate",
-            "users = summarized + failures + safety + omitted",
-            aggregate["cohort_users"],
-            aggregate["summarized"]
-            + aggregate["summary_failures"]
-            + aggregate["safety_excluded"]
-            + aggregate["omitted_no_entries"],
-        )
-
-    diagnose = stage_stats.get("diagnose")
-    if diagnose:
-        check(
-            "diagnose",
-            "input users = diagnosed + failures",
-            diagnose["input_users"],
-            diagnose["diagnosed"] + diagnose["failures"],
-        )
-
-    recommend = stage_stats.get("recommend")
-    if recommend:
-        check(
-            "recommend",
-            "input users = sets + failures",
-            recommend["input_users"],
-            recommend["sets"] + recommend["failures"],
-        )
-
-    interact = stage_stats.get("interact")
-    if interact:
-        check(
-            "interact",
-            "comments = paired + skipped",
-            interact["input_comments"],
-            interact["pairs"] + interact["skipped_no_parent"],
-        )
-        check("interact", "pairs = classified", interact["pairs"], interact["classified"])
-
+            violations.append(f"{stage}: {total} = {' + '.join(parts)}: {left} != {right}")
     return violations

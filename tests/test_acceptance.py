@@ -371,7 +371,7 @@ LIVE_KEY_ENV = "MINDPIPE_LIVE_API_KEY_ENV"
 def test_criterion_10_live_smoke(corpus_path, templates):
     from mindpipe.extraction import extract_non_temporal, extract_temporal
     from mindpipe.filtering import SafetyFlag, clean_entry, is_relevant
-    from mindpipe.ingestion import parse_dump
+    from test_ingestion import parse_dump
 
     backend = HttpBackend(
         base_url=os.environ[LIVE_URL_ENV],

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from conftest import COHORT_SIZE
 from mindpipe import pipeline
 from mindpipe.cli import build_parser, main
+from mindpipe.config import PipelineConfig
 from mindpipe.llm.cache import DB_NAME
 
 
@@ -88,19 +91,54 @@ def test_cache_missing_dir_exits_2(tmp_path):
 def test_cache_of_a_run_with_a_relative_cache_dir_exits_2(
     tmp_path, corpus_path, capsys, monkeypatch
 ):
-    # "shared" is found from tmp_path, where the run was started, and from
-    # nowhere else: the run alone cannot say which directory it meant
-    monkeypatch.chdir(tmp_path)
+    # a relative --cache-dir is recorded absolute, so the run's cache is
+    # found from any working directory
+    start, elsewhere = tmp_path / "start", tmp_path / "elsewhere"
+    start.mkdir()
+    elsewhere.mkdir()
+    monkeypatch.chdir(start)
     common = ["--input", str(corpus_path), "--cohort-size", str(COHORT_SIZE)]
     assert main(["run-all", *common, "--out", "run", "--cache-dir", "shared"]) == 0
     capsys.readouterr()
+    run_dir = start / "run"
+    monkeypatch.chdir(elsewhere)
+    assert main(["cache", "--run", str(run_dir)]) == 0
+    assert f" bytes={(start / 'shared' / DB_NAME).stat().st_size} " in capsys.readouterr().out
 
+    # only a manifest written by an earlier version still holds a relative path
+    manifest = pipeline.load_manifest(run_dir)
+    manifest["config"]["paths"]["cache_dir"] = "shared"
+    pipeline.save_manifest(run_dir, manifest)
     with pytest.raises(ValueError, match="relative paths.cache_dir 'shared'"):
-        pipeline.cache_stats(run_dir=tmp_path / "run")
-    assert main(["cache", "--run", "run"]) == 2
+        pipeline.cache_stats(run_dir=run_dir)
+    assert main(["cache", "--run", str(run_dir)]) == 2
     assert "--cache-dir" in capsys.readouterr().err
-    assert main(["cache", "--cache-dir", "shared"]) == 0
-    assert f" bytes={(tmp_path / 'shared' / DB_NAME).stat().st_size} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "setting", ["limits:\n  rps: fast\n", "paths:\n  cache_dir: 5\n"], ids=["rps", "cache_dir"]
+)
+def test_config_value_of_the_wrong_type_exits_2_before_any_stage(
+    tmp_path, corpus_path, capsys, setting
+):
+    config = tmp_path / "config.yaml"
+    config.write_text(setting, encoding="utf-8")
+    run_dir = tmp_path / "run"
+    args = ["run-all", "--input", str(corpus_path), "--out", str(run_dir), "--config", str(config)]
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_config_flags_are_the_config_fields():
+    fields = sorted(
+        f"{section}.{key}" for section, values in asdict(PipelineConfig()).items() for key in values
+    )
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    for name, parser in commands.choices.items():
+        if name != "cache":
+            flags = sorted(a.dest for a in parser._actions if "." in a.dest)
+            assert flags == fields, name
 
 
 def test_stage_subcommands_are_the_stage_table():

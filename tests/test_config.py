@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+import yaml
 
 from mindpipe.config import PipelineConfig, load_config
 from mindpipe.errors import ConfigError
@@ -78,3 +79,41 @@ def test_snapshot_roundtrips_through_digest():
     assert first.digest_source() == second.digest_source()
     second.pipeline.cohort_size = 5
     assert first.digest_source() != second.digest_source()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("limits.rps", "fast"),
+        ("limits.concurrency", True),
+        ("pipeline.cohort_size", 2.5),
+        ("backend.model", 7),
+        ("paths.cache_dir", 5),
+    ],
+)
+def test_values_of_the_wrong_type_rejected(tmp_path, key, value):
+    section, _, name = key.partition(".")
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({section: {name: value}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    with pytest.raises(ConfigError, match=key):
+        load_config(overrides={key: value})
+
+
+def test_int_for_float_and_null_path_accepted(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("limits:\n  rps: 2\npaths:\n  cache_dir: null\n", encoding="utf-8")
+    config = load_config(path)
+    assert config.limits.rps == 2
+    assert config.paths.cache_dir is None
+
+
+def test_paths_recorded_absolute(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.yaml"
+    path.write_text("paths:\n  lexicon: lex.txt\n", encoding="utf-8")
+    config = load_config(path, overrides={"paths.cache_dir": "shared"})
+    assert config.paths.lexicon == str(tmp_path / "lex.txt")
+    assert config.paths.cache_dir == str(tmp_path / "shared")
+    assert config.paths.prompts_dir is None

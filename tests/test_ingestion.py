@@ -8,9 +8,16 @@ from mindpipe.ingestion import (
     Cohort,
     RawEntry,
     Reject,
-    parse_dump,
+    iter_parse,
     select_cohort,
 )
+
+
+def parse_dump(lines):
+    """(entries, rejects) from ``iter_parse``, each in stream order."""
+    items = list(iter_parse(lines))
+    entries = [item for item in items if isinstance(item, RawEntry)]
+    return entries, [item for item in items if isinstance(item, Reject)]
 
 
 def _post(entry_id="p1", author="alice", created=100, **extra):
