@@ -70,6 +70,26 @@ class TemporalSummary:
     explicit_times: str
 
 
+# Each summary's sections in answer order: (prompt header, summary field, is a
+# ';'-separated list). The parser, the diagnosis Dataframe and the user report
+# all read these; the report label is the header, capitalized.
+NON_TEMPORAL_SECTIONS = (
+    ("OVERALL SEVERITY", "overall_severity", False),
+    ("TRIGGERS", "triggers", True),
+    ("DISORDERS", "disorders", True),
+    ("LANGUAGE AND TONE", "language_tone", False),
+    ("RECURRING THEMES", "recurring_themes", False),
+    ("OVERALL STATUS", "overall_status", False),
+)
+TEMPORAL_SECTIONS = (
+    ("CHRONOLOGICAL EVENTS", "chronological_events", False),
+    ("DURATION", "duration", False),
+    ("FREQUENCY", "frequency", False),
+    ("RECURRENCE", "recurrence", False),
+    ("EXPLICIT TIMES", "explicit_times", False),
+)
+
+
 def utc_date(epoch: int) -> str:
     return datetime.fromtimestamp(epoch, tz=timezone.utc).date().isoformat()
 
@@ -153,54 +173,30 @@ def serialize_chronology_block(chronology: ChronologicalSequence, months: dict[s
     return "\n".join(lines)
 
 
-def _parse_non_temporal_summary(text: str) -> NonTemporalSummary:
-    sections = parse_labeled_sections(
-        text,
-        (
-            "OVERALL SEVERITY",
-            "TRIGGERS",
-            "DISORDERS",
-            "LANGUAGE AND TONE",
-            "RECURRING THEMES",
-            "OVERALL STATUS",
-        ),
-    )
-    summary = NonTemporalSummary(
-        overall_severity=sections["OVERALL SEVERITY"],
-        triggers=_split_list(sections["TRIGGERS"]),
-        disorders=_split_list(sections["DISORDERS"]),
-        language_tone=sections["LANGUAGE AND TONE"],
-        recurring_themes=sections["RECURRING THEMES"],
-        overall_status=sections["OVERALL STATUS"],
-    )
-    if not all(
-        [
-            summary.overall_severity,
-            summary.triggers,
-            summary.disorders,
-            summary.language_tone,
-            summary.recurring_themes,
-            summary.overall_status,
-        ]
-    ):
-        raise ResponseFormatError("empty summary section")
-    return summary
+def _summary_parser(cls, sections: tuple[tuple[str, str, bool], ...]):
+    """A parser of one summary answer into ``cls``; a section empty after the
+    list split (a list of only ``none``, say) fails like a missing one."""
+    headers = tuple(header for header, _, _ in sections)
+
+    def parse(text: str):
+        found = parse_labeled_sections(text, headers)
+        values = {
+            name: _split_list(found[header]) if is_list else found[header]
+            for header, name, is_list in sections
+        }
+        if not all(values.values()):
+            raise ResponseFormatError("empty summary section")
+        return cls(**values)
+
+    return parse
 
 
-def _parse_temporal_summary(text: str) -> TemporalSummary:
-    sections = parse_labeled_sections(
-        text,
-        ("CHRONOLOGICAL EVENTS", "DURATION", "FREQUENCY", "RECURRENCE", "EXPLICIT TIMES"),
-    )
-    if not all(sections.values()):
-        raise ResponseFormatError("empty summary section")
-    return TemporalSummary(
-        chronological_events=sections["CHRONOLOGICAL EVENTS"],
-        duration=sections["DURATION"],
-        frequency=sections["FREQUENCY"],
-        recurrence=sections["RECURRENCE"],
-        explicit_times=sections["EXPLICIT TIMES"],
-    )
+def section_lines(values: dict, sections: tuple[tuple[str, str, bool], ...]) -> list[str]:
+    """One ``Header: value`` line per section, list values joined by ``; ``."""
+    return [
+        f"{header.capitalize()}: {'; '.join(values[name]) if is_list else values[name]}"
+        for header, name, is_list in sections
+    ]
 
 
 def summarize_non_temporal(record: UserRecord, session) -> tuple[NonTemporalSummary | None, str | None]:
@@ -211,7 +207,7 @@ def summarize_non_temporal(record: UserRecord, session) -> tuple[NonTemporalSumm
     return session.ask_parsed(
         "summary_non_temporal",
         {"features": serialize_features_block(record)},
-        _parse_non_temporal_summary,
+        _summary_parser(NonTemporalSummary, NON_TEMPORAL_SECTIONS),
         tags=tags,
     )
 
@@ -226,6 +222,5 @@ def summarize_temporal(
         return None, None
     tags = {"stage": "aggregate", "author": record.author}
     block = serialize_chronology_block(chronology, monthly_counts(record))
-    return session.ask_parsed(
-        "summary_temporal", {"chronology": block}, _parse_temporal_summary, tags=tags
-    )
+    parser = _summary_parser(TemporalSummary, TEMPORAL_SECTIONS)
+    return session.ask_parsed("summary_temporal", {"chronology": block}, parser, tags=tags)

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aggregation import NonTemporalSummary, TemporalSummary
+from .aggregation import (
+    NON_TEMPORAL_SECTIONS,
+    TEMPORAL_SECTIONS,
+    NonTemporalSummary,
+    TemporalSummary,
+    section_lines,
+)
 from .config import PipelineKnobs
 
 WORD_TARGET = 400
@@ -30,29 +36,11 @@ def serialize_dataframe(
     non_temporal: NonTemporalSummary, temporal: TemporalSummary | None
 ) -> str:
     """Canonical Dataframe text: labeled non-temporal block, then temporal block."""
-    lines = [
-        "NON-TEMPORAL SUMMARY",
-        f"Overall severity: {non_temporal.overall_severity}",
-        f"Triggers: {'; '.join(non_temporal.triggers)}",
-        f"Disorders: {'; '.join(non_temporal.disorders)}",
-        f"Language and tone: {non_temporal.language_tone}",
-        f"Recurring themes: {non_temporal.recurring_themes}",
-        f"Overall status: {non_temporal.overall_status}",
-        "",
-    ]
+    lines = ["NON-TEMPORAL SUMMARY", *section_lines(vars(non_temporal), NON_TEMPORAL_SECTIONS), ""]
     if temporal is None:
         lines.append(TEMPORAL_ABSENT_LINE)
     else:
-        lines.extend(
-            [
-                "TEMPORAL SUMMARY",
-                f"Chronological events: {temporal.chronological_events}",
-                f"Duration: {temporal.duration}",
-                f"Frequency: {temporal.frequency}",
-                f"Recurrence: {temporal.recurrence}",
-                f"Explicit times: {temporal.explicit_times}",
-            ]
-        )
+        lines += ["TEMPORAL SUMMARY", *section_lines(vars(temporal), TEMPORAL_SECTIONS)]
     return "\n".join(lines)
 
 

@@ -45,7 +45,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -141,18 +141,6 @@ def _write_backend_log(run_dir: Path, stage: str, records: list[CallRecord]) -> 
     runfiles.write_jsonl(path, (vars(record) for record in records))
 
 
-def _row(obj) -> dict:
-    """A dataclass's fields, in field order, as a row; a nested dataclass
-    (``CleanEntry.entry``) becomes a row too.
-
-    Unlike ``asdict`` it copies nothing below the top level: lists are shared
-    with ``obj``, which is safe because rows are only serialized.
-    """
-    return {
-        name: _row(value) if is_dataclass(value) else value for name, value in vars(obj).items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # Stage implementations
 # ---------------------------------------------------------------------------
@@ -183,9 +171,9 @@ def stage_ingest(
     cohort = select_cohort(entries, config.pipeline.cohort_size)
     cohort_entries = sum(user["entry_count"] for user in cohort.users)
     files = {
-        runfiles.ENTRIES: [_row(entry) for entry in entries],
+        runfiles.ENTRIES: [vars(entry) for entry in entries],
         runfiles.REJECTS: reject_rows,
-        runfiles.COHORT: _row(cohort),
+        runfiles.COHORT: vars(cohort),
     }
     return files, {
         "lines": lines,
@@ -205,15 +193,12 @@ def stage_filter(
     cohort_authors = Cohort(**inputs[runfiles.COHORT]).authors()
     lexicon = load_lexicon(config.lexicon_path())
 
-    cohort_entries = [
-        _from_row(RawEntry, row)
-        for row in inputs[runfiles.ENTRIES]
-        if row["author"] in cohort_authors
-    ]
+    cohort_rows = [row for row in inputs[runfiles.ENTRIES] if row["author"] in cohort_authors]
 
-    def process(entry: RawEntry) -> dict:
-        clean = clean_entry(entry)
-        row = {**_row(clean), "relevant": None, "safety": None}
+    def process(entry_row: dict) -> dict:
+        clean = clean_entry(RawEntry(**entry_row))
+        # the entries row read is the entry written: the same fields in the same order
+        row = {**vars(clean), "entry": entry_row, "relevant": None, "safety": None}
         if clean.removed is not None:
             row["disposition"] = DISPOSITION_REMOVED
             return row
@@ -235,7 +220,7 @@ def stage_filter(
             row["disposition"] = DISPOSITION_IRRELEVANT
         return row
 
-    rows = _map_items(cohort_entries, process, config.limits.concurrency)
+    rows = _map_items(cohort_rows, process, config.limits.concurrency)
     dispositions = [row["disposition"] for row in rows]
     return {runfiles.FILTERED: rows}, {
         "input_entries": len(rows),
@@ -289,7 +274,7 @@ def stage_extract(
         else:
             annotation, degraded = extract_temporal(clean, session)
         out.update(
-            status="ok", **_row(features), timeline=annotation.timeline, temporal_degraded=degraded
+            status="ok", **vars(features), timeline=annotation.timeline, temporal_degraded=degraded
         )
         return out
 
@@ -310,19 +295,18 @@ def stage_aggregate(
 ) -> StageResult:
     """Build per-user records and produce both user-level summaries."""
     cohort = Cohort(**inputs[runfiles.COHORT])
-    clean_by_id = {row["entry"]["id"]: row for row in inputs[runfiles.FILTERED]}
+    clean_text_by_id = {row["entry"]["id"]: row["clean_text"] for row in inputs[runfiles.FILTERED]}
     entries: list[UserEntry] = []
     authors_by_entry: dict[str, str] = {}
     for row in inputs[runfiles.FEATURES]:
         if row["status"] != "ok":
             continue
-        source = clean_by_id[row["entry_id"]]
         entries.append(
             UserEntry(
                 entry_id=row["entry_id"],
                 created_utc=row["created_utc"],
                 kind=row["kind"],
-                clean_text=source["clean_text"],
+                clean_text=clean_text_by_id[row["entry_id"]],
                 features=_from_row(NonTemporalFeatures, row),
                 annotation=TemporalAnnotation(
                     creation_time=row["created_utc"], timeline=row.get("timeline")
@@ -343,7 +327,7 @@ def stage_aggregate(
             "non_temporal": None,
             "temporal": None,
             "failure": None,
-            "chronology": [_row(event) for event in chronology.events],
+            "chronology": [vars(event) for event in chronology.events],
             "monthly_counts": monthly_counts(record),
             "entry_count": len(record.entries),
             "flagged_entries": sum(1 for e in record.entries if e.flagged),
@@ -362,9 +346,9 @@ def stage_aggregate(
             row["failure"] = temporal_failure
             return row
         row["status"] = "ok"
-        row["non_temporal"] = _row(non_temporal)
+        row["non_temporal"] = vars(non_temporal)
         if temporal is not None:
-            row["temporal"] = _row(temporal)
+            row["temporal"] = vars(temporal)
         return row
 
     rows = _map_items(records, process, config.limits.concurrency)
@@ -398,7 +382,7 @@ def stage_diagnose(
         )
         if failure is not None:
             return {"author": row["author"], "status": "diagnosis_failure", "failure": failure}
-        return {"author": summary.author, "status": "ok", **_row(summary)}
+        return {"author": summary.author, "status": "ok", **vars(summary)}
 
     rows = _map_items(ready, process, config.limits.concurrency)
     diagnosed = [row for row in rows if row["status"] == "ok"]
@@ -438,7 +422,7 @@ def stage_recommend(
                 "status": "recommendation_failure",
                 "failure": failure,
             }
-        return {"author": rec.author, "status": "ok", **_row(rec)}
+        return {"author": rec.author, "status": "ok", **vars(rec)}
 
     rows = _map_items(selected, process, config.limits.concurrency)
     statuses = [row["status"] for row in rows]
@@ -468,7 +452,7 @@ def stage_interact(
     pairs, skipped = pair_entries(retained, flagged_ids)
 
     def process(pair) -> dict:
-        return _row(classify_relation(pair, session))
+        return vars(classify_relation(pair, session))
 
     rows = _map_items(pairs, process, config.limits.concurrency)
     return {runfiles.RELATIONS: rows}, {
@@ -823,8 +807,6 @@ def _stage_clean(
     record = manifest["stages"].get(stage.name)
     if record is None or record.get("status") != "ok":
         return False
-    if "cache_hits" in record["stats"]:
-        return False  # written when stats held the cache counts, which the report copies
     if record.get("config_digest") != manifest["config_digest"]:
         return False
     try:

@@ -12,6 +12,7 @@ import hashlib
 import re
 
 from . import runfiles, stats
+from .aggregation import NON_TEMPORAL_SECTIONS, TEMPORAL_SECTIONS, section_lines
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9_.-]")
 
@@ -146,12 +147,7 @@ def _user_markdown(payload: dict) -> str:
     lines.append("## Non-temporal summary")
     lines.append("")
     if non_temporal:
-        lines.append(f"- Overall severity: {non_temporal['overall_severity']}")
-        lines.append(f"- Triggers: {'; '.join(non_temporal['triggers'])}")
-        lines.append(f"- Disorders: {'; '.join(non_temporal['disorders'])}")
-        lines.append(f"- Language and tone: {non_temporal['language_tone']}")
-        lines.append(f"- Recurring themes: {non_temporal['recurring_themes']}")
-        lines.append(f"- Overall status: {non_temporal['overall_status']}")
+        lines.extend(f"- {line}" for line in section_lines(non_temporal, NON_TEMPORAL_SECTIONS))
     else:
         lines.append(f"unavailable ({payload['status']})")
     lines.append("")
@@ -160,11 +156,7 @@ def _user_markdown(payload: dict) -> str:
     lines.append("")
     temporal = payload.get("temporal_summary")
     if temporal:
-        lines.append(f"- Chronological events: {temporal['chronological_events']}")
-        lines.append(f"- Duration: {temporal['duration']}")
-        lines.append(f"- Frequency: {temporal['frequency']}")
-        lines.append(f"- Recurrence: {temporal['recurrence']}")
-        lines.append(f"- Explicit times: {temporal['explicit_times']}")
+        lines.extend(f"- {line}" for line in section_lines(temporal, TEMPORAL_SECTIONS))
     else:
         lines.append("none")
     lines.append("")

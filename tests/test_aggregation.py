@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ScriptedSession
 from mindpipe.aggregation import (
+    NON_TEMPORAL_SECTIONS,
+    TEMPORAL_SECTIONS,
     ChronologicalSequence,
     UserEntry,
     UserRecord,
@@ -174,3 +178,63 @@ def test_summarize_temporal_parses_five_sections():
     assert failure is None
     assert summary.frequency == "gap of 14 days between the two posts"
     assert summary.explicit_times == "past half decade; 5 years"
+
+
+SUMMARIES = {
+    "summary_non_temporal": (NT_RESPONSE, NON_TEMPORAL_SECTIONS),
+    "summary_temporal": (T_RESPONSE, TEMPORAL_SECTIONS),
+}
+SECTIONS = [
+    (template, header, is_list)
+    for template, (_, sections) in SUMMARIES.items()
+    for header, _, is_list in sections
+]
+
+
+def _summarize(template, answer):
+    """Ask one summary with ``answer`` scripted for both the ask and the re-ask."""
+    session = ScriptedSession({template: [answer]})
+    record = _record([_entry("e1", DEC_14, timeline="past half decade")])
+    if template == "summary_non_temporal":
+        return summarize_non_temporal(record, session)
+    return summarize_temporal(record, build_chronology(record), session)
+
+
+def _answer_with(template, header, value):
+    """The template's well-formed answer with one section's value replaced."""
+    answer, _ = SUMMARIES[template]
+    return "\n".join(
+        f"{header}: {value}" if line.startswith(f"{header}:") else line
+        for line in answer.splitlines()
+    )
+
+
+@pytest.mark.parametrize("template", SUMMARIES)
+def test_each_table_lists_the_sections_its_prompt_asks_for(template, templates):
+    asked = [
+        line.split(":", 1)[0]
+        for line in templates[template].user.splitlines()
+        if re.match(r"[A-Z][A-Z ]*:", line)
+    ]
+    assert asked == [header for header, _, _ in SUMMARIES[template][1]]
+
+
+@pytest.mark.parametrize("template, header", [(t, h) for t, h, _ in SECTIONS])
+def test_an_empty_section_fails_the_summary(template, header):
+    assert _summarize(template, _answer_with(template, header, "")) == (
+        None, "empty summary section"
+    )
+
+
+@pytest.mark.parametrize("template, header", [(t, h) for t, h, is_list in SECTIONS if is_list])
+def test_a_list_section_of_only_none_fails_the_summary(template, header):
+    assert _summarize(template, _answer_with(template, header, "none")) == (
+        None, "empty summary section"
+    )
+
+
+def test_a_plain_section_of_none_is_its_value():
+    answer = _answer_with("summary_temporal", "DURATION", "none")
+    summary, failure = _summarize("summary_temporal", answer)
+    assert failure is None
+    assert summary.duration == "none"

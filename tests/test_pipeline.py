@@ -402,9 +402,15 @@ def test_a_run_dir_with_cache_counts_in_stats_resumes_like_a_fresh_run(
 ):
     run_dir = tmp_path / "run"
     shutil.copytree(fixture_run, run_dir, ignore=shutil.ignore_patterns("cache"))
-    # the earlier manifest layout: every stage's stats end with its cache counts
+    # the earlier manifest layout, written by 0.1.0: every record carries that
+    # version's config digest, and every stage's stats end with its cache counts
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "__version__", "0.1.0")
+        old_digest = pipeline.config_digest(_config())
     manifest = pipeline.load_manifest(run_dir)
+    manifest.update(tool_version="0.1.0", config_digest=old_digest)
     for record in manifest["stages"].values():
+        record["config_digest"] = old_digest
         counts = record.pop("cache", {"hits": 0, "misses": 0})
         record["stats"].update(cache_hits=counts["hits"], cache_misses=counts["misses"])
     # the report read seven stage files then, so its recorded input digest is another

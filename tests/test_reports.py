@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from conftest import COHORT_SIZE, SAFETY_USERS
+from conftest import COHORT_SIZE, SAFETY_USERS, read_backend_log
 from mindpipe import pipeline
 from mindpipe.config import load_config
 from mindpipe.errors import MissingStageFileError, StageError
@@ -50,6 +50,30 @@ def test_regular_report_carries_all_sections(fixture_run):
         "Diagnosis summary", "Recommendations",
     ):
         assert heading in markdown
+
+
+def test_report_summary_lines_are_the_dataframe_lines_of_the_diagnosis_prompt(
+    fixture_run, templates
+):
+    author = "ash_ember"
+    payload = json.loads((fixture_run / "reports" / "users" / f"{author}.json").read_text())
+    assert payload["non_temporal_summary"] and payload["temporal_summary"]
+    record = next(
+        r for r in read_backend_log(fixture_run)
+        if r["template"] == "diagnosis" and r["tags"]["author"] == author
+    )
+    prompt = record["messages"][-1]["content"]
+    before, after = templates["diagnosis"].user.split("[Dataframe]")
+    assert prompt.startswith(before) and prompt.endswith(after)
+    dataframe = prompt[len(before) : len(prompt) - len(after)].splitlines()
+    markdown = (fixture_run / "reports" / "users" / f"{author}.md").read_text().splitlines()
+    start, end = markdown.index("## Non-temporal summary"), markdown.index("## Chronology")
+    report_lines = [line for line in markdown[start:end] if line.startswith("- ")]
+    dataframe_lines = [
+        line for line in dataframe if line not in ("", "NON-TEMPORAL SUMMARY", "TEMPORAL SUMMARY")
+    ]
+    assert len(report_lines) == 11
+    assert report_lines == [f"- {line}" for line in dataframe_lines]
 
 
 def test_report_fractions_rounded_in_markdown(fixture_run):
