@@ -11,8 +11,10 @@ authors are in the cohort. The run is ``perfbench/child.py`` in a new
 interpreter: the mock backend at concurrency 1, one cold ``run_all`` and
 one no-op rerun, so its peak RSS is its own and no import or warm state
 comes from this one. Prints one JSON line: wall time of the cold run,
-peak RSS, and the bytes the run directory and its ``logs/`` take on disk
-(allocated blocks, counted by ``perfbench.child.disk_usage``).
+peak RSS, the bytes the run directory takes on disk, and the bytes of each
+of its top-level entries (``logs``, ``cache``, ``reports``, each stage
+file and the manifest). Bytes are allocated blocks, as
+``perfbench.child.disk_usage`` counts them.
 """
 
 from __future__ import annotations
@@ -58,7 +60,10 @@ def measure(copies: int, work: Path) -> dict:
         "wall_s": round(result["wall_s"], 3),
         "peak_rss_mb": round(result["peak_rss_kib"] * 1024 / 1e6, 3),
         "run_dir_mb": round(result["run_dir_bytes"] / 1e6, 3),
-        "logs_mb": round(disk_usage(run_dir / "logs")[1] / 1e6, 3),
+        "allocated_bytes": {
+            path.name: disk_usage(path)[1] if path.is_dir() else path.lstat().st_blocks * 512
+            for path in sorted(run_dir.iterdir())
+        },
     }
 
 

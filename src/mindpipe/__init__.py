@@ -5,4 +5,4 @@ deterministic offline mock backend, a safety quarantine, and corpus-level
 statistics over the run outputs.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -47,10 +47,22 @@ def clean_string(text: str) -> str:
 
 
 @dataclass
-class CleanEntry:
-    """A raw entry plus its cleaned text, or a removal reason."""
+class EntryRef:
+    """An entry without its raw text: the fields the stages after ``filter``
+    read. Its row in ``filtered.jsonl`` holds its fields in order."""
 
-    entry: RawEntry
+    id: str
+    author: str
+    kind: str
+    created_utc: int
+    parent_id: str | None = None
+
+
+@dataclass
+class CleanEntry:
+    """An entry's reference plus its cleaned text, or a removal reason."""
+
+    entry: EntryRef
     clean_text: str
     removed: str | None = None
 
@@ -64,15 +76,16 @@ class SafetyFlag:
 
 def clean_entry(entry: RawEntry) -> CleanEntry:
     """Clean one entry; marker-only and empty-after-clean bodies are removed."""
+    ref = EntryRef(entry.id, entry.author, entry.kind, entry.created_utc, entry.parent_id)
     stripped = entry.body.strip().lower()
     if stripped == "[deleted]":
-        return CleanEntry(entry=entry, clean_text="", removed=REMOVED_DELETED)
+        return CleanEntry(entry=ref, clean_text="", removed=REMOVED_DELETED)
     if stripped == "[removed]":
-        return CleanEntry(entry=entry, clean_text="", removed=REMOVED_MARKER)
+        return CleanEntry(entry=ref, clean_text="", removed=REMOVED_MARKER)
     cleaned = clean_string(entry.body)
     if not cleaned:
-        return CleanEntry(entry=entry, clean_text="", removed=REMOVED_EMPTY)
-    return CleanEntry(entry=entry, clean_text=cleaned)
+        return CleanEntry(entry=ref, clean_text="", removed=REMOVED_EMPTY)
+    return CleanEntry(entry=ref, clean_text=cleaned)
 
 
 def load_lexicon(path: str | Path) -> list[str]:

@@ -33,7 +33,8 @@ class CallRecord:
     """One completion request as issued by the pipeline (hit or miss).
 
     ``request_digest`` is the request's ``cache_key()``; ``messages`` is None
-    outside ``LOGGED_PROMPT_TEMPLATES``.
+    outside ``LOGGED_PROMPT_TEMPLATES``. Every request is sent with the
+    session's ``params``, so no record repeats them.
     """
 
     seq: int
@@ -41,11 +42,6 @@ class CallRecord:
     tags: dict[str, str]
     cache_hit: bool
     reask: bool
-    model: str
-    temperature: float
-    max_tokens: int
-    top_p: float
-    stop: list[str] | None
     request_digest: str
     messages: list[dict[str, str]] | None
 
@@ -67,7 +63,9 @@ class LlmSession:
     ):
         self.backend = backend
         self.templates = templates
-        self.model = model
+        # every request is built from these: the model and CompletionRequest's pinned defaults
+        self.params = vars(CompletionRequest(model=model, messages=[]))
+        del self.params["messages"]
         self.cache = cache
         self.records: list[CallRecord] = []
         self._lock = threading.Lock()
@@ -92,7 +90,7 @@ class LlmSession:
                 "role": "user",
                 "content": messages[-1]["content"] + REASK_REMINDER,
             }
-        request = CompletionRequest(model=self.model, messages=messages)
+        request = CompletionRequest(messages=messages, **self.params)
         key = request.cache_key()
         text, hit = self._answer(key, request)
         with self._lock:
@@ -103,11 +101,6 @@ class LlmSession:
                     tags=dict(tags),
                     cache_hit=hit,
                     reask=reask,
-                    model=request.model,
-                    temperature=request.temperature,
-                    max_tokens=request.max_tokens,
-                    top_p=request.top_p,
-                    stop=request.stop,
                     request_digest=key,
                     messages=messages if template_name in LOGGED_PROMPT_TEMPLATES else None,
                 )

@@ -25,7 +25,8 @@ first backend stage that executes and closed when the run ends.
 A stage's ``stats`` hold only facts about its rows. A backend stage's
 manifest record also holds its cache hits and misses (``cache``), and the
 manifest's ``cache`` block totals them; ``reports/`` holds neither, so it
-is the same for a cold and a warm-cache run.
+is the same for a cold and a warm-cache run. The manifest's ``request``
+block holds the parameters that every logged request was sent with.
 
 A stage is skipped on rerun when its manifest record is intact: same
 config digest (the config plus the tool version), same input digest,
@@ -72,6 +73,7 @@ from .extraction import (
 )
 from .filtering import (
     CleanEntry,
+    EntryRef,
     SafetyFlag,
     clean_entry,
     is_relevant,
@@ -197,8 +199,7 @@ def stage_filter(
 
     def process(entry_row: dict) -> dict:
         clean = clean_entry(RawEntry(**entry_row))
-        # the entries row read is the entry written: the same fields in the same order
-        row = {**vars(clean), "entry": entry_row, "relevant": None, "safety": None}
+        row = {**vars(clean), "entry": vars(clean.entry), "relevant": None, "safety": None}
         if clean.removed is not None:
             row["disposition"] = DISPOSITION_REMOVED
             return row
@@ -239,11 +240,7 @@ def _from_row(cls, row: dict):
 
 
 def _clean_from_row(row: dict) -> CleanEntry:
-    return CleanEntry(
-        entry=_from_row(RawEntry, row["entry"]),
-        clean_text=row["clean_text"],
-        removed=row.get("removed"),
-    )
+    return CleanEntry(EntryRef(**row["entry"]), row["clean_text"], row["removed"])
 
 
 def stage_extract(
@@ -679,6 +676,8 @@ def _open_run(
         def get_session() -> LlmSession:
             if not built:
                 built.append(build_session(config, run_dir))
+                # the parameters every logged request was sent with, recorded once
+                manifest["request"] = built[0].params
             return built[0]
 
         try:

@@ -21,6 +21,7 @@ from mindpipe.aggregation import UserEntry, UserRecord, build_chronology, utc_da
 from mindpipe.config import load_config, packaged_path
 from mindpipe.extraction import NonTemporalFeatures, TemporalAnnotation
 from mindpipe.llm.http_backend import HttpBackend
+from mindpipe.llm.mock_backend import MockBackend
 from mindpipe.llm.session import LlmSession
 from mindpipe.recommendation import load_aliases
 
@@ -114,15 +115,35 @@ def test_criterion_2_prompt_fidelity(twin_runs, templates):
     _passed(2, "rendered prompts hash-match the canonical text")
 
 
-def test_criterion_3_parameter_fidelity(twin_runs):
-    run_a, _ = twin_runs[0]
-    records = read_backend_log(run_a)
-    assert records
-    for record in records:
-        assert record["temperature"] == 0
-        assert record["max_tokens"] == 1000
-        assert record["top_p"] == 1.0
-        assert record["stop"] is None
+def test_criterion_3_parameter_fidelity(tmp_path, corpus_path):
+    # every request that reaches the backend is captured as it was sent
+    sent = []
+    complete = MockBackend.complete
+
+    def capture(backend, request):
+        sent.append(request)
+        return complete(backend, request)
+
+    config = load_config(overrides={"pipeline.cohort_size": COHORT_SIZE})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MockBackend, "complete", capture)
+        pipeline.run_all(config, [corpus_path], tmp_path / "run")
+    pinned = {
+        "model": config.backend.model,
+        "temperature": 0,
+        "max_tokens": 1000,
+        "top_p": 1.0,
+        "stop": None,
+    }
+    assert sent
+    for request in sent:
+        assert {name: getattr(request, name) for name in pinned} == pinned
+    # the cache starts empty, so each miss is sent once and each hit's key is an earlier miss's
+    records = read_backend_log(tmp_path / "run")
+    assert len(sent) == sum(not record["cache_hit"] for record in records)
+    sent_keys = {request.cache_key() for request in sent}
+    assert all(record["request_digest"] in sent_keys for record in records)
+    assert pipeline.load_manifest(tmp_path / "run")["request"] == pinned
     _passed(3, f"all {len(records)} requests carry the pinned parameter set")
 
 

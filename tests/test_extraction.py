@@ -15,8 +15,7 @@ from mindpipe.extraction import (
     parse_labeled_sections,
     parse_timeline_response,
 )
-from mindpipe.filtering import CleanEntry, SafetyFlag
-from mindpipe.ingestion import RawEntry
+from mindpipe.filtering import CleanEntry, EntryRef, SafetyFlag
 
 GOOD_RESPONSE = (
     "SEVERITY: moderate\n"
@@ -27,10 +26,7 @@ GOOD_RESPONSE = (
 
 
 def _clean(text="i feel anxious", entry_id="e1"):
-    entry = RawEntry(
-        id=entry_id, author="alice", kind="post", created_utc=1576281600,
-        subreddit="s", body=text,
-    )
+    entry = EntryRef(id=entry_id, author="alice", kind="post", created_utc=1576281600)
     return CleanEntry(entry=entry, clean_text=text)
 
 

@@ -2,8 +2,7 @@ from __future__ import annotations
 
 from conftest import ScriptedSession
 from mindpipe.errors import BackendExhaustedError
-from mindpipe.filtering import CleanEntry
-from mindpipe.ingestion import RawEntry
+from mindpipe.filtering import CleanEntry, EntryRef
 from mindpipe.interaction import (
     Pair,
     classify_relation,
@@ -13,16 +12,13 @@ from mindpipe.interaction import (
 
 
 def _post(entry_id, author="poster", text="post text"):
-    entry = RawEntry(
-        id=entry_id, author=author, kind="post", created_utc=100, subreddit="s", body=text
-    )
+    entry = EntryRef(id=entry_id, author=author, kind="post", created_utc=100)
     return CleanEntry(entry=entry, clean_text=text)
 
 
 def _comment(entry_id, parent, author="replier", text="reply text"):
-    entry = RawEntry(
-        id=entry_id, author=author, kind="comment", created_utc=200, subreddit="s",
-        body=text, parent_id=parent,
+    entry = EntryRef(
+        id=entry_id, author=author, kind="comment", created_utc=200, parent_id=parent
     )
     return CleanEntry(entry=entry, clean_text=text)
 

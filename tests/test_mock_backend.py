@@ -62,8 +62,16 @@ def _hits_and_misses(records) -> tuple[int, int]:
     return hits, len(records) - hits
 
 
-def test_session_logs_hits_and_misses(templates, tmp_path):
+def test_session_logs_hits_and_misses(templates, tmp_path, monkeypatch):
     backend = MockBackend(packaged_path("data/mock_rules.json"))
+    received = []
+    complete = backend.complete
+
+    def capture(request):
+        received.append(request)
+        return complete(request)
+
+    monkeypatch.setattr(backend, "complete", capture)
     cache = ResponseCache(tmp_path / "cache", backend.identity)
     session = LlmSession(backend, templates, model="m", cache=cache)
     tags = {"stage": "filter", "entry_id": "e1", "author": "a"}
@@ -74,8 +82,10 @@ def test_session_logs_hits_and_misses(templates, tmp_path):
     assert _hits_and_misses(session.records) == (1, 1)
     assert [r.cache_hit for r in session.records] == [False, True]
     assert session.records[0].tags["entry_id"] == "e1"
-    assert session.records[0].temperature == 0.0
-    assert session.records[0].max_tokens == 1000
+    (request,) = received
+    assert request.temperature == 0.0
+    assert request.max_tokens == 1000
+    assert [r.request_digest for r in session.records] == [request.cache_key()] * 2
 
 
 def test_take_records_empties_the_log_and_restarts_seq(templates):

@@ -317,6 +317,25 @@ def test_filtered_rows_carry_disposition_and_safety(fixture_run):
             assert row["safety"]["flagged"] is True and row["safety"]["trigger"]
 
 
+def test_filtered_rows_keep_no_raw_text(fixture_run):
+    rows = read_jsonl(fixture_run / "filtered.jsonl")
+    assert rows
+    for row in rows:
+        assert list(row["entry"]) == ["id", "author", "kind", "created_utc", "parent_id"]
+
+
+def test_backend_log_records_leave_the_request_parameters_to_the_manifest(fixture_run):
+    records = read_backend_log(fixture_run)
+    assert records
+    for record in records:
+        assert list(record) == [
+            "seq", "template", "tags", "cache_hit", "reask", "request_digest", "messages",
+        ]
+    assert set(pipeline.load_manifest(fixture_run)["request"]) == {
+        "model", "temperature", "max_tokens", "top_p", "stop",
+    }
+
+
 def test_features_gate_flagged_entries(fixture_run):
     rows = read_jsonl(fixture_run / "features.jsonl")
     flagged = [r for r in rows if r["flagged"]]
@@ -420,6 +439,38 @@ def test_a_run_dir_with_cache_counts_in_stats_resumes_like_a_fresh_run(
     assert _outputs(run_dir) == _outputs(fixture_run)
     assert resumed["cache"] == pipeline.load_manifest(fixture_run)["cache"]
     assert all("cache_hits" not in r["stats"] for r in resumed["stages"].values())
+
+
+def test_a_run_dir_with_raw_text_in_filtered_rows_resumes_like_a_fresh_run(
+    fixture_run, corpus_path, tmp_path
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(fixture_run, run_dir)
+    # the layout written by 0.2.0: each filtered row's entry is the whole entries row,
+    # and every record in the manifest agrees with the files
+    entries = {row["id"]: row for row in read_jsonl(run_dir / "entries.jsonl")}
+    rows = read_jsonl(run_dir / "filtered.jsonl")
+    for row in rows:
+        row["entry"] = entries[row["entry"]["id"]]
+    (run_dir / "filtered.jsonl").write_text(
+        "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8"
+    )
+    config = _config()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "__version__", "0.2.0")
+        old_digest = pipeline.config_digest(config)
+    manifest = pipeline.load_manifest(run_dir)
+    manifest.update(tool_version="0.2.0", config_digest=old_digest)
+    for stage in pipeline.STAGES:
+        record = manifest["stages"][stage.name]
+        record["config_digest"] = old_digest
+        record["input_digest"] = pipeline.stage_input_digest(
+            stage, run_dir, config, manifest["input_paths"]
+        )
+        record["output_digest"] = pipeline.stage_output_digest(stage, run_dir)
+    pipeline.save_manifest(run_dir, manifest)
+    pipeline.run_all(config, [corpus_path], run_dir)
+    assert _outputs(run_dir) == _outputs(fixture_run)
 
 
 def test_a_smaller_cohort_rerun_leaves_no_stale_reports(corpus_path, tmp_path):
