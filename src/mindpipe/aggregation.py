@@ -9,23 +9,25 @@ monthly posting counts appended to the temporal prompt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .config import PipelineKnobs
 from .errors import ResponseFormatError
-from .extraction import NO_TIMELINE, NonTemporalFeatures, TemporalAnnotation
+from .extraction import NO_TIMELINE, TemporalAnnotation
 from .extraction import parse_labeled_sections, _split_list
 
 @dataclass
 class UserEntry:
-    """One surviving entry with everything aggregation needs."""
+    """One surviving entry with everything aggregation needs; ``features`` is
+    its ``features.jsonl`` row as read."""
 
     entry_id: str
+    author: str
     created_utc: int
     kind: str
     clean_text: str
-    features: NonTemporalFeatures
+    features: dict
     annotation: TemporalAnnotation
     flagged: bool
 
@@ -46,33 +48,10 @@ class ChronologyEvent:
     content: str
 
 
-@dataclass
-class ChronologicalSequence:
-    events: list[ChronologyEvent] = field(default_factory=list)
-
-
-@dataclass
-class NonTemporalSummary:
-    overall_severity: str
-    triggers: list[str]
-    disorders: list[str]
-    language_tone: str
-    recurring_themes: str
-    overall_status: str
-
-
-@dataclass
-class TemporalSummary:
-    chronological_events: str
-    duration: str
-    frequency: str
-    recurrence: str
-    explicit_times: str
-
-
-# Each summary's sections in answer order: (prompt header, summary field, is a
-# ';'-separated list). The parser, the diagnosis Dataframe and the user report
-# all read these; the report label is the header, capitalized.
+# Each summary's sections in answer order: (prompt header, summary key, is a
+# ';'-separated list). A summary is the dict of these keys' values, in this
+# order. The parser, the diagnosis Dataframe and the user report all read
+# these; the report label is the header, capitalized.
 NON_TEMPORAL_SECTIONS = (
     ("OVERALL SEVERITY", "overall_severity", False),
     ("TRIGGERS", "triggers", True),
@@ -95,9 +74,7 @@ def utc_date(epoch: int) -> str:
 
 
 def build_user_records(
-    cohort_authors: list[str],
-    entries: list[UserEntry],
-    authors_by_entry: dict[str, str],
+    cohort_authors: list[str], entries: list[UserEntry]
 ) -> tuple[list[UserRecord], int]:
     """Group surviving entries per cohort author, sorted by (time, entry id).
 
@@ -106,9 +83,8 @@ def build_user_records(
     """
     by_author: dict[str, list[UserEntry]] = {author: [] for author in cohort_authors}
     for entry in entries:
-        author = authors_by_entry[entry.entry_id]
-        if author in by_author:
-            by_author[author].append(entry)
+        if entry.author in by_author:
+            by_author[entry.author].append(entry)
     records: list[UserRecord] = []
     omitted = 0
     for author in cohort_authors:
@@ -123,9 +99,9 @@ def build_user_records(
 
 def build_chronology(
     record: UserRecord, content_budget: int = PipelineKnobs.event_content_budget
-) -> ChronologicalSequence:
+) -> list[ChronologyEvent]:
     """Events are exactly the entries carrying a timeline, in record order."""
-    events = [
+    return [
         ChronologyEvent(
             date=utc_date(entry.created_utc),
             timeline=entry.annotation.timeline,
@@ -134,7 +110,6 @@ def build_chronology(
         for entry in record.entries
         if entry.annotation.timeline is not NO_TIMELINE
     ]
-    return ChronologicalSequence(events=events)
 
 
 def monthly_counts(record: UserRecord) -> dict[str, int]:
@@ -153,29 +128,30 @@ def serialize_features_block(record: UserRecord) -> str:
         features = entry.features
         lines.append(
             "- severity={severity} | causes={causes} | tone={tone} | disorders={disorders}".format(
-                severity=features.severity,
-                causes=", ".join(features.causes) or "none",
-                tone=", ".join(features.tone) or "none",
-                disorders=", ".join(features.disorders) or "none",
+                severity=features["severity"],
+                causes=", ".join(features["causes"]) or "none",
+                tone=", ".join(features["tone"]) or "none",
+                disorders=", ".join(features["disorders"]) or "none",
             )
         )
     return "\n".join(lines)
 
 
-def serialize_chronology_block(chronology: ChronologicalSequence, months: dict[str, int]) -> str:
+def serialize_chronology_block(chronology: list[ChronologyEvent], months: dict[str, int]) -> str:
     """Canonical chronology plus monthly counts for the temporal summary prompt."""
     lines = [
         f"- {event.date} | timeline: {event.timeline} | content: {event.content}"
-        for event in chronology.events
+        for event in chronology
     ]
     lines.append("Monthly posting counts:")
     lines.extend(f"- {month}: {count}" for month, count in months.items())
     return "\n".join(lines)
 
 
-def _summary_parser(cls, sections: tuple[tuple[str, str, bool], ...]):
-    """A parser of one summary answer into ``cls``; a section empty after the
-    list split (a list of only ``none``, say) fails like a missing one."""
+def _summary_parser(sections: tuple[tuple[str, str, bool], ...]):
+    """A parser of one summary answer into its values by key, in table order; a
+    section empty after the list split (a list of only ``none``, say) fails
+    like a missing one."""
     headers = tuple(header for header, _, _ in sections)
 
     def parse(text: str):
@@ -186,7 +162,7 @@ def _summary_parser(cls, sections: tuple[tuple[str, str, bool], ...]):
         }
         if not all(values.values()):
             raise ResponseFormatError("empty summary section")
-        return cls(**values)
+        return values
 
     return parse
 
@@ -199,7 +175,7 @@ def section_lines(values: dict, sections: tuple[tuple[str, str, bool], ...]) -> 
     ]
 
 
-def summarize_non_temporal(record: UserRecord, session) -> tuple[NonTemporalSummary | None, str | None]:
+def summarize_non_temporal(record: UserRecord, session) -> tuple[dict | None, str | None]:
     """Six-aspect user-level synthesis over the concatenated entry features."""
     if not record.non_flagged():
         raise ValueError("summarize_non_temporal requires at least one non-flagged entry")
@@ -207,20 +183,20 @@ def summarize_non_temporal(record: UserRecord, session) -> tuple[NonTemporalSumm
     return session.ask_parsed(
         "summary_non_temporal",
         {"features": serialize_features_block(record)},
-        _summary_parser(NonTemporalSummary, NON_TEMPORAL_SECTIONS),
+        _summary_parser(NON_TEMPORAL_SECTIONS),
         tags=tags,
     )
 
 
 def summarize_temporal(
     record: UserRecord,
-    chronology: ChronologicalSequence,
+    chronology: list[ChronologyEvent],
     session,
-) -> tuple[TemporalSummary | None, str | None]:
+) -> tuple[dict | None, str | None]:
     """Temporal pattern synthesis; absent (None, None) for empty chronologies."""
-    if not chronology.events:
+    if not chronology:
         return None, None
     tags = {"stage": "aggregate", "author": record.author}
     block = serialize_chronology_block(chronology, monthly_counts(record))
-    parser = _summary_parser(TemporalSummary, TEMPORAL_SECTIONS)
+    parser = _summary_parser(TEMPORAL_SECTIONS)
     return session.ask_parsed("summary_temporal", {"chronology": block}, parser, tags=tags)

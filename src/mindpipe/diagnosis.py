@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aggregation import (
-    NON_TEMPORAL_SECTIONS,
-    TEMPORAL_SECTIONS,
-    NonTemporalSummary,
-    TemporalSummary,
-    section_lines,
-)
+from .aggregation import NON_TEMPORAL_SECTIONS, TEMPORAL_SECTIONS, section_lines
 from .config import PipelineKnobs
 
 WORD_TARGET = 400
@@ -32,15 +26,13 @@ class DiagnosisSummary:
     over_budget: bool
 
 
-def serialize_dataframe(
-    non_temporal: NonTemporalSummary, temporal: TemporalSummary | None
-) -> str:
+def serialize_dataframe(non_temporal: dict, temporal: dict | None) -> str:
     """Canonical Dataframe text: labeled non-temporal block, then temporal block."""
-    lines = ["NON-TEMPORAL SUMMARY", *section_lines(vars(non_temporal), NON_TEMPORAL_SECTIONS), ""]
-    if temporal is None:
+    lines = ["NON-TEMPORAL SUMMARY", *section_lines(non_temporal, NON_TEMPORAL_SECTIONS), ""]
+    if not temporal:
         lines.append(TEMPORAL_ABSENT_LINE)
     else:
-        lines += ["TEMPORAL SUMMARY", *section_lines(vars(temporal), TEMPORAL_SECTIONS)]
+        lines += ["TEMPORAL SUMMARY", *section_lines(temporal, TEMPORAL_SECTIONS)]
     return "\n".join(lines)
 
 
@@ -50,8 +42,8 @@ def word_count(text: str) -> int:
 
 def diagnose(
     author: str,
-    non_temporal: NonTemporalSummary,
-    temporal: TemporalSummary | None,
+    non_temporal: dict,
+    temporal: dict | None,
     session,
     slack: float = PipelineKnobs.word_budget_slack,
 ) -> tuple[DiagnosisSummary | None, str | None]:

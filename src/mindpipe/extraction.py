@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ResponseFormatError
-from .filtering import CleanEntry, SafetyFlag
+from .filtering import CleanEntry
 
 SEVERITY_MILD = "mild"
 SEVERITY_MODERATE = "moderate"
@@ -103,7 +103,7 @@ def parse_timeline_response(text: str) -> str | None:
 
 
 def extract_non_temporal(
-    clean: CleanEntry, flag: SafetyFlag, session
+    clean: CleanEntry, flagged: bool, session
 ) -> tuple[NonTemporalFeatures | None, str | None]:
     """Extract the four non-temporal features for one relevant, cleaned entry.
 
@@ -111,7 +111,7 @@ def extract_non_temporal(
     backend failed or the response stayed unparseable after one re-ask.
     Flagged entries are quarantined without any backend call.
     """
-    if flag.flagged:
+    if flagged:
         return NonTemporalFeatures(severity=SEVERITY_EXTREME), None
     tags = {"stage": "extract", "author": clean.entry.author, "entry_id": clean.entry.id}
     return session.ask_parsed(

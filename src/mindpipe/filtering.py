@@ -67,13 +67,6 @@ class CleanEntry:
     removed: str | None = None
 
 
-@dataclass
-class SafetyFlag:
-    entry_id: str
-    flagged: bool
-    trigger: str | None = None
-
-
 def clean_entry(entry: RawEntry) -> CleanEntry:
     """Clean one entry; marker-only and empty-after-clean bodies are removed."""
     ref = EntryRef(entry.id, entry.author, entry.kind, entry.created_utc, entry.parent_id)
@@ -134,20 +127,20 @@ def is_relevant(clean: CleanEntry, session) -> bool | None:
     return verdict
 
 
-def safety_screen(clean: CleanEntry, session, terms: list[str]) -> SafetyFlag:
+def safety_screen(clean: CleanEntry, session, terms: list[str]) -> str | None:
     """Lexicon-first safety screen with backend confirmation on lexicon miss.
 
-    Backend failures fall back to the lexicon-only verdict.
+    Returns what flagged the entry (its first lexicon term, or
+    ``BACKEND_TRIGGER``), or None when the entry is clear. Backend failures
+    fall back to the lexicon-only verdict.
     """
     if clean.removed is not None:
         raise ValueError("safety_screen called on a removed entry")
     term = lexicon_match(clean.clean_text, terms)
     if term is not None:
-        return SafetyFlag(entry_id=clean.entry.id, flagged=True, trigger=term)
+        return term
     tags = {"stage": "filter", "author": clean.entry.author, "entry_id": clean.entry.id}
     verdict, _failure = session.ask_parsed(
         "safety", {"text": clean.clean_text}, _parse_yes_no, tags=tags
     )
-    if verdict:
-        return SafetyFlag(entry_id=clean.entry.id, flagged=True, trigger=BACKEND_TRIGGER)
-    return SafetyFlag(entry_id=clean.entry.id, flagged=False)
+    return BACKEND_TRIGGER if verdict else None

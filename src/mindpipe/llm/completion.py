@@ -26,16 +26,9 @@ class CompletionRequest:
     stop: list[str] | None = None
 
     def canonical_json(self) -> str:
-        """Stable serialization used for cache keys; ASCII-only, sorted keys."""
-        payload = {
-            "model": self.model,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "top_p": self.top_p,
-            "stop": self.stop,
-            "messages": self.messages,
-        }
-        return _CANONICAL_ENCODER.encode(payload)
+        """Stable serialization of every request field, used for cache keys;
+        ASCII-only, sorted keys."""
+        return _CANONICAL_ENCODER.encode(vars(self))
 
     def cache_key(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()

@@ -10,7 +10,9 @@ from typing import Callable
 
 class RateLimiter:
     """Allows at most ``rps`` request starts in any one-second window and
-    at most ``concurrency`` requests in flight.
+    at most ``concurrency`` requests in flight. A fractional rate admits the
+    whole starts it holds (2.5 admits 2 a second); a rate below 1 admits one
+    start per ``1/rps`` seconds.
 
     Clock and sleep are injectable so tests can drive the window
     deterministically.
@@ -27,7 +29,9 @@ class RateLimiter:
             raise ValueError("rps must be > 0")
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        self.rps = rps
+        # a start is admitted while it keeps the window's count within _limit
+        self._limit = max(rps, 1.0)
+        self._window = max(1.0, 1.0 / rps)
         self._clock = clock
         self._sleeper = sleeper
         self._starts: deque[float] = deque()
@@ -38,12 +42,12 @@ class RateLimiter:
         while True:
             with self._lock:
                 now = self._clock()
-                while self._starts and now - self._starts[0] >= 1.0:
+                while self._starts and now - self._starts[0] >= self._window:
                     self._starts.popleft()
-                if len(self._starts) < self.rps:
+                if len(self._starts) + 1 <= self._limit:
                     self._starts.append(now)
                     return
-                wait = 1.0 - (now - self._starts[0])
+                wait = self._window - (now - self._starts[0])
             self._sleeper(max(wait, 0.001))
 
     def __enter__(self) -> "RateLimiter":

@@ -46,14 +46,12 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
 from . import __version__, runfiles
 from .aggregation import (
-    NonTemporalSummary,
-    TemporalSummary,
     UserEntry,
     UserRecord,
     build_chronology,
@@ -63,23 +61,10 @@ from .aggregation import (
     summarize_temporal,
 )
 from .config import BACKEND_HTTP, PipelineConfig, packaged_path, run_cache_dir
-from .diagnosis import DiagnosisSummary, diagnose
+from .diagnosis import diagnose
 from .errors import RunLockedError, StageError
-from .extraction import (
-    NonTemporalFeatures,
-    TemporalAnnotation,
-    extract_non_temporal,
-    extract_temporal,
-)
-from .filtering import (
-    CleanEntry,
-    EntryRef,
-    SafetyFlag,
-    clean_entry,
-    is_relevant,
-    load_lexicon,
-    safety_screen,
-)
+from .extraction import TemporalAnnotation, extract_non_temporal, extract_temporal
+from .filtering import CleanEntry, EntryRef, clean_entry, is_relevant, load_lexicon, safety_screen
 from .ingestion import Cohort, RawEntry, iter_parse, select_cohort
 from .interaction import classify_relation, pair_entries
 from .llm.cache import ResponseCache, read_stats
@@ -203,9 +188,9 @@ def stage_filter(
         if clean.removed is not None:
             row["disposition"] = DISPOSITION_REMOVED
             return row
-        flag = safety_screen(clean, session, lexicon)
-        row["safety"] = {"flagged": flag.flagged, "trigger": flag.trigger}
-        if flag.flagged:
+        trigger = safety_screen(clean, session, lexicon)
+        row["safety"] = {"flagged": trigger is not None, "trigger": trigger}
+        if trigger is not None:
             # quarantined entries are retained without a relevance verdict
             row["disposition"] = DISPOSITION_FLAGGED
             return row
@@ -234,11 +219,6 @@ def stage_filter(
     }
 
 
-def _from_row(cls, row: dict):
-    """The dataclass ``cls`` built from the row keys that name its fields."""
-    return cls(**{f.name: row[f.name] for f in fields(cls)})
-
-
 def _clean_from_row(row: dict) -> CleanEntry:
     return CleanEntry(EntryRef(**row["entry"]), row["clean_text"], row["removed"])
 
@@ -252,7 +232,6 @@ def stage_extract(
     def process(row: dict) -> dict:
         clean = _clean_from_row(row)
         flagged = row["disposition"] == DISPOSITION_FLAGGED
-        flag = SafetyFlag(entry_id=clean.entry.id, flagged=flagged)
         out = {
             "entry_id": clean.entry.id,
             "author": clean.entry.author,
@@ -260,7 +239,7 @@ def stage_extract(
             "created_utc": clean.entry.created_utc,
             "flagged": flagged,
         }
-        features, failure = extract_non_temporal(clean, flag, session)
+        features, failure = extract_non_temporal(clean, flagged, session)
         if failure is not None:
             out.update({"status": "parse_failure", "failure": failure})
             return out
@@ -293,28 +272,24 @@ def stage_aggregate(
     """Build per-user records and produce both user-level summaries."""
     cohort = Cohort(**inputs[runfiles.COHORT])
     clean_text_by_id = {row["entry"]["id"]: row["clean_text"] for row in inputs[runfiles.FILTERED]}
-    entries: list[UserEntry] = []
-    authors_by_entry: dict[str, str] = {}
-    for row in inputs[runfiles.FEATURES]:
-        if row["status"] != "ok":
-            continue
-        entries.append(
-            UserEntry(
-                entry_id=row["entry_id"],
-                created_utc=row["created_utc"],
-                kind=row["kind"],
-                clean_text=clean_text_by_id[row["entry_id"]],
-                features=_from_row(NonTemporalFeatures, row),
-                annotation=TemporalAnnotation(
-                    creation_time=row["created_utc"], timeline=row.get("timeline")
-                ),
-                flagged=row["flagged"],
-            )
+    entries = [
+        UserEntry(
+            entry_id=row["entry_id"],
+            author=row["author"],
+            created_utc=row["created_utc"],
+            kind=row["kind"],
+            clean_text=clean_text_by_id[row["entry_id"]],
+            features=row,
+            annotation=TemporalAnnotation(
+                creation_time=row["created_utc"], timeline=row.get("timeline")
+            ),
+            flagged=row["flagged"],
         )
-        authors_by_entry[row["entry_id"]] = row["author"]
-
+        for row in inputs[runfiles.FEATURES]
+        if row["status"] == "ok"
+    ]
     cohort_order = [user["author"] for user in cohort.users]
-    records, omitted = build_user_records(cohort_order, entries, authors_by_entry)
+    records, omitted = build_user_records(cohort_order, entries)
 
     def process(record: UserRecord) -> dict:
         chronology = build_chronology(record, config.pipeline.event_content_budget)
@@ -324,7 +299,7 @@ def stage_aggregate(
             "non_temporal": None,
             "temporal": None,
             "failure": None,
-            "chronology": [vars(event) for event in chronology.events],
+            "chronology": [vars(event) for event in chronology],
             "monthly_counts": monthly_counts(record),
             "entry_count": len(record.entries),
             "flagged_entries": sum(1 for e in record.entries if e.flagged),
@@ -342,10 +317,7 @@ def stage_aggregate(
             row["status"] = "summary_failure"
             row["failure"] = temporal_failure
             return row
-        row["status"] = "ok"
-        row["non_temporal"] = vars(non_temporal)
-        if temporal is not None:
-            row["temporal"] = vars(temporal)
+        row.update(status="ok", non_temporal=non_temporal, temporal=temporal)
         return row
 
     rows = _map_items(records, process, config.limits.concurrency)
@@ -369,11 +341,10 @@ def stage_diagnose(
     ready = [row for row in inputs[runfiles.SUMMARIES] if row["status"] == "ok"]
 
     def process(row: dict) -> dict:
-        temporal = TemporalSummary(**row["temporal"]) if row["temporal"] else None
         summary, failure = diagnose(
             row["author"],
-            NonTemporalSummary(**row["non_temporal"]),
-            temporal,
+            row["non_temporal"],
+            row["temporal"],
             session,
             slack=config.pipeline.word_budget_slack,
         )
@@ -411,8 +382,8 @@ def stage_recommend(
     def process(row: dict) -> dict:
         if row["status"] == "safety_excluded":
             return safety_notice(row["author"])  # no backend call
-        diag = _from_row(DiagnosisSummary, diagnosis_by_author[row["author"]])
-        rec, failure = recommend(diag, session, blocklist)
+        diagnosis_text = diagnosis_by_author[row["author"]]["text"]
+        rec, failure = recommend(row["author"], diagnosis_text, session, blocklist)
         if failure is not None:
             return {
                 "author": row["author"],

@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .diagnosis import DiagnosisSummary
 from .errors import ResponseFormatError
 
 MAX_THERAPIES = 3
@@ -127,12 +126,12 @@ def _strip_blocked(
 
 
 def recommend(
-    diag: DiagnosisSummary, session, blocklist: list[str] | None = None
+    author: str, diagnosis_text: str, session, blocklist: list[str] | None = None
 ) -> tuple[RecommendationSet | None, str | None]:
-    """Generate and parse recommendations for one diagnosed user."""
-    tags = {"stage": "recommend", "author": diag.author}
+    """Generate and parse recommendations for one user from their diagnosis text."""
+    tags = {"stage": "recommend", "author": author}
     parsed, failure = session.ask_parsed(
-        "recommendation", {"Dataframe": diag.text}, parse_recommendations, tags=tags
+        "recommendation", {"Dataframe": diagnosis_text}, parse_recommendations, tags=tags
     )
     if failure is not None:
         return None, failure
@@ -157,7 +156,7 @@ def recommend(
         behaviors = behaviors[:MAX_BEHAVIOR_CHANGES]
     return (
         RecommendationSet(
-            author=diag.author,
+            author=author,
             therapies=therapies,
             behavior_changes=behaviors,
             raw_text=parsed["raw"],

@@ -48,20 +48,24 @@ def build_run_report(rows: dict, stage_stats: dict, aliases: dict[str, str]) -> 
     }
 
 
+def _table(left: str, right: str, rows) -> list[str]:
+    """A two-column Markdown table: header line, rule line, one line per (left, right) row."""
+    return [f"| {left} | {right} |", "| --- | --- |", *(f"| {a} | {b} |" for a, b in rows)]
+
+
+def _fractions(table: dict[str, float]) -> list[tuple[str, str]]:
+    return [(label, _fmt(fraction)) for label, fraction in table.items()]
+
+
 def _run_report_markdown(report: dict) -> str:
+    severity = report["severity"]
     lines = ["# Run report", ""]
     lines.append("## Severity distribution")
     lines.append("")
-    lines.append("| Entry band | Fraction |")
-    lines.append("| --- | --- |")
-    for band, fraction in report["severity"]["entry_level"].items():
-        lines.append(f"| {band} | {_fmt(fraction)} |")
+    lines += _table("Entry band", "Fraction", _fractions(severity["entry_level"]))
     lines.append("")
-    lines.append("| User band | Fraction |")
-    lines.append("| --- | --- |")
-    for band, fraction in report["severity"]["user_level"].items():
-        lines.append(f"| {band} | {_fmt(fraction)} |")
-    excluded = report["severity"]["users_excluded_all_flagged"]
+    lines += _table("User band", "Fraction", _fractions(severity["user_level"]))
+    excluded = severity["users_excluded_all_flagged"]
     lines.append("")
     lines.append(f"Users excluded from the user-level map (all entries flagged): {excluded}")
     lines.append("")
@@ -77,20 +81,15 @@ def _run_report_markdown(report: dict) -> str:
     lines.append("")
     lines.append("## Therapy frequency")
     lines.append("")
-    lines.append("| Therapy | Users |")
-    lines.append("| --- | --- |")
-    for row in report["therapy_frequency"]:
-        lines.append(f"| {row['therapy']} | {row['users']} |")
+    therapies = [(row["therapy"], row["users"]) for row in report["therapy_frequency"]]
+    lines += _table("Therapy", "Users", therapies)
     lines.append("")
     lines.append("## Post-comment relations")
     lines.append("")
     lines.append(f"Related fraction: {_fmt(report['relations']['related_fraction'])} "
                  f"over {report['relations']['total_pairs']} pairs")
     lines.append("")
-    lines.append("| Relation | Fraction |")
-    lines.append("| --- | --- |")
-    for label, fraction in report["relations"]["fractions"].items():
-        lines.append(f"| {label} | {_fmt(fraction)} |")
+    lines += _table("Relation", "Fraction", _fractions(report["relations"]["fractions"]))
     lines.append("")
     lines.append("## Stage counts")
     lines.append("")

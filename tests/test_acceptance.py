@@ -268,10 +268,11 @@ def _user_records(draw):
         entries.append(
             UserEntry(
                 entry_id=f"e{i}",
+                author="u",
                 created_utc=created,
                 kind="post",
                 clean_text=draw(st.text(max_size=40)),
-                features=NonTemporalFeatures(severity="mild"),
+                features=vars(NonTemporalFeatures(severity="mild")),
                 annotation=TemporalAnnotation(creation_time=created, timeline=timeline),
                 flagged=False,
             )
@@ -284,11 +285,11 @@ def _user_records(draw):
 @given(_user_records())
 def test_criterion_7_chronology_invariants(record):
     chronology = build_chronology(record)
-    dates = [event.date for event in chronology.events]
+    dates = [event.date for event in chronology]
     assert dates == sorted(dates)
     expected = [e for e in record.entries if e.annotation.timeline is not None]
-    assert len(chronology.events) == len(expected)
-    for event, entry in zip(chronology.events, expected):
+    assert len(chronology) == len(expected)
+    for event, entry in zip(chronology, expected):
         assert event.timeline == entry.annotation.timeline
         assert event.date == utc_date(entry.created_utc)
 
@@ -391,7 +392,7 @@ LIVE_KEY_ENV = "MINDPIPE_LIVE_API_KEY_ENV"
 )
 def test_criterion_10_live_smoke(corpus_path, templates):
     from mindpipe.extraction import extract_non_temporal, extract_temporal
-    from mindpipe.filtering import SafetyFlag, clean_entry, is_relevant
+    from mindpipe.filtering import clean_entry, is_relevant
     from test_ingestion import parse_dump
 
     backend = HttpBackend(
@@ -409,9 +410,7 @@ def test_criterion_10_live_smoke(corpus_path, templates):
         clean = clean_entry(entry)
         verdict = is_relevant(clean, session)
         assert verdict in (True, False, None)
-        features, failure = extract_non_temporal(
-            clean, SafetyFlag(entry_id=entry.id, flagged=False), session
-        )
+        features, failure = extract_non_temporal(clean, False, session)
         assert (features is None) != (failure is None)
         annotation, _ = extract_temporal(clean, session)
         assert annotation.creation_time == entry.created_utc

@@ -9,7 +9,6 @@ from conftest import ScriptedSession
 from mindpipe.aggregation import (
     NON_TEMPORAL_SECTIONS,
     TEMPORAL_SECTIONS,
-    ChronologicalSequence,
     UserEntry,
     UserRecord,
     build_chronology,
@@ -20,7 +19,7 @@ from mindpipe.aggregation import (
     summarize_non_temporal,
     summarize_temporal,
 )
-from mindpipe.extraction import NonTemporalFeatures, TemporalAnnotation
+from mindpipe.extraction import TemporalAnnotation
 
 DEC_14 = 1576281600  # 2019-12-14T00:00:00Z
 DEC_28 = 1577491200  # 2019-12-28T00:00:00Z
@@ -42,13 +41,14 @@ T_RESPONSE = (
 )
 
 
-def _entry(entry_id, created, timeline=None, flagged=False, author_text="text"):
+def _entry(entry_id, created, timeline=None, flagged=False, author_text="text", author="alice"):
     return UserEntry(
         entry_id=entry_id,
+        author=author,
         created_utc=created,
         kind="post",
         clean_text=author_text,
-        features=NonTemporalFeatures(severity="moderate", causes=["x"], tone=["y"], disorders=[]),
+        features={"severity": "moderate", "causes": ["x"], "tone": ["y"], "disorders": []},
         annotation=TemporalAnnotation(creation_time=created, timeline=timeline),
         flagged=flagged,
     )
@@ -60,11 +60,10 @@ def _record(entries, author="alice"):
 
 def test_build_user_records_sorts_and_partitions():
     entries = [
-        _entry("b", 300), _entry("a", 100), _entry("c", 100),
-        _entry("d", 200),
+        _entry("b", 300, author="u1"), _entry("a", 100, author="u1"),
+        _entry("c", 100, author="u2"), _entry("d", 200, author="u2"),
     ]
-    authors = {"a": "u1", "b": "u1", "c": "u2", "d": "u2"}
-    records, omitted = build_user_records(["u1", "u2", "u3"], entries, authors)
+    records, omitted = build_user_records(["u1", "u2", "u3"], entries)
     assert omitted == 1
     assert [r.author for r in records] == ["u1", "u2"]
     assert [e.entry_id for e in records[0].entries] == ["a", "b"]
@@ -72,16 +71,15 @@ def test_build_user_records_sorts_and_partitions():
 
 
 def test_build_user_records_empty():
-    records, omitted = build_user_records([], [], {})
+    records, omitted = build_user_records([], [])
     assert records == [] and omitted == 0
 
 
 @given(st.permutations(list(range(8))))
 def test_record_order_invariant_under_input_permutation(order):
-    entries = [_entry(f"e{i}", created=100 + (i % 3) * 50) for i in range(8)]
-    authors = {f"e{i}": "u" for i in range(8)}
-    base, _ = build_user_records(["u"], entries, authors)
-    shuffled, _ = build_user_records(["u"], [entries[i] for i in order], authors)
+    entries = [_entry(f"e{i}", created=100 + (i % 3) * 50, author="u") for i in range(8)]
+    base, _ = build_user_records(["u"], entries)
+    shuffled, _ = build_user_records(["u"], [entries[i] for i in order])
     assert [e.entry_id for e in base[0].entries] == [e.entry_id for e in shuffled[0].entries]
 
 
@@ -96,20 +94,20 @@ def test_chronology_keeps_exactly_timeline_entries_in_order():
         ]
     )
     chronology = build_chronology(record)
-    assert len(chronology.events) == 2
-    assert [e.date for e in chronology.events] == ["2019-12-14", "2019-12-28"]
-    assert [e.timeline for e in chronology.events] == ["past half decade", "5 years"]
+    assert len(chronology) == 2
+    assert [e.date for e in chronology] == ["2019-12-14", "2019-12-28"]
+    assert [e.timeline for e in chronology] == ["past half decade", "5 years"]
 
 
 def test_chronology_empty_when_no_timelines():
     record = _record([_entry("e1", 100), _entry("e2", 200)])
-    assert build_chronology(record).events == []
+    assert build_chronology(record) == []
 
 
 def test_chronology_content_truncated_to_budget():
     record = _record([_entry("e1", DEC_14, timeline="5 years", author_text="x" * 900)])
     chronology = build_chronology(record, content_budget=500)
-    assert len(chronology.events[0].content) == 500
+    assert len(chronology[0].content) == 500
 
 
 def test_monthly_counts_skip_flagged():
@@ -145,9 +143,10 @@ def test_summarize_non_temporal_parses_six_sections():
     record = _record([_entry("e1", DEC_14)])
     summary, failure = summarize_non_temporal(record, session)
     assert failure is None
-    assert summary.overall_severity == "Moderate to Severe"
-    assert summary.language_tone == "confessional, introspective, and self-deprecating"
-    assert summary.triggers == ["financial insecurity", "social isolation"]
+    assert list(summary) == [name for _, name, _ in NON_TEMPORAL_SECTIONS]
+    assert summary["overall_severity"] == "Moderate to Severe"
+    assert summary["language_tone"] == "confessional, introspective, and self-deprecating"
+    assert summary["triggers"] == ["financial insecurity", "social isolation"]
 
 
 def test_summarize_non_temporal_requires_non_flagged_entry():
@@ -166,7 +165,7 @@ def test_summarize_non_temporal_failure_after_reask():
 def test_summarize_temporal_absent_without_events():
     session = ScriptedSession({})
     record = _record([_entry("e1", DEC_14)])
-    summary, failure = summarize_temporal(record, ChronologicalSequence(events=[]), session)
+    summary, failure = summarize_temporal(record, [], session)
     assert summary is None and failure is None
     assert session.calls == []
 
@@ -176,8 +175,9 @@ def test_summarize_temporal_parses_five_sections():
     record = _record([_entry("e1", DEC_14, timeline="past half decade")])
     summary, failure = summarize_temporal(record, build_chronology(record), session)
     assert failure is None
-    assert summary.frequency == "gap of 14 days between the two posts"
-    assert summary.explicit_times == "past half decade; 5 years"
+    assert list(summary) == [name for _, name, _ in TEMPORAL_SECTIONS]
+    assert summary["frequency"] == "gap of 14 days between the two posts"
+    assert summary["explicit_times"] == "past half decade; 5 years"
 
 
 SUMMARIES = {
@@ -237,4 +237,4 @@ def test_a_plain_section_of_none_is_its_value():
     answer = _answer_with("summary_temporal", "DURATION", "none")
     summary, failure = _summarize("summary_temporal", answer)
     assert failure is None
-    assert summary.duration == "none"
+    assert summary["duration"] == "none"

@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 
 from conftest import ScriptedSession
-from mindpipe.aggregation import NonTemporalSummary, TemporalSummary
 from mindpipe.diagnosis import (
     TEMPORAL_ABSENT_LINE,
     diagnose,
@@ -13,8 +12,8 @@ from mindpipe.diagnosis import (
 from mindpipe.llm.session import LlmSession
 
 
-def _nt() -> NonTemporalSummary:
-    return NonTemporalSummary(
+def _nt() -> dict:
+    return dict(
         overall_severity="Moderate to Severe",
         triggers=["financial insecurity", "social isolation"],
         disorders=["Major Depressive Disorder"],
@@ -24,8 +23,8 @@ def _nt() -> NonTemporalSummary:
     )
 
 
-def _t() -> TemporalSummary:
-    return TemporalSummary(
+def _t() -> dict:
+    return dict(
         chronological_events="two December reports",
         duration="at least 5 years",
         frequency="gap of 14 days",

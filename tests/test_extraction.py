@@ -15,7 +15,7 @@ from mindpipe.extraction import (
     parse_labeled_sections,
     parse_timeline_response,
 )
-from mindpipe.filtering import CleanEntry, EntryRef, SafetyFlag
+from mindpipe.filtering import CleanEntry, EntryRef
 
 GOOD_RESPONSE = (
     "SEVERITY: moderate\n"
@@ -28,10 +28,6 @@ GOOD_RESPONSE = (
 def _clean(text="i feel anxious", entry_id="e1"):
     entry = EntryRef(id=entry_id, author="alice", kind="post", created_utc=1576281600)
     return CleanEntry(entry=entry, clean_text=text)
-
-
-def _flag(flagged=False):
-    return SafetyFlag(entry_id="e1", flagged=flagged, trigger="term" if flagged else None)
 
 
 def test_parse_feature_response_golden():
@@ -86,7 +82,7 @@ def test_timeline_parse_value_and_sentinel():
 
 def test_flagged_entry_skips_backend_entirely():
     session = ScriptedSession({})  # any ask would raise KeyError
-    features, failure = extract_non_temporal(_clean(), _flag(flagged=True), session)
+    features, failure = extract_non_temporal(_clean(), True, session)
     assert failure is None
     assert features.severity == SEVERITY_EXTREME
     assert features.causes == [] and features.tone == [] and features.disorders == []
@@ -95,14 +91,14 @@ def test_flagged_entry_skips_backend_entirely():
 
 def test_extract_non_temporal_parses(templates):
     session = ScriptedSession({"extract_features": [GOOD_RESPONSE]})
-    features, failure = extract_non_temporal(_clean(), _flag(), session)
+    features, failure = extract_non_temporal(_clean(), False, session)
     assert failure is None
     assert features.severity == "moderate"
 
 
 def test_extract_non_temporal_reask_then_failure():
     session = ScriptedSession({"extract_features": ["garbage", "still garbage"]})
-    features, failure = extract_non_temporal(_clean(), _flag(), session)
+    features, failure = extract_non_temporal(_clean(), False, session)
     assert features is None
     assert "SEVERITY" in failure
     assert [c[2] for c in session.calls] == [False, True]

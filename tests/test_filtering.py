@@ -167,26 +167,23 @@ def test_unusable_verdict_error_does_not_quote_the_response():
 
 def test_safety_screen_lexicon_short_circuits_backend():
     session = ScriptedSession({"safety": ["no"]})
-    flag = safety_screen(_clean("thinking about self-harm"), session, ["self-harm"])
-    assert flag.flagged is True
-    assert flag.trigger == "self-harm"
+    trigger = safety_screen(_clean("thinking about self-harm"), session, ["self-harm"])
+    assert trigger == "self-harm"
     assert session.calls == []
 
 
 def test_safety_screen_backend_verdict():
     session = ScriptedSession({"safety": ["yes"]})
-    flag = safety_screen(_clean("nothing matters anymore"), session, ["self-harm"])
-    assert flag.flagged is True
-    assert flag.trigger == BACKEND_TRIGGER
+    trigger = safety_screen(_clean("nothing matters anymore"), session, ["self-harm"])
+    assert trigger == BACKEND_TRIGGER
 
 
 def test_safety_screen_negative():
     session = ScriptedSession({"safety": ["no"]})
-    flag = safety_screen(_clean("plain text"), session, ["self-harm"])
-    assert flag.flagged is False
-    assert flag.trigger is None
+    trigger = safety_screen(_clean("plain text"), session, ["self-harm"])
+    assert trigger is None
 
 
 def test_safety_screen_backend_failure_falls_back_to_lexicon():
-    flag = safety_screen(_clean("plain text"), _FailingSession(), ["self-harm"])
-    assert flag.flagged is False
+    trigger = safety_screen(_clean("plain text"), _FailingSession(), ["self-harm"])
+    assert trigger is None

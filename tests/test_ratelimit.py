@@ -44,6 +44,30 @@ def test_third_request_waits_for_window():
     assert clock.now >= 1.0
 
 
+def _starts(rps, count):
+    clock = FakeClock()
+    limiter = RateLimiter(rps=rps, concurrency=10, clock=clock, sleeper=clock.sleep)
+    starts = []
+    for _ in range(count):
+        with limiter:
+            starts.append(clock.now)
+    return starts
+
+
+def test_a_rate_below_one_spaces_starts_by_its_period():
+    starts = _starts(0.5, 4)
+    assert starts[0] == 0.0
+    assert all(later - earlier >= 2.0 for earlier, later in zip(starts, starts[1:]))
+
+
+def test_a_fractional_rate_admits_only_whole_starts_per_second():
+    starts = _starts(2.5, 8)
+    for window_start in starts:
+        in_window = [s for s in starts if window_start <= s < window_start + 1.0]
+        assert len(in_window) <= 2.5
+    assert starts[:2] == [0.0, 0.0]
+
+
 def test_concurrency_cap_holds_under_threads():
     limiter = RateLimiter(rps=1000, concurrency=3)
     active = 0

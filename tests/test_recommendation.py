@@ -4,7 +4,6 @@ import pytest
 
 from conftest import ScriptedSession
 from mindpipe.config import packaged_path
-from mindpipe.diagnosis import DiagnosisSummary
 from mindpipe.errors import ResponseFormatError
 from mindpipe.filtering import load_lexicon
 from mindpipe.recommendation import (
@@ -23,10 +22,6 @@ Behavior Changes:
 1. Establish a consistent sleep schedule.
 2. Take a daily walk.
 """
-
-
-def _diag(text="diagnosis text") -> DiagnosisSummary:
-    return DiagnosisSummary(author="alice", text=text, word_count=2, over_budget=False)
 
 
 def test_parse_two_headed_lists():
@@ -79,7 +74,7 @@ def test_recommend_truncates_overlong_lists():
         "Behavior changes:\n1. one\n2. two\n3. three\n4. four\n5. five\n6. six\n"
     )
     session = ScriptedSession({"recommendation": [response]})
-    rec, failure = recommend(_diag(), session)
+    rec, failure = recommend("alice", "diagnosis text", session)
     assert failure is None
     assert rec.therapies == ["A Therapy", "B Therapy", "C Therapy"]
     assert len(rec.behavior_changes) == 5
@@ -90,7 +85,7 @@ def test_recommend_truncates_overlong_lists():
 
 def test_recommend_failure_after_reask():
     session = ScriptedSession({"recommendation": ["nothing here", "still nothing"]})
-    rec, failure = recommend(_diag(), session)
+    rec, failure = recommend("alice", "diagnosis text", session)
     assert rec is None
     assert "therapy" in failure
     assert [c[2] for c in session.calls] == [False, True]
@@ -103,7 +98,7 @@ def test_recommend_blocklist_strips_items():
     )
     session = ScriptedSession({"recommendation": [response]})
     blocklist = load_lexicon(packaged_path("data/medication_blocklist.txt"))
-    rec, failure = recommend(_diag(), session, blocklist)
+    rec, failure = recommend("alice", "diagnosis text", session, blocklist)
     assert failure is None
     assert rec.therapies == ["CBT"]
     assert rec.behavior_changes == ["Walk daily"]
@@ -112,7 +107,7 @@ def test_recommend_blocklist_strips_items():
 
 def test_recommend_binds_diagnosis_text():
     session = ScriptedSession({"recommendation": [TWO_LISTS]})
-    recommend(_diag("the full diagnosis body"), session)
+    recommend("alice", "the full diagnosis body", session)
     _, bindings, _ = session.calls[0]
     assert bindings["Dataframe"] == "the full diagnosis body"
 
