@@ -179,7 +179,7 @@ def summarize_non_temporal(record: UserRecord, session) -> tuple[dict | None, st
     """Six-aspect user-level synthesis over the concatenated entry features."""
     if not record.non_flagged():
         raise ValueError("summarize_non_temporal requires at least one non-flagged entry")
-    tags = {"stage": "aggregate", "author": record.author}
+    tags = {"author": record.author}
     return session.ask_parsed(
         "summary_non_temporal",
         {"features": serialize_features_block(record)},
@@ -196,7 +196,7 @@ def summarize_temporal(
     """Temporal pattern synthesis; absent (None, None) for empty chronologies."""
     if not chronology:
         return None, None
-    tags = {"stage": "aggregate", "author": record.author}
+    tags = {"author": record.author}
     block = serialize_chronology_block(chronology, monthly_counts(record))
     parser = _summary_parser(TEMPORAL_SECTIONS)
     return session.ask_parsed("summary_temporal", {"chronology": block}, parser, tags=tags)

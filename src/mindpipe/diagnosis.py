@@ -52,7 +52,7 @@ def diagnose(
     Any text is a diagnosis, so only a backend failure is a failure; it is
     never re-asked.
     """
-    tags = {"stage": "diagnose", "author": author}
+    tags = {"author": author}
     dataframe = serialize_dataframe(non_temporal, temporal)
     text, failure = session.ask_parsed("diagnosis", {"Dataframe": dataframe}, str, tags=tags)
     if failure is not None:

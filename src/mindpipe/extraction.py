@@ -113,7 +113,7 @@ def extract_non_temporal(
     """
     if flagged:
         return NonTemporalFeatures(severity=SEVERITY_EXTREME), None
-    tags = {"stage": "extract", "author": clean.entry.author, "entry_id": clean.entry.id}
+    tags = {"author": clean.entry.author, "entry_id": clean.entry.id}
     return session.ask_parsed(
         "extract_features", {"text": clean.clean_text}, parse_feature_response, tags=tags
     )
@@ -125,7 +125,7 @@ def extract_temporal(clean: CleanEntry, session) -> tuple[TemporalAnnotation, bo
     Returns (annotation, degraded) where degraded marks a backend failure
     or unparseable response that fell back to the no-timeline sentinel.
     """
-    tags = {"stage": "extract", "author": clean.entry.author, "entry_id": clean.entry.id}
+    tags = {"author": clean.entry.author, "entry_id": clean.entry.id}
     timeline, failure = session.ask_parsed(
         "extract_temporal", {"text": clean.clean_text}, parse_timeline_response, tags=tags
     )

@@ -120,7 +120,7 @@ def is_relevant(clean: CleanEntry, session) -> bool | None:
     """
     if clean.removed is not None:
         raise ValueError("is_relevant called on a removed entry")
-    tags = {"stage": "filter", "author": clean.entry.author, "entry_id": clean.entry.id}
+    tags = {"author": clean.entry.author, "entry_id": clean.entry.id}
     verdict, _failure = session.ask_parsed(
         "relevance", {"text": clean.clean_text}, _parse_yes_no, tags=tags
     )
@@ -139,7 +139,7 @@ def safety_screen(clean: CleanEntry, session, terms: list[str]) -> str | None:
     term = lexicon_match(clean.clean_text, terms)
     if term is not None:
         return term
-    tags = {"stage": "filter", "author": clean.entry.author, "entry_id": clean.entry.id}
+    tags = {"author": clean.entry.author, "entry_id": clean.entry.id}
     verdict, _failure = session.ask_parsed(
         "safety", {"text": clean.clean_text}, _parse_yes_no, tags=tags
     )

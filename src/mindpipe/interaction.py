@@ -121,7 +121,6 @@ def classify_relation(pair: Pair, session) -> RelationRecord:
     if pair.post_flagged or pair.comment_flagged:
         return record
     tags = {
-        "stage": "interact",
         "post_id": pair.post.entry.id,
         "comment_id": pair.comment.entry.id,
         "post_author": pair.post.entry.author,

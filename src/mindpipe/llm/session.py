@@ -22,19 +22,15 @@ logger = logging.getLogger(__name__)
 
 REASK_REMINDER = "\n\nReminder: respond exactly in the required output format."
 
-# Acceptance criterion 2 audits the rendered prompts of these templates, so
-# their records keep ``messages``; every other record keeps only the request
-# digest, because the prompt holds the user's own post text.
-LOGGED_PROMPT_TEMPLATES = frozenset({"diagnosis", "recommendation"})
-
 
 @dataclass
 class CallRecord:
     """One completion request as issued by the pipeline (hit or miss).
 
-    ``request_digest`` is the request's ``cache_key()``; ``messages`` is None
-    outside ``LOGGED_PROMPT_TEMPLATES``. Every request is sent with the
-    session's ``params``, so no record repeats them.
+    ``request_digest`` is the request's ``cache_key()``, which joins the record
+    to the request sent and to its cache row. A record holds no prompt text,
+    because every prompt carries user text; and every request is sent with
+    the session's ``params``, so no record repeats them.
     """
 
     seq: int
@@ -43,7 +39,6 @@ class CallRecord:
     cache_hit: bool
     reask: bool
     request_digest: str
-    messages: list[dict[str, str]] | None
 
 
 class LlmSession:
@@ -102,7 +97,6 @@ class LlmSession:
                     cache_hit=hit,
                     reask=reask,
                     request_digest=key,
-                    messages=messages if template_name in LOGGED_PROMPT_TEMPLATES else None,
                 )
             )
         return text

@@ -129,7 +129,7 @@ def recommend(
     author: str, diagnosis_text: str, session, blocklist: list[str] | None = None
 ) -> tuple[RecommendationSet | None, str | None]:
     """Generate and parse recommendations for one user from their diagnosis text."""
-    tags = {"stage": "recommend", "author": author}
+    tags = {"author": author}
     parsed, failure = session.ask_parsed(
         "recommendation", {"Dataframe": diagnosis_text}, parse_recommendations, tags=tags
     )

@@ -69,6 +69,24 @@ def twin_runs(tmp_path_factory, corpus_path):
     return runs
 
 
+@pytest.fixture(scope="module")
+def sent_run(tmp_path_factory, corpus_path):
+    """A full run on a fresh cache, with every request that reached the backend as sent."""
+    sent = []
+    complete = MockBackend.complete
+
+    def capture(backend, request):
+        sent.append(request)
+        return complete(backend, request)
+
+    config = load_config(overrides={"pipeline.cohort_size": COHORT_SIZE})
+    run_dir = tmp_path_factory.mktemp("accept_sent")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MockBackend, "complete", capture)
+        pipeline.run_all(config, [corpus_path], run_dir)
+    return run_dir, sent, config
+
+
 def test_criterion_1_determinism_and_runtime(twin_runs):
     (run_a, elapsed_a), (run_b, elapsed_b) = twin_runs
     assert elapsed_a < 30.0 and elapsed_b < 30.0, (elapsed_a, elapsed_b)
@@ -86,7 +104,7 @@ def test_criterion_1_determinism_and_runtime(twin_runs):
     _passed(1, "determinism, byte-identical outputs, < 30 s")
 
 
-def test_criterion_2_prompt_fidelity(twin_runs, templates):
+def test_criterion_2_prompt_fidelity(sent_run, templates):
     diagnosis = templates["diagnosis"]
     recommendation = templates["recommendation"]
     assert _sha(diagnosis.system) == DIAGNOSIS_SYSTEM_SHA
@@ -98,36 +116,29 @@ def test_criterion_2_prompt_fidelity(twin_runs, templates):
         recommendation.system
     )
 
-    run_a, _ = twin_runs[0]
+    # the logs keep no prompt text, so audit each record's request as it was sent:
+    # the cache starts empty, so each hit's digest is an earlier miss's
+    run_dir, sent, _ = sent_run
+    sent_by_key = {request.cache_key(): request for request in sent}
     checked = 0
-    for record in read_backend_log(run_a):
+    for record in read_backend_log(run_dir):
         if record["template"] not in ("diagnosis", "recommendation"):
             continue
         template = templates[record["template"]]
         prefix, suffix = template.user.split("[Dataframe]")
-        system, user = record["messages"][0], record["messages"][-1]
+        messages = sent_by_key[record["request_digest"]].messages
+        system, user = messages[0], messages[-1]
         assert system["role"] == "system"
         assert system["content"] == template.system
         assert user["content"].startswith(prefix)
         assert user["content"].endswith(suffix)
         checked += 1
     assert checked >= 20  # every summarized user, both templates
-    _passed(2, "rendered prompts hash-match the canonical text")
+    _passed(2, "sent prompts hash-match the canonical text")
 
 
-def test_criterion_3_parameter_fidelity(tmp_path, corpus_path):
-    # every request that reaches the backend is captured as it was sent
-    sent = []
-    complete = MockBackend.complete
-
-    def capture(backend, request):
-        sent.append(request)
-        return complete(backend, request)
-
-    config = load_config(overrides={"pipeline.cohort_size": COHORT_SIZE})
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MockBackend, "complete", capture)
-        pipeline.run_all(config, [corpus_path], tmp_path / "run")
+def test_criterion_3_parameter_fidelity(sent_run):
+    run_dir, sent, config = sent_run
     pinned = {
         "model": config.backend.model,
         "temperature": 0,
@@ -139,11 +150,11 @@ def test_criterion_3_parameter_fidelity(tmp_path, corpus_path):
     for request in sent:
         assert {name: getattr(request, name) for name in pinned} == pinned
     # the cache starts empty, so each miss is sent once and each hit's key is an earlier miss's
-    records = read_backend_log(tmp_path / "run")
+    records = read_backend_log(run_dir)
     assert len(sent) == sum(not record["cache_hit"] for record in records)
     sent_keys = {request.cache_key() for request in sent}
     assert all(record["request_digest"] in sent_keys for record in records)
-    assert pipeline.load_manifest(tmp_path / "run")["request"] == pinned
+    assert pipeline.load_manifest(run_dir)["request"] == pinned
     _passed(3, f"all {len(records)} requests carry the pinned parameter set")
 
 

@@ -75,14 +75,23 @@ def test_diagnose_binds_dataframe_placeholder():
     assert "Temporal summary: none" in bindings["Dataframe"]
 
 
-def test_rendered_system_prompt_is_stable(templates, mock_session):
+def test_rendered_system_prompt_is_stable(templates, mock_session, monkeypatch):
     # The shipped diagnosis system prompt is content-addressed; any edit must fail here.
     digest = hashlib.sha256(templates["diagnosis"].system.encode("utf-8")).hexdigest()
     assert digest == "c9c128b7baddf52ec9a76747ccf8bd0155a3a61109fedbe624c59dc2221c66d1"
     assert "limited to 400 words" in templates["diagnosis"].system
 
     session: LlmSession = mock_session
+    sent = []
+    complete = session.backend.complete
+
+    def capture(request):
+        sent.append(request)
+        return complete(request)
+
+    monkeypatch.setattr(session.backend, "complete", capture)
     session.ask("diagnosis", {"Dataframe": serialize_dataframe(_nt(), _t())}, tags={})
-    record = session.records[0]
-    assert record.messages[0]["role"] == "system"
-    assert record.messages[0]["content"] == templates["diagnosis"].system
+    [request] = sent
+    assert request.messages[0]["role"] == "system"
+    assert request.messages[0]["content"] == templates["diagnosis"].system
+    assert session.records[0].request_digest == request.cache_key()

@@ -74,7 +74,7 @@ def test_session_logs_hits_and_misses(templates, tmp_path, monkeypatch):
     monkeypatch.setattr(backend, "complete", capture)
     cache = ResponseCache(tmp_path / "cache", backend.identity)
     session = LlmSession(backend, templates, model="m", cache=cache)
-    tags = {"stage": "filter", "entry_id": "e1", "author": "a"}
+    tags = {"author": "a", "entry_id": "e1"}
     first = session.ask("relevance", {"text": "i feel anxious"}, tags=tags)
     second = session.ask("relevance", {"text": "i feel anxious"}, tags=tags)
     assert first == second == "yes"
@@ -106,7 +106,7 @@ def test_session_reask_appends_reminder(templates):
         raise ResponseFormatError("always fails")
 
     value, failure = session.ask_parsed(
-        "relevance", {"text": "anxious"}, parse, tags={"stage": "t"}
+        "relevance", {"text": "anxious"}, parse, tags={"entry_id": "t"}
     )
     assert value is None
     assert failure == "always fails"
@@ -212,7 +212,7 @@ def test_ask_parsed_turns_a_backend_error_into_a_failure(templates, tmp_path, fa
         raise ResponseFormatError("always fails")  # so the first answer is re-asked
 
     value, failure = session.ask_parsed(
-        "relevance", {"text": "i feel anxious"}, parse, tags={"stage": "t"}
+        "relevance", {"text": "i feel anxious"}, parse, tags={"entry_id": "t"}
     )
     assert (value, failure) == (None, f"backend failure: {error}")
     assert backend.calls == fail_on

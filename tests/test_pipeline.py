@@ -21,7 +21,7 @@ from mindpipe.errors import ConfigError, RunLockedError, StageError
 from mindpipe.llm.cache import DB_NAME, read_stats
 from mindpipe.llm.completion import CompletionRequest
 from mindpipe.llm.mock_backend import MockBackend
-from mindpipe.llm.session import LOGGED_PROMPT_TEMPLATES, REASK_REMINDER
+from mindpipe.llm.session import REASK_REMINDER
 from mindpipe.llm.templates import render
 
 STAGE_FILES = [
@@ -255,21 +255,42 @@ def test_cache_stats_of_a_run_reads_its_shared_cache_dir(corpus_path, tmp_path):
     assert ratio == manifest["cache"]["hit_ratio"]
 
 
-def test_backend_log_has_stage_tags(fixture_run):
-    filter_log = read_jsonl(fixture_run / "logs" / "backend_filter.jsonl")
-    assert filter_log
-    assert all(rec["tags"]["stage"] == "filter" for rec in filter_log)
-    assert all("entry_id" in rec["tags"] for rec in filter_log)
+def test_each_backend_log_holds_only_its_stages_templates(fixture_run):
+    expected = {
+        "filter": {"relevance", "safety"},
+        "extract": {"extract_features", "extract_temporal"},
+        "aggregate": {"summary_non_temporal", "summary_temporal"},
+        "diagnose": {"diagnosis"},
+        "recommend": {"recommendation"},
+        "interact": {"relation"},
+    }
+    logs = {
+        path.stem.removeprefix("backend_"): read_jsonl(path)
+        for path in (fixture_run / "logs").glob("backend_*.jsonl")
+    }
+    assert set(logs) == set(expected)
+    for stage, records in logs.items():
+        assert {record["template"] for record in records} == expected[stage], stage
+    assert all("entry_id" in rec["tags"] for rec in logs["filter"])
 
 
-def test_backend_log_keeps_no_post_text_outside_audited_prompts(fixture_run):
-    assert LOGGED_PROMPT_TEMPLATES == {"diagnosis", "recommendation"}
+def test_backend_log_keeps_ids_and_digests_only(fixture_run):
     records = read_backend_log(fixture_run)
+    assert records
     for record in records:
-        assert (record["messages"] is None) == (record["template"] not in LOGGED_PROMPT_TEMPLATES)
+        assert "messages" not in record
+        assert "stage" not in record["tags"]
+    # no text of the run's users, nor any text derived from it, reaches the logs
     texts = [row["clean_text"] for row in read_jsonl(fixture_run / "filtered.jsonl")]
+    for row in read_jsonl(fixture_run / "summaries.jsonl"):
+        for summary in (row["non_temporal"], row["temporal"]):
+            for value in (summary or {}).values():
+                texts += value if isinstance(value, list) else [value]
+    texts += [row.get("text") for row in read_jsonl(fixture_run / "diagnosis.jsonl")]
+    for row in read_jsonl(fixture_run / "recommendations.jsonl"):
+        texts += row.get("therapies", []) + row.get("behavior_changes", [])
     texts = [text for text in texts if text]
-    assert texts
+    assert len(texts) > 100
     lines = [
         line
         for log in sorted((fixture_run / "logs").glob("backend_*.jsonl"))
@@ -329,7 +350,7 @@ def test_backend_log_records_leave_the_request_parameters_to_the_manifest(fixtur
     assert records
     for record in records:
         assert list(record) == [
-            "seq", "template", "tags", "cache_hit", "reask", "request_digest", "messages",
+            "seq", "template", "tags", "cache_hit", "reask", "request_digest",
         ]
     assert set(pipeline.load_manifest(fixture_run)["request"]) == {
         "model", "temperature", "max_tokens", "top_p", "stop",
@@ -456,11 +477,47 @@ def test_a_run_dir_with_raw_text_in_filtered_rows_resumes_like_a_fresh_run(
         "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8"
     )
     config = _config()
+    _record_as_written_by(run_dir, config, "0.2.0")
+    pipeline.run_all(config, [corpus_path], run_dir)
+    assert _outputs(run_dir) == _outputs(fixture_run)
+
+
+def test_a_run_dir_with_prompts_and_stage_tags_in_its_logs_resumes_like_a_fresh_run(
+    fixture_run, corpus_path, tmp_path
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(fixture_run, run_dir)
+    # the layout written by 0.3.0: every log record carries `messages` and a `stage` tag
+    for log in (run_dir / "logs").glob("backend_*.jsonl"):
+        stage = log.stem.removeprefix("backend_")
+        records = [
+            {**record, "tags": {"stage": stage, **record["tags"]}, "messages": None}
+            for record in read_jsonl(log)
+        ]
+        log.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
+        )
+    config = _config()
+    manifest = _record_as_written_by(run_dir, config, "0.3.0")
+    resumed = pipeline.run_all(config, [corpus_path], run_dir)
+    executed = resumed["stage_order"][len(manifest["stage_order"]):]
+    assert executed == [stage.name for stage in pipeline.STAGES]
+    assert resumed["cache"]["misses"] == 0  # the run's own cache serves every call
+    assert _outputs(run_dir) == _outputs(fixture_run)
+    for log in sorted((fixture_run / "logs").glob("backend_*.jsonl")):
+        records = read_jsonl(run_dir / "logs" / log.name)
+        assert not any("messages" in r or "stage" in r["tags"] for r in records)
+        assert records == [{**r, "cache_hit": True} for r in read_jsonl(log)]
+
+
+def _record_as_written_by(run_dir: Path, config: PipelineConfig, version: str) -> dict:
+    """Make the manifest one that ``version`` wrote: its config digest, and every
+    stage record agreeing with the files as they are now. Returns the manifest."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline, "__version__", "0.2.0")
+        patch.setattr(pipeline, "__version__", version)
         old_digest = pipeline.config_digest(config)
     manifest = pipeline.load_manifest(run_dir)
-    manifest.update(tool_version="0.2.0", config_digest=old_digest)
+    manifest.update(tool_version=version, config_digest=old_digest)
     for stage in pipeline.STAGES:
         record = manifest["stages"][stage.name]
         record["config_digest"] = old_digest
@@ -469,8 +526,7 @@ def test_a_run_dir_with_raw_text_in_filtered_rows_resumes_like_a_fresh_run(
         )
         record["output_digest"] = pipeline.stage_output_digest(stage, run_dir)
     pipeline.save_manifest(run_dir, manifest)
-    pipeline.run_all(config, [corpus_path], run_dir)
-    assert _outputs(run_dir) == _outputs(fixture_run)
+    return manifest
 
 
 def test_a_smaller_cohort_rerun_leaves_no_stale_reports(corpus_path, tmp_path):

@@ -5,10 +5,13 @@ import shutil
 
 import pytest
 
-from conftest import COHORT_SIZE, SAFETY_USERS, read_backend_log
+from conftest import COHORT_SIZE, SAFETY_USERS, read_backend_log, read_jsonl
 from mindpipe import pipeline
 from mindpipe.config import load_config
+from mindpipe.diagnosis import serialize_dataframe
 from mindpipe.errors import MissingStageFileError, StageError
+from mindpipe.llm.completion import CompletionRequest
+from mindpipe.llm.templates import render
 from mindpipe.reports import author_slug
 
 
@@ -62,7 +65,15 @@ def test_report_summary_lines_are_the_dataframe_lines_of_the_diagnosis_prompt(
         r for r in read_backend_log(fixture_run)
         if r["template"] == "diagnosis" and r["tags"]["author"] == author
     )
-    prompt = record["messages"][-1]["content"]
+    # the log keeps the request's digest only: rebuild the prompt from the summaries row
+    row = next(r for r in read_jsonl(fixture_run / "summaries.jsonl") if r["author"] == author)
+    messages = render(
+        templates["diagnosis"],
+        {"Dataframe": serialize_dataframe(row["non_temporal"], row["temporal"])},
+    )
+    request = CompletionRequest(model=load_config().backend.model, messages=messages)
+    assert request.cache_key() == record["request_digest"]
+    prompt = messages[-1]["content"]
     before, after = templates["diagnosis"].user.split("[Dataframe]")
     assert prompt.startswith(before) and prompt.endswith(after)
     dataframe = prompt[len(before) : len(prompt) - len(after)].splitlines()
