@@ -7,8 +7,10 @@ import pytest
 
 from mindpipe import pipeline
 from mindpipe.config import load_config, packaged_path
+from mindpipe.errors import BackendError, BackendExhaustedError
+from mindpipe.llm.completion import CompletionRequest
 from mindpipe.llm.mock_backend import MockBackend
-from mindpipe.llm.session import LlmSession
+from mindpipe.llm.session import REASK_REMINDER, LlmSession
 from mindpipe.llm.templates import load_templates
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -16,6 +18,9 @@ CORPUS = FIXTURES / "corpus.jsonl"
 
 SAFETY_USERS = {"kestrel_dun", "larch_fell"}
 COHORT_SIZE = 12
+
+NON_RETRYABLE = "injected non-retryable failure"
+EXHAUSTED = "injected exhaustion"
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +46,58 @@ def fixture_run(tmp_path_factory) -> Path:
     config = load_config(overrides={"pipeline.cohort_size": COHORT_SIZE})
     pipeline.run_all(config, [CORPUS], run_dir)
     return run_dir
+
+
+def degraded_config(concurrency: int = 1):
+    return load_config(
+        overrides={"pipeline.cohort_size": COHORT_SIZE, "limits.concurrency": concurrency}
+    )
+
+
+def _reask(request: CompletionRequest) -> bool:
+    return request.messages[-1]["content"].endswith(REASK_REMINDER)
+
+
+def failing_complete(failed: set[str], reasks_failed: list[str]):
+    """The mock backend's ``complete``, except that a request fails when the first
+    byte of its cache key is odd, and every format-reminder re-ask fails. Which
+    exception is raised (non-retryable or exhausted retries) also follows the
+    key, so both kinds occur. Failed keys go to ``failed``, failed re-asks to
+    ``reasks_failed``."""
+    complete = MockBackend.complete
+
+    def flaky(self, request: CompletionRequest):
+        key = request.cache_key()
+        byte = int(key[:2], 16)
+        if byte % 2 or _reask(request):
+            failed.add(key)
+            if _reask(request):
+                reasks_failed.append(key)
+            if byte % 4 < 2:
+                raise BackendError(NON_RETRYABLE, status=400)
+            raise BackendExhaustedError(EXHAUSTED)
+        return complete(self, request)
+
+    return flaky
+
+
+def run_degraded(run_dir: Path, concurrency: int = 1) -> tuple[dict, set[str], list[str]]:
+    """Run the fixture corpus on the failing backend: (manifest, failed request
+    keys, failed re-ask keys)."""
+    failed: set[str] = set()
+    reasks_failed: list[str] = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MockBackend, "complete", failing_complete(failed, reasks_failed))
+        manifest = pipeline.run_all(degraded_config(concurrency), [CORPUS], run_dir)
+    return manifest, failed, reasks_failed
+
+
+@pytest.fixture(scope="session")
+def degraded(tmp_path_factory):
+    """(run dir, manifest, failed request keys, failed re-ask keys) of one serial
+    degraded run, shared read-only."""
+    run_dir = tmp_path_factory.mktemp("degraded")
+    return (run_dir, *run_degraded(run_dir))
 
 
 def read_jsonl(path: Path) -> list[dict]:

@@ -1,11 +1,10 @@
 """A fixture run on a backend that fails on a fixed subset of requests.
 
-The backend is the mock rule table, except that a request fails when the
-first byte of its cache key is odd, and every format-reminder re-ask
-fails. Which exception is raised (non-retryable or exhausted retries)
-also follows the key, so both kinds occur. The run must complete, record
-each failed call as ``backend failure: ...``, keep the safety quarantine,
-and account for every entry.
+The backend is ``conftest.failing_complete``: the mock rule table, except
+that a request fails when the first byte of its cache key is odd, and every
+format-reminder re-ask fails. The run must complete, record each failed
+call as ``backend failure: ...``, keep the safety quarantine, and account
+for every entry.
 """
 
 from __future__ import annotations
@@ -13,20 +12,20 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-import pytest
-
-from conftest import COHORT_SIZE, read_backend_log, read_jsonl
+from conftest import (
+    EXHAUSTED,
+    NON_RETRYABLE,
+    degraded_config,
+    read_backend_log,
+    read_jsonl,
+    run_degraded,
+)
 from mindpipe import pipeline
-from mindpipe.config import load_config
-from mindpipe.errors import BackendError, BackendExhaustedError
 from mindpipe.filtering import lexicon_match, load_lexicon
 from mindpipe.llm.completion import CompletionRequest
-from mindpipe.llm.mock_backend import MockBackend
 from mindpipe.llm.session import REASK_REMINDER
 from mindpipe.llm.templates import render
 
-NON_RETRYABLE = "injected non-retryable failure"
-EXHAUSTED = "injected exhaustion"
 BACKEND_FAILURES = {f"backend failure: {NON_RETRYABLE}", f"backend failure: {EXHAUSTED}"}
 
 GENERATIVE = {
@@ -43,46 +42,6 @@ STAGE_FILES = [
     "recommendations.jsonl",
     "relations.jsonl",
 ]
-
-
-def _reask(request: CompletionRequest) -> bool:
-    return request.messages[-1]["content"].endswith(REASK_REMINDER)
-
-
-def _failing_complete(failed: set[str], reasks_failed: list[str]):
-    complete = MockBackend.complete
-
-    def flaky(self, request: CompletionRequest):
-        key = request.cache_key()
-        byte = int(key[:2], 16)
-        if byte % 2 or _reask(request):
-            failed.add(key)
-            if _reask(request):
-                reasks_failed.append(key)
-            if byte % 4 < 2:
-                raise BackendError(NON_RETRYABLE, status=400)
-            raise BackendExhaustedError(EXHAUSTED)
-        return complete(self, request)
-
-    return flaky
-
-
-def _config(concurrency: int = 1):
-    return load_config(
-        overrides={"pipeline.cohort_size": COHORT_SIZE, "limits.concurrency": concurrency}
-    )
-
-
-@pytest.fixture(scope="module")
-def degraded(tmp_path_factory, corpus_path):
-    """(run dir, manifest, failed request keys, failed re-ask keys) of a serial run."""
-    failed: set[str] = set()
-    reasks_failed: list[str] = []
-    run_dir = tmp_path_factory.mktemp("degraded")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MockBackend, "complete", _failing_complete(failed, reasks_failed))
-        manifest = pipeline.run_all(_config(), [corpus_path], run_dir)
-    return run_dir, manifest, failed, reasks_failed
 
 
 def test_degraded_run_completes(degraded):
@@ -121,7 +80,7 @@ def _relation_keys(templates, model: str, post: str, reply: str) -> set[str]:
 
 def test_failed_relation_calls_are_other_backend_error(degraded, templates):
     run_dir, _manifest, failed, _reasks = degraded
-    model = _config().backend.model
+    model = degraded_config().backend.model
     filtered = read_jsonl(run_dir / "filtered.jsonl")
     text = {row["entry"]["id"]: row["clean_text"] for row in filtered}
     degraded_pairs = 0
@@ -139,7 +98,7 @@ def test_failed_relation_calls_are_other_backend_error(degraded, templates):
 
 def test_degraded_run_keeps_the_safety_quarantine(degraded):
     run_dir, _manifest, _failed, _reasks = degraded
-    lexicon = load_lexicon(_config().lexicon_path())
+    lexicon = load_lexicon(degraded_config().lexicon_path())
     lexicon_flagged = 0
     for row in read_jsonl(run_dir / "filtered.jsonl"):
         if row["removed"] is not None:
@@ -168,11 +127,9 @@ def test_degraded_run_accounts_for_every_entry(degraded):
     assert report["conservation_violations"] == []
 
 
-def test_degraded_run_at_concurrency_4_matches_serial(degraded, corpus_path, tmp_path):
+def test_degraded_run_at_concurrency_4_matches_serial(degraded, tmp_path):
     run_dir, _manifest, _failed, _reasks = degraded
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MockBackend, "complete", _failing_complete(set(), []))
-        pipeline.run_all(_config(concurrency=4), [corpus_path], tmp_path / "parallel")
+    run_degraded(tmp_path / "parallel", concurrency=4)
     reports = sorted(str(p.relative_to(run_dir)) for p in (run_dir / "reports").rglob("*.*"))
     assert reports
     for name in STAGE_FILES + reports:

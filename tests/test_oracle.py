@@ -2,8 +2,11 @@
 
 The digests in ``fixtures/oracle_digests.json`` pin the fixture run's
 stage files, ``reports/`` and ``logs/``, plus each stage's manifest
-``stats`` and the manifest ``cache`` totals. A change that alters any of
-these bytes on purpose rewrites the file and says why in CHANGES.md:
+``stats`` and the manifest ``cache`` totals. ``oracle_degraded_digests.json``
+pins the same facts of the fixture run on the failing backend of
+``conftest.failing_complete``, whose rows hold every failure shape a stage
+writes. A change that alters any of these bytes on purpose rewrites both
+files and says why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_oracle.py
 
@@ -21,6 +24,7 @@ from pathlib import Path
 from mindpipe import runfiles
 
 ORACLE = Path(__file__).parent / "fixtures" / "oracle_digests.json"
+DEGRADED_ORACLE = ORACLE.with_name("oracle_degraded_digests.json")
 STAGE_FILES = (
     runfiles.ENTRIES,
     runfiles.REJECTS,
@@ -67,8 +71,13 @@ def test_fixture_run_matches_the_oracle(fixture_run):
     assert oracle(fixture_run) == json.loads(ORACLE.read_text(encoding="utf-8"))
 
 
+def test_degraded_run_matches_its_oracle(degraded):
+    run_dir, _manifest, _failed, _reasks = degraded
+    assert oracle(run_dir) == json.loads(DEGRADED_ORACLE.read_text(encoding="utf-8"))
+
+
 if __name__ == "__main__":
-    from conftest import COHORT_SIZE, CORPUS
+    from conftest import COHORT_SIZE, CORPUS, run_degraded
 
     from mindpipe import pipeline
     from mindpipe.config import load_config
@@ -78,3 +87,8 @@ if __name__ == "__main__":
         config = load_config(overrides={"pipeline.cohort_size": COHORT_SIZE})
         pipeline.run_all(config, [CORPUS], run_dir)
         ORACLE.write_text(json.dumps(oracle(run_dir), indent=2) + "\n", encoding="utf-8")
+        degraded_dir = Path(scratch) / "degraded"
+        run_degraded(degraded_dir)
+        DEGRADED_ORACLE.write_text(
+            json.dumps(oracle(degraded_dir), indent=2) + "\n", encoding="utf-8"
+        )
