@@ -44,46 +44,33 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
 from . import __version__, runfiles
-from .aggregation import (
-    UserEntry,
-    UserRecord,
-    build_chronology,
-    build_user_records,
-    monthly_counts,
-    summarize_non_temporal,
-    summarize_temporal,
-)
 from .config import BACKEND_HTTP, PipelineConfig, packaged_path, run_cache_dir
-from .diagnosis import diagnose
 from .errors import RunLockedError, StageError
-from .extraction import TemporalAnnotation, extract_non_temporal, extract_temporal
-from .filtering import CleanEntry, EntryRef, clean_entry, is_relevant, load_lexicon, safety_screen
-from .ingestion import Cohort, RawEntry, iter_parse, select_cohort
-from .interaction import classify_relation, pair_entries
 from .llm.cache import ResponseCache, read_stats
 from .llm.mock_backend import MockBackend
 from .llm.ratelimit import RateLimiter
 from .llm.session import CallRecord, LlmSession
 from .llm.templates import load_templates
-from .recommendation import load_aliases, recommend, safety_notice
+from .recommendation import load_aliases
 from .reports import emit_reports
+from .stages import (
+    StageResult,
+    stage_aggregate,
+    stage_diagnose,
+    stage_extract,
+    stage_filter,
+    stage_ingest,
+    stage_interact,
+    stage_recommend,
+)
 
 logger = logging.getLogger(__name__)
-
-DISPOSITION_REMOVED = "removed"
-DISPOSITION_FLAGGED = "flagged"
-DISPOSITION_RETAINED = "retained"
-DISPOSITION_IRRELEVANT = "irrelevant"
-DISPOSITION_UNKNOWN = "relevance_unknown"
-
-_RETAINED = (DISPOSITION_FLAGGED, DISPOSITION_RETAINED)
 
 
 # Resource names: "prompts/<file>" resolves under config.prompts_dir(),
@@ -114,14 +101,6 @@ def build_session(config: PipelineConfig, run_dir: Path) -> LlmSession:
     return LlmSession(backend, templates, model=config.backend.model, cache=cache)
 
 
-def _map_items(items: list, fn: Callable, workers: int) -> list:
-    """Apply fn to items, preserving input order, with bounded parallelism."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_backend_log(run_dir: Path, stage: str, records: list[CallRecord]) -> None:
     path = run_dir / runfiles.LOGS_DIR / f"backend_{stage}.jsonl"
     # a CallRecord nests no dataclass, so vars() is already its row, in field order
@@ -132,304 +111,6 @@ def _write_backend_log(run_dir: Path, stage: str, records: list[CallRecord]) -> 
 # Stage implementations
 # ---------------------------------------------------------------------------
 
-
-# A stage body's result: the files it produces, keyed by path in the run dir, and its stats.
-StageResult = tuple[dict[str, object], dict]
-
-
-def stage_ingest(
-    inputs: dict, config: PipelineConfig, session: None, manifest: dict
-) -> StageResult:
-    """Parse the manifest's dump files into entries and rejects, and select the cohort."""
-    entries: list[RawEntry] = []
-    reject_rows: list[dict] = []
-    seen_ids: set[str] = set()
-    lines = 0
-    for path in map(Path, manifest["input_paths"]):
-        with path.open(encoding="utf-8") as handle:
-            for item in iter_parse(handle, seen_ids=seen_ids):
-                lines += 1
-                if isinstance(item, RawEntry):
-                    entries.append(item)
-                else:
-                    reject_rows.append(
-                        {"file": str(path), "line_no": item.line_no, "reason": item.reason}
-                    )
-    cohort = select_cohort(entries, config.pipeline.cohort_size)
-    cohort_entries = sum(user["entry_count"] for user in cohort.users)
-    files = {
-        runfiles.ENTRIES: [vars(entry) for entry in entries],
-        runfiles.REJECTS: reject_rows,
-        runfiles.COHORT: vars(cohort),
-    }
-    return files, {
-        "lines": lines,
-        "parsed": len(entries),
-        "rejected": len(reject_rows),
-        "distinct_authors": len({entry.author for entry in entries}),
-        "cohort_authors": len(cohort.users),
-        "cohort_entries": cohort_entries,
-        "noncohort_entries": len(entries) - cohort_entries,
-    }
-
-
-def stage_filter(
-    inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
-) -> StageResult:
-    """Clean, safety-screen, and relevance-filter the cohort's entries."""
-    cohort_authors = Cohort(**inputs[runfiles.COHORT]).authors()
-    lexicon = load_lexicon(config.lexicon_path())
-
-    cohort_rows = [row for row in inputs[runfiles.ENTRIES] if row["author"] in cohort_authors]
-
-    def process(entry_row: dict) -> dict:
-        clean = clean_entry(RawEntry(**entry_row))
-        row = {**vars(clean), "entry": vars(clean.entry), "relevant": None, "safety": None}
-        if clean.removed is not None:
-            row["disposition"] = DISPOSITION_REMOVED
-            return row
-        trigger = safety_screen(clean, session, lexicon)
-        row["safety"] = {"flagged": trigger is not None, "trigger": trigger}
-        if trigger is not None:
-            # quarantined entries are retained without a relevance verdict
-            row["disposition"] = DISPOSITION_FLAGGED
-            return row
-        verdict = is_relevant(clean, session)
-        if verdict is None:
-            row["relevant"] = "unknown"
-            row["disposition"] = DISPOSITION_UNKNOWN
-        elif verdict:
-            row["relevant"] = True
-            row["disposition"] = DISPOSITION_RETAINED
-        else:
-            row["relevant"] = False
-            row["disposition"] = DISPOSITION_IRRELEVANT
-        return row
-
-    rows = _map_items(cohort_rows, process, config.limits.concurrency)
-    dispositions = [row["disposition"] for row in rows]
-    return {runfiles.FILTERED: rows}, {
-        "input_entries": len(rows),
-        "removed": dispositions.count(DISPOSITION_REMOVED),
-        "flagged": dispositions.count(DISPOSITION_FLAGGED),
-        "relevant": dispositions.count(DISPOSITION_RETAINED),
-        "irrelevant": dispositions.count(DISPOSITION_IRRELEVANT),
-        "relevance_unknown": dispositions.count(DISPOSITION_UNKNOWN),
-        "retained": sum(1 for d in dispositions if d in _RETAINED),
-    }
-
-
-def _clean_from_row(row: dict) -> CleanEntry:
-    return CleanEntry(EntryRef(**row["entry"]), row["clean_text"], row["removed"])
-
-
-def stage_extract(
-    inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
-) -> StageResult:
-    """Per-entry non-temporal features and temporal annotations."""
-    retained = [row for row in inputs[runfiles.FILTERED] if row["disposition"] in _RETAINED]
-
-    def process(row: dict) -> dict:
-        clean = _clean_from_row(row)
-        flagged = row["disposition"] == DISPOSITION_FLAGGED
-        out = {
-            "entry_id": clean.entry.id,
-            "author": clean.entry.author,
-            "kind": clean.entry.kind,
-            "created_utc": clean.entry.created_utc,
-            "flagged": flagged,
-        }
-        features, failure = extract_non_temporal(clean, flagged, session)
-        if failure is not None:
-            out.update({"status": "parse_failure", "failure": failure})
-            return out
-        if flagged:
-            # quarantine gate: no temporal call either; creation time kept
-            annotation = TemporalAnnotation(creation_time=clean.entry.created_utc)
-            degraded = False
-        else:
-            annotation, degraded = extract_temporal(clean, session)
-        out.update(
-            status="ok", **vars(features), timeline=annotation.timeline, temporal_degraded=degraded
-        )
-        return out
-
-    rows = _map_items(retained, process, config.limits.concurrency)
-    ok_rows = [row for row in rows if row["status"] == "ok"]
-    return {runfiles.FEATURES: rows}, {
-        "input_entries": len(retained),
-        "features_ok": len(ok_rows),
-        "parse_failures": len(rows) - len(ok_rows),
-        "flagged_entries": sum(1 for row in rows if row["flagged"]),
-        "timeline_found": sum(1 for row in ok_rows if row.get("timeline") is not None),
-        "temporal_degraded": sum(1 for row in ok_rows if row.get("temporal_degraded")),
-    }
-
-
-def stage_aggregate(
-    inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
-) -> StageResult:
-    """Build per-user records and produce both user-level summaries."""
-    cohort = Cohort(**inputs[runfiles.COHORT])
-    clean_text_by_id = {row["entry"]["id"]: row["clean_text"] for row in inputs[runfiles.FILTERED]}
-    entries = [
-        UserEntry(
-            entry_id=row["entry_id"],
-            author=row["author"],
-            created_utc=row["created_utc"],
-            kind=row["kind"],
-            clean_text=clean_text_by_id[row["entry_id"]],
-            features=row,
-            annotation=TemporalAnnotation(
-                creation_time=row["created_utc"], timeline=row.get("timeline")
-            ),
-            flagged=row["flagged"],
-        )
-        for row in inputs[runfiles.FEATURES]
-        if row["status"] == "ok"
-    ]
-    cohort_order = [user["author"] for user in cohort.users]
-    records, omitted = build_user_records(cohort_order, entries)
-
-    def process(record: UserRecord) -> dict:
-        chronology = build_chronology(record, config.pipeline.event_content_budget)
-        row = {
-            "author": record.author,
-            "status": None,
-            "non_temporal": None,
-            "temporal": None,
-            "failure": None,
-            "chronology": [vars(event) for event in chronology],
-            "monthly_counts": monthly_counts(record),
-            "entry_count": len(record.entries),
-            "flagged_entries": sum(1 for e in record.entries if e.flagged),
-        }
-        if not record.non_flagged():
-            row["status"] = "safety_excluded"
-            return row
-        non_temporal, failure = summarize_non_temporal(record, session)
-        if failure is not None:
-            row["status"] = "summary_failure"
-            row["failure"] = failure
-            return row
-        temporal, temporal_failure = summarize_temporal(record, chronology, session)
-        if temporal_failure is not None:
-            row["status"] = "summary_failure"
-            row["failure"] = temporal_failure
-            return row
-        row.update(status="ok", non_temporal=non_temporal, temporal=temporal)
-        return row
-
-    rows = _map_items(records, process, config.limits.concurrency)
-    statuses = [row["status"] for row in rows]
-    return {runfiles.SUMMARIES: rows}, {
-        "input_entries": len(entries),
-        "cohort_users": len(cohort.users),
-        "users_with_entries": len(records),
-        "summarized": statuses.count("ok"),
-        "summary_failures": statuses.count("summary_failure"),
-        "safety_excluded": statuses.count("safety_excluded"),
-        "omitted_no_entries": omitted,
-        "temporal_summaries": sum(1 for row in rows if row["temporal"] is not None),
-    }
-
-
-def stage_diagnose(
-    inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
-) -> StageResult:
-    """Fused diagnosis summary for every successfully summarized user."""
-    ready = [row for row in inputs[runfiles.SUMMARIES] if row["status"] == "ok"]
-
-    def process(row: dict) -> dict:
-        summary, failure = diagnose(
-            row["author"],
-            row["non_temporal"],
-            row["temporal"],
-            session,
-            slack=config.pipeline.word_budget_slack,
-        )
-        if failure is not None:
-            return {"author": row["author"], "status": "diagnosis_failure", "failure": failure}
-        return {"author": summary.author, "status": "ok", **vars(summary)}
-
-    rows = _map_items(ready, process, config.limits.concurrency)
-    diagnosed = [row for row in rows if row["status"] == "ok"]
-    return {runfiles.DIAGNOSIS: rows}, {
-        "input_users": len(ready),
-        "diagnosed": len(diagnosed),
-        "failures": len(rows) - len(diagnosed),
-        "over_budget": sum(1 for row in diagnosed if row["over_budget"]),
-    }
-
-
-def stage_recommend(
-    inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
-) -> StageResult:
-    """Recommendation sets for diagnosed users; escalations for safety-excluded ones."""
-    diagnosis_by_author = {row["author"]: row for row in inputs[runfiles.DIAGNOSIS]}
-    blocklist = load_lexicon(packaged_path("data/medication_blocklist.txt"))
-
-    selected = [
-        row
-        for row in inputs[runfiles.SUMMARIES]
-        if row["status"] == "safety_excluded"
-        or (
-            row["status"] == "ok"
-            and diagnosis_by_author.get(row["author"], {}).get("status") == "ok"
-        )
-    ]
-
-    def process(row: dict) -> dict:
-        if row["status"] == "safety_excluded":
-            return safety_notice(row["author"])  # no backend call
-        diagnosis_text = diagnosis_by_author[row["author"]]["text"]
-        rec, failure = recommend(row["author"], diagnosis_text, session, blocklist)
-        if failure is not None:
-            return {
-                "author": row["author"],
-                "status": "recommendation_failure",
-                "failure": failure,
-            }
-        return {"author": rec.author, "status": "ok", **vars(rec)}
-
-    rows = _map_items(selected, process, config.limits.concurrency)
-    statuses = [row["status"] for row in rows]
-    escalations = statuses.count("escalation")
-    ok_rows = [row for row in rows if row["status"] == "ok"]
-    return {runfiles.RECOMMENDATIONS: rows}, {
-        "input_users": len(rows) - escalations,
-        "sets": len(ok_rows),
-        "failures": statuses.count("recommendation_failure"),
-        "escalations": escalations,
-        "truncation_warnings": sum(
-            1 for row in ok_rows if any("truncated" in w for w in row["warnings"])
-        ),
-    }
-
-
-def stage_interact(
-    inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
-) -> StageResult:
-    """Pair retained comments with their posts and classify each pair."""
-    retained_rows = [row for row in inputs[runfiles.FILTERED] if row["disposition"] in _RETAINED]
-    retained = [_clean_from_row(row) for row in retained_rows]
-    flagged_ids = {
-        row["entry"]["id"] for row in retained_rows if row["disposition"] == DISPOSITION_FLAGGED
-    }
-
-    pairs, skipped = pair_entries(retained, flagged_ids)
-
-    def process(pair) -> dict:
-        return vars(classify_relation(pair, session))
-
-    rows = _map_items(pairs, process, config.limits.concurrency)
-    return {runfiles.RELATIONS: rows}, {
-        "input_comments": sum(1 for c in retained if c.entry.kind == "comment"),
-        "pairs": len(pairs),
-        "skipped_no_parent": skipped,
-        "classified": len(rows),
-        "unprocessed_safety": sum(1 for row in rows if row["relation"] == "unprocessed_safety"),
-    }
 
 
 def stage_report(
