@@ -14,38 +14,19 @@ from datetime import datetime, timezone
 
 from .config import PipelineKnobs
 from .errors import ResponseFormatError
-from .extraction import NO_TIMELINE, TemporalAnnotation
-from .extraction import parse_labeled_sections, _split_list
-
-@dataclass
-class UserEntry:
-    """One surviving entry with everything aggregation needs; ``features`` is
-    its ``features.jsonl`` row as read."""
-
-    entry_id: str
-    author: str
-    created_utc: int
-    kind: str
-    clean_text: str
-    features: dict
-    annotation: TemporalAnnotation
-    flagged: bool
+from .extraction import NO_TIMELINE, parse_labeled_sections, _split_list
 
 
 @dataclass
 class UserRecord:
+    """One author's surviving entries. An entry is its ``features.jsonl`` row
+    (status ``ok``) plus the entry's ``clean_text``."""
+
     author: str
-    entries: list[UserEntry]
+    entries: list[dict]
 
-    def non_flagged(self) -> list[UserEntry]:
-        return [e for e in self.entries if not e.flagged]
-
-
-@dataclass
-class ChronologyEvent:
-    date: str
-    timeline: str
-    content: str
+    def non_flagged(self) -> list[dict]:
+        return [e for e in self.entries if not e["flagged"]]
 
 
 # Each summary's sections in answer order: (prompt header, summary key, is a
@@ -74,17 +55,17 @@ def utc_date(epoch: int) -> str:
 
 
 def build_user_records(
-    cohort_authors: list[str], entries: list[UserEntry]
+    cohort_authors: list[str], entries: list[dict]
 ) -> tuple[list[UserRecord], int]:
     """Group surviving entries per cohort author, sorted by (time, entry id).
 
     Returns the records plus the count of cohort authors omitted for
     having zero surviving entries. Record order follows cohort order.
     """
-    by_author: dict[str, list[UserEntry]] = {author: [] for author in cohort_authors}
+    by_author: dict[str, list[dict]] = {author: [] for author in cohort_authors}
     for entry in entries:
-        if entry.author in by_author:
-            by_author[entry.author].append(entry)
+        if entry["author"] in by_author:
+            by_author[entry["author"]].append(entry)
     records: list[UserRecord] = []
     omitted = 0
     for author in cohort_authors:
@@ -92,23 +73,24 @@ def build_user_records(
         if not bucket:
             omitted += 1
             continue
-        bucket.sort(key=lambda e: (e.created_utc, e.entry_id))
+        bucket.sort(key=lambda e: (e["created_utc"], e["entry_id"]))
         records.append(UserRecord(author=author, entries=bucket))
     return records, omitted
 
 
 def build_chronology(
     record: UserRecord, content_budget: int = PipelineKnobs.event_content_budget
-) -> list[ChronologyEvent]:
-    """Events are exactly the entries carrying a timeline, in record order."""
+) -> list[dict]:
+    """Events (``date``, ``timeline``, ``content``) are exactly the entries
+    carrying a timeline, in record order."""
     return [
-        ChronologyEvent(
-            date=utc_date(entry.created_utc),
-            timeline=entry.annotation.timeline,
-            content=entry.clean_text[:content_budget],
-        )
+        {
+            "date": utc_date(entry["created_utc"]),
+            "timeline": entry["timeline"],
+            "content": entry["clean_text"][:content_budget],
+        }
         for entry in record.entries
-        if entry.annotation.timeline is not NO_TIMELINE
+        if entry["timeline"] is not NO_TIMELINE
     ]
 
 
@@ -116,7 +98,7 @@ def monthly_counts(record: UserRecord) -> dict[str, int]:
     """Posts per calendar month over the user's non-flagged entries."""
     counts: dict[str, int] = {}
     for entry in record.non_flagged():
-        month = utc_date(entry.created_utc)[:7]
+        month = utc_date(entry["created_utc"])[:7]
         counts[month] = counts.get(month, 0) + 1
     return dict(sorted(counts.items()))
 
@@ -125,22 +107,21 @@ def serialize_features_block(record: UserRecord) -> str:
     """Canonical per-entry feature lines for the non-temporal summary prompt."""
     lines = []
     for entry in record.non_flagged():
-        features = entry.features
         lines.append(
             "- severity={severity} | causes={causes} | tone={tone} | disorders={disorders}".format(
-                severity=features["severity"],
-                causes=", ".join(features["causes"]) or "none",
-                tone=", ".join(features["tone"]) or "none",
-                disorders=", ".join(features["disorders"]) or "none",
+                severity=entry["severity"],
+                causes=", ".join(entry["causes"]) or "none",
+                tone=", ".join(entry["tone"]) or "none",
+                disorders=", ".join(entry["disorders"]) or "none",
             )
         )
     return "\n".join(lines)
 
 
-def serialize_chronology_block(chronology: list[ChronologyEvent], months: dict[str, int]) -> str:
+def serialize_chronology_block(chronology: list[dict], months: dict[str, int]) -> str:
     """Canonical chronology plus monthly counts for the temporal summary prompt."""
     lines = [
-        f"- {event.date} | timeline: {event.timeline} | content: {event.content}"
+        f"- {event['date']} | timeline: {event['timeline']} | content: {event['content']}"
         for event in chronology
     ]
     lines.append("Monthly posting counts:")
@@ -190,7 +171,7 @@ def summarize_non_temporal(record: UserRecord, session) -> tuple[dict | None, st
 
 def summarize_temporal(
     record: UserRecord,
-    chronology: list[ChronologyEvent],
+    chronology: list[dict],
     session,
 ) -> tuple[dict | None, str | None]:
     """Temporal pattern synthesis; absent (None, None) for empty chronologies."""

@@ -8,22 +8,12 @@ never truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .aggregation import NON_TEMPORAL_SECTIONS, TEMPORAL_SECTIONS, section_lines
 from .config import PipelineKnobs
 
 WORD_TARGET = 400
 
 TEMPORAL_ABSENT_LINE = "Temporal summary: none"
-
-
-@dataclass
-class DiagnosisSummary:
-    author: str
-    text: str
-    word_count: int
-    over_budget: bool
 
 
 def serialize_dataframe(non_temporal: dict, temporal: dict | None) -> str:
@@ -46,8 +36,9 @@ def diagnose(
     temporal: dict | None,
     session,
     slack: float = PipelineKnobs.word_budget_slack,
-) -> tuple[DiagnosisSummary | None, str | None]:
-    """Run the diagnosis prompt for one user; returns (summary, failure).
+) -> tuple[dict | None, str | None]:
+    """Run the diagnosis prompt for one user; returns (summary, failure). A
+    summary holds ``author``, ``text``, ``word_count`` and ``over_budget``.
 
     Any text is a diagnosis, so only a backend failure is a failure; it is
     never re-asked.
@@ -59,7 +50,5 @@ def diagnose(
         return None, failure
     words = word_count(text)
     budget = int(round(WORD_TARGET * slack))
-    return (
-        DiagnosisSummary(author=author, text=text, word_count=words, over_budget=words > budget),
-        None,
-    )
+    summary = {"author": author, "text": text, "word_count": words, "over_budget": words > budget}
+    return summary, None

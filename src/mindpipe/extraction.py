@@ -9,10 +9,8 @@ assigned the quarantine severity band with empty feature lists.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import ResponseFormatError
-from .filtering import CleanEntry
 
 SEVERITY_MILD = "mild"
 SEVERITY_MODERATE = "moderate"
@@ -21,23 +19,9 @@ SEVERITY_EXTREME = "extreme_uncategorized"
 
 BACKEND_SEVERITIES = (SEVERITY_MILD, SEVERITY_MODERATE, SEVERITY_SEVERE)
 
-NO_TIMELINE = None  # sentinel: TemporalAnnotation.timeline is None
+NO_TIMELINE = None  # sentinel: the timeline of an entry without an in-text temporal reference
 
 _EMPTY_LIST_WORDS = frozenset({"none", "n/a", "na", "-"})
-
-
-@dataclass
-class NonTemporalFeatures:
-    severity: str
-    causes: list[str] = field(default_factory=list)
-    tone: list[str] = field(default_factory=list)
-    disorders: list[str] = field(default_factory=list)
-
-
-@dataclass
-class TemporalAnnotation:
-    creation_time: int
-    timeline: str | None = NO_TIMELINE
 
 
 def _split_list(value: str) -> list[str]:
@@ -82,14 +66,15 @@ def normalize_severity(value: str) -> str:
     raise ResponseFormatError(f"unrecognized severity: {value!r}")
 
 
-def parse_feature_response(text: str) -> NonTemporalFeatures:
+def parse_feature_response(text: str) -> dict:
+    """The four features of an entry, keyed as in its ``features.jsonl`` row."""
     sections = parse_labeled_sections(text, ("SEVERITY", "CAUSES", "TONE", "DISORDERS"))
-    return NonTemporalFeatures(
-        severity=normalize_severity(sections["SEVERITY"]),
-        causes=_split_list(sections["CAUSES"]),
-        tone=_split_list(sections["TONE"]),
-        disorders=_split_list(sections["DISORDERS"]),
-    )
+    return {
+        "severity": normalize_severity(sections["SEVERITY"]),
+        "causes": _split_list(sections["CAUSES"]),
+        "tone": _split_list(sections["TONE"]),
+        "disorders": _split_list(sections["DISORDERS"]),
+    }
 
 
 def parse_timeline_response(text: str) -> str | None:
@@ -103,32 +88,31 @@ def parse_timeline_response(text: str) -> str | None:
 
 
 def extract_non_temporal(
-    clean: CleanEntry, flagged: bool, session
-) -> tuple[NonTemporalFeatures | None, str | None]:
-    """Extract the four non-temporal features for one relevant, cleaned entry.
+    clean: dict, flagged: bool, session
+) -> tuple[dict | None, str | None]:
+    """Extract the four non-temporal features for one relevant, cleaned entry
+    (``filtering.clean_entry``'s keys).
 
     Returns (features, None) on success or (None, failure detail) when the
     backend failed or the response stayed unparseable after one re-ask.
     Flagged entries are quarantined without any backend call.
     """
     if flagged:
-        return NonTemporalFeatures(severity=SEVERITY_EXTREME), None
-    tags = {"author": clean.entry.author, "entry_id": clean.entry.id}
+        return {"severity": SEVERITY_EXTREME, "causes": [], "tone": [], "disorders": []}, None
+    tags = {"author": clean["entry"]["author"], "entry_id": clean["entry"]["id"]}
     return session.ask_parsed(
-        "extract_features", {"text": clean.clean_text}, parse_feature_response, tags=tags
+        "extract_features", {"text": clean["clean_text"]}, parse_feature_response, tags=tags
     )
 
 
-def extract_temporal(clean: CleanEntry, session) -> tuple[TemporalAnnotation, bool]:
-    """Extract the in-text temporal reference; creation time always carries over.
+def extract_temporal(clean: dict, session) -> tuple[str | None, bool]:
+    """Extract the in-text temporal reference of one cleaned entry.
 
-    Returns (annotation, degraded) where degraded marks a backend failure
+    Returns (timeline, degraded) where degraded marks a backend failure
     or unparseable response that fell back to the no-timeline sentinel.
     """
-    tags = {"author": clean.entry.author, "entry_id": clean.entry.id}
+    tags = {"author": clean["entry"]["author"], "entry_id": clean["entry"]["id"]}
     timeline, failure = session.ask_parsed(
-        "extract_temporal", {"text": clean.clean_text}, parse_timeline_response, tags=tags
+        "extract_temporal", {"text": clean["clean_text"]}, parse_timeline_response, tags=tags
     )
-    if failure is not None:
-        return TemporalAnnotation(creation_time=clean.entry.created_utc), True
-    return TemporalAnnotation(creation_time=clean.entry.created_utc, timeline=timeline), False
+    return timeline, failure is not None

@@ -8,11 +8,9 @@ lexicon-first so the quarantine holds even fully offline.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ResponseFormatError
-from .ingestion import RawEntry
 
 REMOVED_DELETED = "deleted"
 REMOVED_MARKER = "removed_marker"
@@ -46,39 +44,24 @@ def clean_string(text: str) -> str:
     return text.strip()
 
 
-@dataclass
-class EntryRef:
-    """An entry without its raw text: the fields the stages after ``filter``
-    read. Its row in ``filtered.jsonl`` holds its fields in order."""
-
-    id: str
-    author: str
-    kind: str
-    created_utc: int
-    parent_id: str | None = None
+# the fields of an entry that the stages after ``filter`` read, in row order
+_ENTRY_KEYS = ("id", "author", "kind", "created_utc", "parent_id")
 
 
-@dataclass
-class CleanEntry:
-    """An entry's reference plus its cleaned text, or a removal reason."""
-
-    entry: EntryRef
-    clean_text: str
-    removed: str | None = None
-
-
-def clean_entry(entry: RawEntry) -> CleanEntry:
-    """Clean one entry; marker-only and empty-after-clean bodies are removed."""
-    ref = EntryRef(entry.id, entry.author, entry.kind, entry.created_utc, entry.parent_id)
-    stripped = entry.body.strip().lower()
-    if stripped == "[deleted]":
-        return CleanEntry(entry=ref, clean_text="", removed=REMOVED_DELETED)
-    if stripped == "[removed]":
-        return CleanEntry(entry=ref, clean_text="", removed=REMOVED_MARKER)
-    cleaned = clean_string(entry.body)
-    if not cleaned:
-        return CleanEntry(entry=ref, clean_text="", removed=REMOVED_EMPTY)
-    return CleanEntry(entry=ref, clean_text=cleaned)
+def clean_entry(entry: dict) -> dict:
+    """Clean one ``entries.jsonl`` row into the ``entry``, ``clean_text`` and
+    ``removed`` keys of its filtered row; ``entry`` keeps the entry's fields
+    without its raw text. Marker-only and empty-after-clean bodies are removed."""
+    marker = entry["body"].strip().lower()
+    if marker == "[deleted]":
+        clean_text, removed = "", REMOVED_DELETED
+    elif marker == "[removed]":
+        clean_text, removed = "", REMOVED_MARKER
+    else:
+        clean_text = clean_string(entry["body"])
+        removed = None if clean_text else REMOVED_EMPTY
+    ref = {key: entry[key] for key in _ENTRY_KEYS}
+    return {"entry": ref, "clean_text": clean_text, "removed": removed}
 
 
 def load_lexicon(path: str | Path) -> list[str]:
@@ -113,34 +96,35 @@ def _parse_yes_no(response: str) -> bool:
     return token == "yes"
 
 
-def is_relevant(clean: CleanEntry, session) -> bool | None:
-    """Binary mental-health relevance; None when the verdict is unusable.
+def is_relevant(clean: dict, session) -> bool | None:
+    """Binary mental-health relevance of a cleaned entry (``clean_entry``'s keys);
+    None when the verdict is unusable.
 
     The caller must not pass removed entries.
     """
-    if clean.removed is not None:
+    if clean["removed"] is not None:
         raise ValueError("is_relevant called on a removed entry")
-    tags = {"author": clean.entry.author, "entry_id": clean.entry.id}
+    tags = {"author": clean["entry"]["author"], "entry_id": clean["entry"]["id"]}
     verdict, _failure = session.ask_parsed(
-        "relevance", {"text": clean.clean_text}, _parse_yes_no, tags=tags
+        "relevance", {"text": clean["clean_text"]}, _parse_yes_no, tags=tags
     )
     return verdict
 
 
-def safety_screen(clean: CleanEntry, session, terms: list[str]) -> str | None:
+def safety_screen(clean: dict, session, terms: list[str]) -> str | None:
     """Lexicon-first safety screen with backend confirmation on lexicon miss.
 
     Returns what flagged the entry (its first lexicon term, or
     ``BACKEND_TRIGGER``), or None when the entry is clear. Backend failures
     fall back to the lexicon-only verdict.
     """
-    if clean.removed is not None:
+    if clean["removed"] is not None:
         raise ValueError("safety_screen called on a removed entry")
-    term = lexicon_match(clean.clean_text, terms)
+    term = lexicon_match(clean["clean_text"], terms)
     if term is not None:
         return term
-    tags = {"author": clean.entry.author, "entry_id": clean.entry.id}
+    tags = {"author": clean["entry"]["author"], "entry_id": clean["entry"]["id"]}
     verdict, _failure = session.ask_parsed(
-        "safety", {"text": clean.clean_text}, _parse_yes_no, tags=tags
+        "safety", {"text": clean["clean_text"]}, _parse_yes_no, tags=tags
     )
     return BACKEND_TRIGGER if verdict else None

@@ -42,17 +42,6 @@ class Reject:
     reason: str
 
 
-@dataclass
-class Cohort:
-    """The selected most-active authors, ordered by entry count; its row is ``cohort.json``."""
-
-    selection_size: int
-    users: list[dict]  # {"author", "entry_count"} rows
-
-    def authors(self) -> set[str]:
-        return {user["author"] for user in self.users}
-
-
 def _coerce_epoch(value) -> int | None:
     """Best-effort integer epoch seconds; None when not coercible or <= 0."""
     try:
@@ -158,11 +147,15 @@ def iter_parse(
         yield parsed
 
 
-def select_cohort(entries: Iterable[RawEntry], n: int) -> Cohort:
-    """Pick the n most active authors; ties break on author ascending."""
+def select_cohort(entries: Iterable[RawEntry], n: int) -> dict:
+    """Pick the n most active authors; ties break on author ascending.
+
+    Returns the ``cohort.json`` row: ``selection_size`` and ``users``, one
+    ``{"author", "entry_count"}`` row per author, most active first.
+    """
     if n < 0:
         raise ValueError("cohort size must be >= 0")
     counts = Counter(entry.author for entry in entries)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     users = [{"author": author, "entry_count": count} for author, count in ranked[:n]]
-    return Cohort(selection_size=n, users=users)
+    return {"selection_size": n, "users": users}

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ResponseFormatError
-from .filtering import CleanEntry
 from .ingestion import KIND_COMMENT, KIND_POST
 
 RELATION_TYPES = (
@@ -32,22 +31,12 @@ _PARENT_PREFIXES = ("t1_", "t3_")
 
 @dataclass
 class Pair:
-    post: CleanEntry
-    comment: CleanEntry
+    """A post and a comment replying to it, each a filtered row."""
+
+    post: dict
+    comment: dict
     post_flagged: bool
     comment_flagged: bool
-
-
-@dataclass
-class RelationRecord:
-    """One labeled pair; its row in ``relations.jsonl`` holds its fields in order."""
-
-    post_id: str
-    comment_id: str
-    post_author: str
-    comment_author: str
-    relation: str
-    detail: str | None = None
 
 
 def _parent_key(parent_id: str) -> str:
@@ -58,29 +47,31 @@ def _parent_key(parent_id: str) -> str:
 
 
 def pair_entries(
-    retained: list[CleanEntry], flagged_ids: set[str]
+    retained: list[dict], flagged_ids: set[str]
 ) -> tuple[list[Pair], int]:
-    """Join every retained comment to its retained parent post.
+    """Join every retained comment to its retained parent post; both are
+    filtered rows.
 
     Comments whose parent is absent (dropped, non-cohort, or a comment)
     are skipped and counted.
     """
-    posts = {c.entry.id: c for c in retained if c.entry.kind == KIND_POST}
+    posts = {row["entry"]["id"]: row for row in retained if row["entry"]["kind"] == KIND_POST}
     pairs: list[Pair] = []
     skipped = 0
-    for clean in retained:
-        if clean.entry.kind != KIND_COMMENT:
+    for row in retained:
+        entry = row["entry"]
+        if entry["kind"] != KIND_COMMENT:
             continue
-        parent = posts.get(_parent_key(clean.entry.parent_id or ""))
+        parent = posts.get(_parent_key(entry["parent_id"] or ""))
         if parent is None:
             skipped += 1
             continue
         pairs.append(
             Pair(
                 post=parent,
-                comment=clean,
-                post_flagged=parent.entry.id in flagged_ids,
-                comment_flagged=clean.entry.id in flagged_ids,
+                comment=row,
+                post_flagged=parent["entry"]["id"] in flagged_ids,
+                comment_flagged=entry["id"] in flagged_ids,
             )
         )
     return pairs, skipped
@@ -109,31 +100,30 @@ def _parse_relation_response(text: str) -> str:
     raise ResponseFormatError("missing RELATION line")
 
 
-def classify_relation(pair: Pair, session) -> RelationRecord:
-    """Label one post-comment pair; safety-flagged pairs bypass the backend."""
-    record = RelationRecord(
-        post_id=pair.post.entry.id,
-        comment_id=pair.comment.entry.id,
-        post_author=pair.post.entry.author,
-        comment_author=pair.comment.entry.author,
-        relation=RELATION_SAFETY,
-    )
+def classify_relation(pair: Pair, session) -> dict:
+    """Label one post-comment pair; safety-flagged pairs bypass the backend.
+
+    Returns its ``relations.jsonl`` row: the pair's ids and authors, then
+    ``relation`` and ``detail``.
+    """
+    post, comment = pair.post["entry"], pair.comment["entry"]
+    tags = {
+        "post_id": post["id"],
+        "comment_id": comment["id"],
+        "post_author": post["author"],
+        "comment_author": comment["author"],
+    }
+    record = {**tags, "relation": RELATION_SAFETY, "detail": None}
     if pair.post_flagged or pair.comment_flagged:
         return record
-    tags = {
-        "post_id": pair.post.entry.id,
-        "comment_id": pair.comment.entry.id,
-        "post_author": pair.post.entry.author,
-        "comment_author": pair.comment.entry.author,
-    }
     label, failure = session.ask_parsed(
         "relation",
-        {"post": pair.post.clean_text, "reply": pair.comment.clean_text},
+        {"post": pair.post["clean_text"], "reply": pair.comment["clean_text"]},
         _parse_relation_response,
         tags=tags,
     )
     if failure is not None:
-        record.relation, record.detail = RELATION_OTHER, BACKEND_ERROR_LABEL
+        record["relation"], record["detail"] = RELATION_OTHER, BACKEND_ERROR_LABEL
     else:
-        record.relation, record.detail = normalize_relation(label)
+        record["relation"], record["detail"] = normalize_relation(label)
     return record

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ResponseFormatError
@@ -26,15 +25,6 @@ _INLINE_SPLIT_RE = re.compile(r"(?<=\s)\d+\s*[.)]\s+")
 _THERAPY_HEADER_RE = re.compile(r"therap", re.IGNORECASE)
 _BEHAVIOR_HEADER_RE = re.compile(r"behaviou?r", re.IGNORECASE)
 _ACRONYM_RE = re.compile(r"\s*\([^)]*\)")
-
-
-@dataclass
-class RecommendationSet:
-    author: str
-    therapies: list[str]
-    behavior_changes: list[str]
-    raw_text: str
-    warnings: list[str] = field(default_factory=list)
 
 
 def load_aliases(path: str | Path) -> dict[str, str]:
@@ -127,8 +117,12 @@ def _strip_blocked(
 
 def recommend(
     author: str, diagnosis_text: str, session, blocklist: list[str] | None = None
-) -> tuple[RecommendationSet | None, str | None]:
-    """Generate and parse recommendations for one user from their diagnosis text."""
+) -> tuple[dict | None, str | None]:
+    """Generate and parse recommendations for one user from their diagnosis text.
+
+    A set holds ``author``, ``therapies``, ``behavior_changes``, ``raw_text``
+    and ``warnings``.
+    """
     tags = {"author": author}
     parsed, failure = session.ask_parsed(
         "recommendation", {"Dataframe": diagnosis_text}, parse_recommendations, tags=tags
@@ -154,16 +148,13 @@ def recommend(
             f"behavior list truncated from {len(behaviors)} to {MAX_BEHAVIOR_CHANGES}"
         )
         behaviors = behaviors[:MAX_BEHAVIOR_CHANGES]
-    return (
-        RecommendationSet(
-            author=author,
-            therapies=therapies,
-            behavior_changes=behaviors,
-            raw_text=parsed["raw"],
-            warnings=warnings,
-        ),
-        None,
-    )
+    return {
+        "author": author,
+        "therapies": therapies,
+        "behavior_changes": behaviors,
+        "raw_text": parsed["raw"],
+        "warnings": warnings,
+    }, None
 
 
 def safety_notice(author: str) -> dict:

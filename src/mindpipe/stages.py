@@ -17,7 +17,6 @@ from typing import Callable
 
 from . import runfiles
 from .aggregation import (
-    UserEntry,
     UserRecord,
     build_chronology,
     build_user_records,
@@ -27,9 +26,9 @@ from .aggregation import (
 )
 from .config import PipelineConfig, packaged_path
 from .diagnosis import diagnose
-from .extraction import TemporalAnnotation, extract_non_temporal, extract_temporal
-from .filtering import CleanEntry, EntryRef, clean_entry, is_relevant, load_lexicon, safety_screen
-from .ingestion import Cohort, RawEntry, iter_parse, select_cohort
+from .extraction import NO_TIMELINE, extract_non_temporal, extract_temporal
+from .filtering import clean_entry, is_relevant, load_lexicon, safety_screen
+from .ingestion import KIND_COMMENT, RawEntry, iter_parse, select_cohort
 from .interaction import classify_relation, pair_entries
 from .llm.session import LlmSession
 from .recommendation import recommend, safety_notice
@@ -74,18 +73,18 @@ def stage_ingest(
                         {"file": str(path), "line_no": item.line_no, "reason": item.reason}
                     )
     cohort = select_cohort(entries, config.pipeline.cohort_size)
-    cohort_entries = sum(user["entry_count"] for user in cohort.users)
+    cohort_entries = sum(user["entry_count"] for user in cohort["users"])
     files = {
         runfiles.ENTRIES: [vars(entry) for entry in entries],
         runfiles.REJECTS: reject_rows,
-        runfiles.COHORT: vars(cohort),
+        runfiles.COHORT: cohort,
     }
     return files, {
         "lines": lines,
         "parsed": len(entries),
         "rejected": len(reject_rows),
         "distinct_authors": len({entry.author for entry in entries}),
-        "cohort_authors": len(cohort.users),
+        "cohort_authors": len(cohort["users"]),
         "cohort_entries": cohort_entries,
         "noncohort_entries": len(entries) - cohort_entries,
     }
@@ -95,24 +94,24 @@ def stage_filter(
     inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
 ) -> StageResult:
     """Clean, safety-screen, and relevance-filter the cohort's entries."""
-    cohort_authors = Cohort(**inputs[runfiles.COHORT]).authors()
+    cohort_authors = {user["author"] for user in inputs[runfiles.COHORT]["users"]}
     lexicon = load_lexicon(config.lexicon_path())
 
     cohort_rows = [row for row in inputs[runfiles.ENTRIES] if row["author"] in cohort_authors]
 
     def process(entry_row: dict) -> dict:
-        clean = clean_entry(RawEntry(**entry_row))
-        row = {**vars(clean), "entry": vars(clean.entry), "relevant": None, "safety": None}
-        if clean.removed is not None:
+        row = clean_entry(entry_row)
+        row.update(relevant=None, safety=None)
+        if row["removed"] is not None:
             row["disposition"] = DISPOSITION_REMOVED
             return row
-        trigger = safety_screen(clean, session, lexicon)
+        trigger = safety_screen(row, session, lexicon)
         row["safety"] = {"flagged": trigger is not None, "trigger": trigger}
         if trigger is not None:
             # quarantined entries are retained without a relevance verdict
             row["disposition"] = DISPOSITION_FLAGGED
             return row
-        verdict = is_relevant(clean, session)
+        verdict = is_relevant(row, session)
         if verdict is None:
             row["relevant"] = "unknown"
             row["disposition"] = DISPOSITION_UNKNOWN
@@ -137,10 +136,6 @@ def stage_filter(
     }
 
 
-def _clean_from_row(row: dict) -> CleanEntry:
-    return CleanEntry(EntryRef(**row["entry"]), row["clean_text"], row["removed"])
-
-
 def stage_extract(
     inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
 ) -> StageResult:
@@ -148,28 +143,22 @@ def stage_extract(
     retained = [row for row in inputs[runfiles.FILTERED] if row["disposition"] in _RETAINED]
 
     def process(row: dict) -> dict:
-        clean = _clean_from_row(row)
+        entry = row["entry"]
         flagged = row["disposition"] == DISPOSITION_FLAGGED
         out = {
-            "entry_id": clean.entry.id,
-            "author": clean.entry.author,
-            "kind": clean.entry.kind,
-            "created_utc": clean.entry.created_utc,
+            "entry_id": entry["id"],
+            "author": entry["author"],
+            "kind": entry["kind"],
+            "created_utc": entry["created_utc"],
             "flagged": flagged,
         }
-        features, failure = extract_non_temporal(clean, flagged, session)
+        features, failure = extract_non_temporal(row, flagged, session)
         if failure is not None:
             out.update({"status": "parse_failure", "failure": failure})
             return out
-        if flagged:
-            # quarantine gate: no temporal call either; creation time kept
-            annotation = TemporalAnnotation(creation_time=clean.entry.created_utc)
-            degraded = False
-        else:
-            annotation, degraded = extract_temporal(clean, session)
-        out.update(
-            status="ok", **vars(features), timeline=annotation.timeline, temporal_degraded=degraded
-        )
+        # quarantine gate: a flagged entry gets no temporal call either
+        timeline, degraded = (NO_TIMELINE, False) if flagged else extract_temporal(row, session)
+        out.update(status="ok", **features, timeline=timeline, temporal_degraded=degraded)
         return out
 
     rows = _map_items(retained, process, config.limits.concurrency)
@@ -188,25 +177,14 @@ def stage_aggregate(
     inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
 ) -> StageResult:
     """Build per-user records and produce both user-level summaries."""
-    cohort = Cohort(**inputs[runfiles.COHORT])
+    cohort_users = inputs[runfiles.COHORT]["users"]
     clean_text_by_id = {row["entry"]["id"]: row["clean_text"] for row in inputs[runfiles.FILTERED]}
     entries = [
-        UserEntry(
-            entry_id=row["entry_id"],
-            author=row["author"],
-            created_utc=row["created_utc"],
-            kind=row["kind"],
-            clean_text=clean_text_by_id[row["entry_id"]],
-            features=row,
-            annotation=TemporalAnnotation(
-                creation_time=row["created_utc"], timeline=row.get("timeline")
-            ),
-            flagged=row["flagged"],
-        )
+        {**row, "clean_text": clean_text_by_id[row["entry_id"]]}
         for row in inputs[runfiles.FEATURES]
         if row["status"] == "ok"
     ]
-    cohort_order = [user["author"] for user in cohort.users]
+    cohort_order = [user["author"] for user in cohort_users]
     records, omitted = build_user_records(cohort_order, entries)
 
     def process(record: UserRecord) -> dict:
@@ -217,10 +195,10 @@ def stage_aggregate(
             "non_temporal": None,
             "temporal": None,
             "failure": None,
-            "chronology": [vars(event) for event in chronology],
+            "chronology": chronology,
             "monthly_counts": monthly_counts(record),
             "entry_count": len(record.entries),
-            "flagged_entries": sum(1 for e in record.entries if e.flagged),
+            "flagged_entries": sum(1 for e in record.entries if e["flagged"]),
         }
         if not record.non_flagged():
             row["status"] = "safety_excluded"
@@ -242,7 +220,7 @@ def stage_aggregate(
     statuses = [row["status"] for row in rows]
     return {runfiles.SUMMARIES: rows}, {
         "input_entries": len(entries),
-        "cohort_users": len(cohort.users),
+        "cohort_users": len(cohort_users),
         "users_with_entries": len(records),
         "summarized": statuses.count("ok"),
         "summary_failures": statuses.count("summary_failure"),
@@ -268,7 +246,7 @@ def stage_diagnose(
         )
         if failure is not None:
             return {"author": row["author"], "status": "diagnosis_failure", "failure": failure}
-        return {"author": summary.author, "status": "ok", **vars(summary)}
+        return {"author": row["author"], "status": "ok", **summary}
 
     rows = _map_items(ready, process, config.limits.concurrency)
     diagnosed = [row for row in rows if row["status"] == "ok"]
@@ -308,7 +286,7 @@ def stage_recommend(
                 "status": "recommendation_failure",
                 "failure": failure,
             }
-        return {"author": rec.author, "status": "ok", **vars(rec)}
+        return {"author": row["author"], "status": "ok", **rec}
 
     rows = _map_items(selected, process, config.limits.concurrency)
     statuses = [row["status"] for row in rows]
@@ -329,20 +307,17 @@ def stage_interact(
     inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
 ) -> StageResult:
     """Pair retained comments with their posts and classify each pair."""
-    retained_rows = [row for row in inputs[runfiles.FILTERED] if row["disposition"] in _RETAINED]
-    retained = [_clean_from_row(row) for row in retained_rows]
+    retained = [row for row in inputs[runfiles.FILTERED] if row["disposition"] in _RETAINED]
     flagged_ids = {
-        row["entry"]["id"] for row in retained_rows if row["disposition"] == DISPOSITION_FLAGGED
+        row["entry"]["id"] for row in retained if row["disposition"] == DISPOSITION_FLAGGED
     }
 
     pairs, skipped = pair_entries(retained, flagged_ids)
-
-    def process(pair) -> dict:
-        return vars(classify_relation(pair, session))
-
-    rows = _map_items(pairs, process, config.limits.concurrency)
+    rows = _map_items(
+        pairs, lambda pair: classify_relation(pair, session), config.limits.concurrency
+    )
     return {runfiles.RELATIONS: rows}, {
-        "input_comments": sum(1 for c in retained if c.entry.kind == "comment"),
+        "input_comments": sum(1 for row in retained if row["entry"]["kind"] == KIND_COMMENT),
         "pairs": len(pairs),
         "skipped_no_parent": skipped,
         "classified": len(rows),

@@ -17,9 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import COHORT_SIZE, SAFETY_USERS, read_backend_log, read_jsonl
 from mindpipe import pipeline
-from mindpipe.aggregation import UserEntry, UserRecord, build_chronology, utc_date
+from mindpipe.aggregation import UserRecord, build_chronology, utc_date
 from mindpipe.config import load_config, packaged_path
-from mindpipe.extraction import NonTemporalFeatures, TemporalAnnotation
 from mindpipe.llm.http_backend import HttpBackend
 from mindpipe.llm.mock_backend import MockBackend
 from mindpipe.llm.session import LlmSession
@@ -277,18 +276,23 @@ def _user_records(draw):
         )
         created = draw(st.integers(min_value=1, max_value=2_000_000_000))
         entries.append(
-            UserEntry(
-                entry_id=f"e{i}",
-                author="u",
-                created_utc=created,
-                kind="post",
-                clean_text=draw(st.text(max_size=40)),
-                features=vars(NonTemporalFeatures(severity="mild")),
-                annotation=TemporalAnnotation(creation_time=created, timeline=timeline),
-                flagged=False,
-            )
+            {
+                "entry_id": f"e{i}",
+                "author": "u",
+                "kind": "post",
+                "created_utc": created,
+                "flagged": False,
+                "status": "ok",
+                "severity": "mild",
+                "causes": [],
+                "tone": [],
+                "disorders": [],
+                "timeline": timeline,
+                "temporal_degraded": False,
+                "clean_text": draw(st.text(max_size=40)),
+            }
         )
-    entries.sort(key=lambda e: (e.created_utc, e.entry_id))
+    entries.sort(key=lambda e: (e["created_utc"], e["entry_id"]))
     return UserRecord(author="u", entries=entries)
 
 
@@ -296,13 +300,13 @@ def _user_records(draw):
 @given(_user_records())
 def test_criterion_7_chronology_invariants(record):
     chronology = build_chronology(record)
-    dates = [event.date for event in chronology]
+    dates = [event["date"] for event in chronology]
     assert dates == sorted(dates)
-    expected = [e for e in record.entries if e.annotation.timeline is not None]
+    expected = [e for e in record.entries if e["timeline"] is not None]
     assert len(chronology) == len(expected)
     for event, entry in zip(chronology, expected):
-        assert event.timeline == entry.annotation.timeline
-        assert event.date == utc_date(entry.created_utc)
+        assert event["timeline"] == entry["timeline"]
+        assert event["date"] == utc_date(entry["created_utc"])
 
 
 def test_criterion_7_pass_line():
@@ -418,11 +422,12 @@ def test_criterion_10_live_smoke(corpus_path, templates):
     sample = [e for e in entries if e.id in ("p_ash_01", "p_briar_01", "p_cedar_01")]
     assert len(sample) == 3
     for entry in sample:
-        clean = clean_entry(entry)
+        clean = clean_entry(vars(entry))
         verdict = is_relevant(clean, session)
         assert verdict in (True, False, None)
         features, failure = extract_non_temporal(clean, False, session)
         assert (features is None) != (failure is None)
-        annotation, _ = extract_temporal(clean, session)
-        assert annotation.creation_time == entry.created_utc
+        timeline, _ = extract_temporal(clean, session)
+        assert timeline is None or isinstance(timeline, str)
+        assert clean["entry"]["created_utc"] == entry.created_utc
     _passed(10, "live endpoint smoke: parse or well-formed failure, no crash")

@@ -9,7 +9,6 @@ from conftest import ScriptedSession
 from mindpipe.aggregation import (
     NON_TEMPORAL_SECTIONS,
     TEMPORAL_SECTIONS,
-    UserEntry,
     UserRecord,
     build_chronology,
     build_user_records,
@@ -19,7 +18,6 @@ from mindpipe.aggregation import (
     summarize_non_temporal,
     summarize_temporal,
 )
-from mindpipe.extraction import TemporalAnnotation
 
 DEC_14 = 1576281600  # 2019-12-14T00:00:00Z
 DEC_28 = 1577491200  # 2019-12-28T00:00:00Z
@@ -42,20 +40,27 @@ T_RESPONSE = (
 
 
 def _entry(entry_id, created, timeline=None, flagged=False, author_text="text", author="alice"):
-    return UserEntry(
-        entry_id=entry_id,
-        author=author,
-        created_utc=created,
-        kind="post",
-        clean_text=author_text,
-        features={"severity": "moderate", "causes": ["x"], "tone": ["y"], "disorders": []},
-        annotation=TemporalAnnotation(creation_time=created, timeline=timeline),
-        flagged=flagged,
-    )
+    """An ok ``features.jsonl`` row plus its clean text."""
+    return {
+        "entry_id": entry_id,
+        "author": author,
+        "kind": "post",
+        "created_utc": created,
+        "flagged": flagged,
+        "status": "ok",
+        "severity": "moderate",
+        "causes": ["x"],
+        "tone": ["y"],
+        "disorders": [],
+        "timeline": timeline,
+        "temporal_degraded": False,
+        "clean_text": author_text,
+    }
 
 
 def _record(entries, author="alice"):
-    return UserRecord(author=author, entries=sorted(entries, key=lambda e: (e.created_utc, e.entry_id)))
+    entries = sorted(entries, key=lambda e: (e["created_utc"], e["entry_id"]))
+    return UserRecord(author=author, entries=entries)
 
 
 def test_build_user_records_sorts_and_partitions():
@@ -66,8 +71,8 @@ def test_build_user_records_sorts_and_partitions():
     records, omitted = build_user_records(["u1", "u2", "u3"], entries)
     assert omitted == 1
     assert [r.author for r in records] == ["u1", "u2"]
-    assert [e.entry_id for e in records[0].entries] == ["a", "b"]
-    assert [e.entry_id for e in records[1].entries] == ["c", "d"]
+    assert [e["entry_id"] for e in records[0].entries] == ["a", "b"]
+    assert [e["entry_id"] for e in records[1].entries] == ["c", "d"]
 
 
 def test_build_user_records_empty():
@@ -80,7 +85,7 @@ def test_record_order_invariant_under_input_permutation(order):
     entries = [_entry(f"e{i}", created=100 + (i % 3) * 50, author="u") for i in range(8)]
     base, _ = build_user_records(["u"], entries)
     shuffled, _ = build_user_records(["u"], [entries[i] for i in order])
-    assert [e.entry_id for e in base[0].entries] == [e.entry_id for e in shuffled[0].entries]
+    assert [e["entry_id"] for e in base[0].entries] == [e["entry_id"] for e in shuffled[0].entries]
 
 
 def test_chronology_keeps_exactly_timeline_entries_in_order():
@@ -95,8 +100,8 @@ def test_chronology_keeps_exactly_timeline_entries_in_order():
     )
     chronology = build_chronology(record)
     assert len(chronology) == 2
-    assert [e.date for e in chronology] == ["2019-12-14", "2019-12-28"]
-    assert [e.timeline for e in chronology] == ["past half decade", "5 years"]
+    assert [e["date"] for e in chronology] == ["2019-12-14", "2019-12-28"]
+    assert [e["timeline"] for e in chronology] == ["past half decade", "5 years"]
 
 
 def test_chronology_empty_when_no_timelines():
@@ -107,7 +112,7 @@ def test_chronology_empty_when_no_timelines():
 def test_chronology_content_truncated_to_budget():
     record = _record([_entry("e1", DEC_14, timeline="5 years", author_text="x" * 900)])
     chronology = build_chronology(record, content_budget=500)
-    assert len(chronology[0].content) == 500
+    assert len(chronology[0]["content"]) == 500
 
 
 def test_monthly_counts_skip_flagged():

@@ -58,13 +58,13 @@ def test_diagnose_counts_words_and_budget():
     session = ScriptedSession({"diagnosis": [" ".join(["w"] * 440)]})
     summary, failure = diagnose("alice", _nt(), _t(), session, slack=1.1)
     assert failure is None
-    assert summary.word_count == 440
-    assert summary.over_budget is False
+    assert summary["word_count"] == 440
+    assert summary["over_budget"] is False
 
     session = ScriptedSession({"diagnosis": [" ".join(["w"] * 441)]})
     summary, _ = diagnose("alice", _nt(), _t(), session, slack=1.1)
-    assert summary.over_budget is True
-    assert summary.text == " ".join(["w"] * 441)  # over-budget text kept verbatim
+    assert summary["over_budget"] is True
+    assert summary["text"] == " ".join(["w"] * 441)  # over-budget text kept verbatim
 
 
 def test_diagnose_binds_dataframe_placeholder():

@@ -15,7 +15,6 @@ from mindpipe.extraction import (
     parse_labeled_sections,
     parse_timeline_response,
 )
-from mindpipe.filtering import CleanEntry, EntryRef
 
 GOOD_RESPONSE = (
     "SEVERITY: moderate\n"
@@ -26,16 +25,19 @@ GOOD_RESPONSE = (
 
 
 def _clean(text="i feel anxious", entry_id="e1"):
-    entry = EntryRef(id=entry_id, author="alice", kind="post", created_utc=1576281600)
-    return CleanEntry(entry=entry, clean_text=text)
+    entry = {
+        "id": entry_id, "author": "alice", "kind": "post",
+        "created_utc": 1576281600, "parent_id": None,
+    }
+    return {"entry": entry, "clean_text": text, "removed": None}
 
 
 def test_parse_feature_response_golden():
     features = parse_feature_response(GOOD_RESPONSE)
-    assert features.severity == "moderate"
-    assert features.causes == ["financial insecurity", "job dissatisfaction"]
-    assert features.tone == ["anxious", "frustrated"]
-    assert features.disorders == ["Generalized Anxiety Disorder"]
+    assert features["severity"] == "moderate"
+    assert features["causes"] == ["financial insecurity", "job dissatisfaction"]
+    assert features["tone"] == ["anxious", "frustrated"]
+    assert features["disorders"] == ["Generalized Anxiety Disorder"]
 
 
 def test_parse_dedupes_trims_and_drops_blanks():
@@ -46,9 +48,9 @@ def test_parse_dedupes_trims_and_drops_blanks():
         "DISORDERS: none"
     )
     features = parse_feature_response(response)
-    assert features.severity == "mild"
-    assert features.causes == ["stress"]
-    assert features.disorders == []
+    assert features["severity"] == "mild"
+    assert features["causes"] == ["stress"]
+    assert features["disorders"] == []
 
 
 def test_missing_section_raises():
@@ -84,8 +86,8 @@ def test_flagged_entry_skips_backend_entirely():
     session = ScriptedSession({})  # any ask would raise KeyError
     features, failure = extract_non_temporal(_clean(), True, session)
     assert failure is None
-    assert features.severity == SEVERITY_EXTREME
-    assert features.causes == [] and features.tone == [] and features.disorders == []
+    assert features["severity"] == SEVERITY_EXTREME
+    assert features["causes"] == [] and features["tone"] == [] and features["disorders"] == []
     assert session.calls == []
 
 
@@ -93,7 +95,7 @@ def test_extract_non_temporal_parses(templates):
     session = ScriptedSession({"extract_features": [GOOD_RESPONSE]})
     features, failure = extract_non_temporal(_clean(), False, session)
     assert failure is None
-    assert features.severity == "moderate"
+    assert features["severity"] == "moderate"
 
 
 def test_extract_non_temporal_reask_then_failure():
@@ -106,24 +108,26 @@ def test_extract_non_temporal_reask_then_failure():
 
 def test_extract_temporal_finds_reference():
     session = ScriptedSession({"extract_temporal": ["TIMELINE: past half decade"]})
-    annotation, degraded = extract_temporal(_clean("for the past half decade"), session)
-    assert annotation.timeline == "past half decade"
-    assert annotation.creation_time == 1576281600
+    clean = _clean("for the past half decade")
+    timeline, degraded = extract_temporal(clean, session)
+    assert timeline == "past half decade"
+    assert clean["entry"]["created_utc"] == 1576281600
     assert degraded is False
 
 
 def test_extract_temporal_sentinel():
     session = ScriptedSession({"extract_temporal": ["TIMELINE: No Timeline"]})
-    annotation, degraded = extract_temporal(_clean(), session)
-    assert annotation.timeline is NO_TIMELINE
+    timeline, degraded = extract_temporal(_clean(), session)
+    assert timeline is NO_TIMELINE
     assert degraded is False
 
 
 def test_extract_temporal_degrades_on_garbage():
     session = ScriptedSession({"extract_temporal": ["???", "???"]})
-    annotation, degraded = extract_temporal(_clean(), session)
-    assert annotation.timeline is NO_TIMELINE
-    assert annotation.creation_time == 1576281600
+    clean = _clean()
+    timeline, degraded = extract_temporal(clean, session)
+    assert timeline is NO_TIMELINE
+    assert clean["entry"]["created_utc"] == 1576281600
     assert degraded is True
 
 
@@ -138,6 +142,6 @@ def test_parsed_lists_never_hold_duplicates_or_blanks(items):
         "DISORDERS: none"
     )
     features = parse_feature_response(response)
-    lowered = [c.lower() for c in features.causes]
+    lowered = [c.lower() for c in features["causes"]]
     assert len(set(lowered)) == len(lowered)
-    assert all(c.strip() == c and c for c in features.causes)
+    assert all(c.strip() == c and c for c in features["causes"])

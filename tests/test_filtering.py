@@ -12,7 +12,6 @@ from mindpipe.filtering import (
     REMOVED_DELETED,
     REMOVED_EMPTY,
     REMOVED_MARKER,
-    CleanEntry,
     clean_entry,
     clean_string,
     _parse_yes_no,
@@ -25,27 +24,28 @@ from mindpipe.ingestion import RawEntry
 from mindpipe.llm.session import LlmSession
 
 
-def _entry(body: str, entry_id="e1", author="alice") -> RawEntry:
-    return RawEntry(
+def _entry(body: str, entry_id="e1", author="alice") -> dict:
+    """The entries row of one post."""
+    return vars(RawEntry(
         id=entry_id, author=author, kind="post", created_utc=100, subreddit="s", body=body
-    )
+    ))
 
 
 def test_clean_fixed_point():
     clean = clean_entry(_entry("hello world"))
-    assert clean.clean_text == "hello world"
-    assert clean.removed is None
+    assert clean["clean_text"] == "hello world"
+    assert clean["removed"] is None
 
 
 def test_removal_markers():
-    assert clean_entry(_entry("[deleted]")).removed == REMOVED_DELETED
-    assert clean_entry(_entry("  [Removed] ")).removed == REMOVED_MARKER
-    assert clean_entry(_entry("[deleted]")).clean_text == ""
+    assert clean_entry(_entry("[deleted]"))["removed"] == REMOVED_DELETED
+    assert clean_entry(_entry("  [Removed] "))["removed"] == REMOVED_MARKER
+    assert clean_entry(_entry("[deleted]"))["clean_text"] == ""
 
 
 def test_clean_golden_html_url_punctuation():
     clean = clean_entry(_entry("<b>I feel</b> low!!! see https://x.y/z"))
-    assert clean.clean_text == "I feel low! see"
+    assert clean["clean_text"] == "I feel low! see"
 
 
 def test_markdown_images_dropped_links_keep_text():
@@ -64,8 +64,8 @@ def test_punctuation_runs_collapse():
 
 def test_empty_after_clean():
     clean = clean_entry(_entry("https://only.a.link/here"))
-    assert clean.removed == REMOVED_EMPTY
-    assert clean.clean_text == ""
+    assert clean["removed"] == REMOVED_EMPTY
+    assert clean["clean_text"] == ""
 
 
 @given(st.text(max_size=300))
@@ -118,7 +118,7 @@ def test_lexicon_match_equals_the_ungated_search(text, terms):
     assert lexicon_match(text, terms) == expected
 
 
-def _clean(text, entry_id="e1") -> CleanEntry:
+def _clean(text, entry_id="e1") -> dict:
     return clean_entry(_entry(text, entry_id=entry_id))
 
 

@@ -5,7 +5,6 @@ import json
 from hypothesis import given, strategies as st
 
 from mindpipe.ingestion import (
-    Cohort,
     RawEntry,
     Reject,
     iter_parse,
@@ -153,8 +152,8 @@ def test_reparse_is_identical(corpus_path):
 def test_select_cohort_zero():
     entries, _ = parse_dump([_post("p1", "alice")])
     cohort = select_cohort(entries, 0)
-    assert cohort.users == []
-    assert cohort.selection_size == 0
+    assert cohort["users"] == []
+    assert cohort["selection_size"] == 0
 
 
 def test_select_cohort_tie_breaks_lexicographically():
@@ -165,13 +164,15 @@ def test_select_cohort_tie_breaks_lexicographically():
     )
     entries, _ = parse_dump(lines)
     cohort = select_cohort(entries, 2)
-    assert cohort.users == [{"author": "a", "entry_count": 3}, {"author": "b", "entry_count": 3}]
+    assert cohort["users"] == [
+        {"author": "a", "entry_count": 3}, {"author": "b", "entry_count": 3}
+    ]
 
 
 def test_select_cohort_larger_n_returns_all():
     entries, _ = parse_dump([_post("p1", "alice"), _post("p2", "bob")])
     cohort = select_cohort(entries, 10)
-    assert len(cohort.users) == 2
+    assert len(cohort["users"]) == 2
 
 
 @given(st.permutations(list(range(12))))
@@ -188,8 +189,13 @@ def test_select_cohort_invariant_under_permutation(order):
 
 def test_cohort_roundtrip_dict():
     users = [{"author": "a", "entry_count": 3}, {"author": "b", "entry_count": 1}]
-    cohort = Cohort(selection_size=2, users=users)
+    entries = [
+        RawEntry(id=f"p{i}", author=author, kind="post", created_utc=1, subreddit="s", body="x")
+        for i, author in enumerate("aaab")
+    ]
+    cohort = select_cohort(entries, 2)
+    assert cohort == {"selection_size": 2, "users": users}
     # the row written as cohort.json, in field order, reads back as the same cohort
-    row = json.loads(json.dumps(vars(cohort)))
+    row = json.loads(json.dumps(cohort))
     assert list(row) == ["selection_size", "users"]
-    assert Cohort(**row) == cohort
+    assert row == cohort

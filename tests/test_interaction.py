@@ -2,7 +2,6 @@ from __future__ import annotations
 
 from conftest import ScriptedSession
 from mindpipe.errors import BackendExhaustedError
-from mindpipe.filtering import CleanEntry, EntryRef
 from mindpipe.interaction import (
     Pair,
     classify_relation,
@@ -11,24 +10,29 @@ from mindpipe.interaction import (
 )
 
 
+def _row(entry_id, author, kind, created_utc, parent_id, text):
+    """A filtered row's entry, clean text and removal reason."""
+    entry = {
+        "id": entry_id, "author": author, "kind": kind,
+        "created_utc": created_utc, "parent_id": parent_id,
+    }
+    return {"entry": entry, "clean_text": text, "removed": None}
+
+
 def _post(entry_id, author="poster", text="post text"):
-    entry = EntryRef(id=entry_id, author=author, kind="post", created_utc=100)
-    return CleanEntry(entry=entry, clean_text=text)
+    return _row(entry_id, author, "post", 100, None, text)
 
 
 def _comment(entry_id, parent, author="replier", text="reply text"):
-    entry = EntryRef(
-        id=entry_id, author=author, kind="comment", created_utc=200, parent_id=parent
-    )
-    return CleanEntry(entry=entry, clean_text=text)
+    return _row(entry_id, author, "comment", 200, parent, text)
 
 
 def test_pairing_direct_parent():
     pairs, skipped = pair_entries([_post("p1"), _comment("c1", "t3_p1")], set())
     assert skipped == 0
     assert len(pairs) == 1
-    assert pairs[0].post.entry.id == "p1"
-    assert pairs[0].comment.entry.id == "c1"
+    assert pairs[0].post["entry"]["id"] == "p1"
+    assert pairs[0].comment["entry"]["id"] == "c1"
 
 
 def test_missing_parent_skipped():
@@ -78,7 +82,7 @@ def test_classify_flagged_pair_without_backend():
     pair = Pair(post=_post("p1"), comment=_comment("c1", "t3_p1"),
                 post_flagged=True, comment_flagged=False)
     record = classify_relation(pair, session)
-    assert record.relation == "unprocessed_safety"
+    assert record["relation"] == "unprocessed_safety"
     assert session.calls == []
 
 
@@ -87,8 +91,8 @@ def test_classify_normalizes_label():
     pair = Pair(post=_post("p1"), comment=_comment("c1", "t3_p1"),
                 post_flagged=False, comment_flagged=False)
     record = classify_relation(pair, session)
-    assert record.relation == "shared_experience"
-    assert record.detail is None
+    assert record["relation"] == "shared_experience"
+    assert record["detail"] is None
 
 
 def test_classify_unknown_label_preserved():
@@ -96,8 +100,8 @@ def test_classify_unknown_label_preserved():
     pair = Pair(post=_post("p1"), comment=_comment("c1", "t3_p1"),
                 post_flagged=False, comment_flagged=False)
     record = classify_relation(pair, session)
-    assert record.relation == "other"
-    assert record.detail == "solidarity"
+    assert record["relation"] == "other"
+    assert record["detail"] == "solidarity"
 
 
 class _FailingSession:
@@ -111,5 +115,5 @@ def test_classify_backend_failure_degrades():
     pair = Pair(post=_post("p1"), comment=_comment("c1", "t3_p1"),
                 post_flagged=False, comment_flagged=False)
     record = classify_relation(pair, _FailingSession())
-    assert record.relation == "other"
-    assert record.detail == "backend_error"
+    assert record["relation"] == "other"
+    assert record["detail"] == "backend_error"

@@ -76,11 +76,11 @@ def test_recommend_truncates_overlong_lists():
     session = ScriptedSession({"recommendation": [response]})
     rec, failure = recommend("alice", "diagnosis text", session)
     assert failure is None
-    assert rec.therapies == ["A Therapy", "B Therapy", "C Therapy"]
-    assert len(rec.behavior_changes) == 5
-    assert any("truncated from 4 to 3" in w for w in rec.warnings)
-    assert any("truncated from 6 to 5" in w for w in rec.warnings)
-    assert rec.raw_text == response
+    assert rec["therapies"] == ["A Therapy", "B Therapy", "C Therapy"]
+    assert len(rec["behavior_changes"]) == 5
+    assert any("truncated from 4 to 3" in w for w in rec["warnings"])
+    assert any("truncated from 6 to 5" in w for w in rec["warnings"])
+    assert rec["raw_text"] == response
 
 
 def test_recommend_failure_after_reask():
@@ -100,9 +100,9 @@ def test_recommend_blocklist_strips_items():
     blocklist = load_lexicon(packaged_path("data/medication_blocklist.txt"))
     rec, failure = recommend("alice", "diagnosis text", session, blocklist)
     assert failure is None
-    assert rec.therapies == ["CBT"]
-    assert rec.behavior_changes == ["Walk daily"]
-    assert len([w for w in rec.warnings if "blocklist" in w]) == 2
+    assert rec["therapies"] == ["CBT"]
+    assert rec["behavior_changes"] == ["Walk daily"]
+    assert len([w for w in rec["warnings"] if "blocklist" in w]) == 2
 
 
 def test_recommend_binds_diagnosis_text():
