@@ -2,7 +2,10 @@
 
 ``ask_parsed`` is the one place where a backend error becomes the failure
 of a call: the stage records it as ``backend failure: <error>``, exactly
-as it records a response that stayed unparseable after the re-ask.
+as it records a response that stayed unparseable after the re-ask. The
+session counts these failures, and the stage's manifest record keeps the
+count, so that a rerun does not trust a stage that a healthy backend
+would answer differently.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ class LlmSession:
         del self.params["messages"]
         self.cache = cache
         self.records: list[CallRecord] = []
+        self.failed_calls = 0  # backend failures since the last take_records
         self._lock = threading.Lock()
         self._in_flight: dict[str, Future] = {}
 
@@ -101,11 +105,13 @@ class LlmSession:
             )
         return text
 
-    def take_records(self) -> list[CallRecord]:
-        """The calls logged since the last take; the next call's ``seq`` is 1 again."""
+    def take_records(self) -> tuple[list[CallRecord], int]:
+        """The calls logged since the last take, and how many calls failed on a
+        backend error since then; the next call's ``seq`` is 1 again."""
         with self._lock:
             records, self.records = self.records, []
-        return records
+            failed, self.failed_calls = self.failed_calls, 0
+        return records, failed
 
     def close(self) -> None:
         """Close the cache and the backend's pooled connections, if it keeps any."""
@@ -162,6 +168,8 @@ class LlmSession:
             try:
                 response = self.ask(template_name, bindings, tags=tags, reask=reask)
             except (BackendError, BackendExhaustedError) as exc:
+                with self._lock:
+                    self.failed_calls += 1
                 logger.warning("%s call failed (tags %s): %s", template_name, tags, exc)
                 return None, f"backend failure: {exc}"
             try:

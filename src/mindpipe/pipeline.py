@@ -382,6 +382,7 @@ def execute_stage(
     stage = _STAGE_BY_NAME[name]
     session = get_session() if stage.uses_backend else None
     records: list[CallRecord] = []
+    failed_calls = 0
     started = time.time()
     logger.info("stage %s: running", name)
     try:
@@ -412,13 +413,15 @@ def execute_stage(
         raise StageError(name, str(exc)) from exc
     finally:
         if session is not None:
-            records = session.take_records()  # the next stage's calls are numbered from 1
+            # the next stage's calls are numbered from 1, and its failures counted from 0
+            records, failed_calls = session.take_records()
 
     counts = {}
     if session is not None:
         _write_backend_log(run_dir, name, records)
         hits = sum(r.cache_hit for r in records)
         counts["cache"] = {"hits": hits, "misses": len(records) - hits}
+        counts["failed_calls"] = failed_calls
     record = {
         "status": "ok",
         "input_digest": input_digest,
@@ -457,6 +460,9 @@ def _stage_clean(
         return False
     record = manifest["stages"].get(stage.name)
     if record is None or record.get("status") != "ok":
+        return False
+    # a failed call is not cached, so a rerun may answer it: never trust such a record
+    if record.get("failed_calls", 0):
         return False
     if record.get("config_digest") != manifest["config_digest"]:
         return False

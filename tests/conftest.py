@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,8 @@ class ScriptedSession:
     def __init__(self, responses: dict[str, list[str]]):
         self.responses = {name: list(items) for name, items in responses.items()}
         self.calls: list[tuple[str, dict, bool]] = []
+        self.failed_calls = 0
+        self._lock = threading.Lock()
 
     def ask(self, template_name, bindings, *, tags, reask=False):
         self.calls.append((template_name, dict(bindings), reask))

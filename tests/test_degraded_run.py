@@ -10,6 +10,7 @@ for every entry.
 from __future__ import annotations
 
 import json
+import logging
 from collections import Counter
 
 from conftest import (
@@ -134,3 +135,23 @@ def test_degraded_run_at_concurrency_4_matches_serial(degraded, tmp_path):
     assert reports
     for name in STAGE_FILES + reports:
         assert (tmp_path / "parallel" / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def _report_files(run_dir) -> list[str]:
+    return sorted(str(p.relative_to(run_dir)) for p in (run_dir / "reports").rglob("*.*"))
+
+
+def test_a_healthy_rerun_heals_a_degraded_run(fixture_run, corpus_path, tmp_path, caplog):
+    run_dir = tmp_path / "run"
+    with caplog.at_level(logging.WARNING, logger="mindpipe.llm.session"):
+        degraded_manifest, _failed, _reasks = run_degraded(run_dir)
+    warnings = [r for r in caplog.records if r.name == "mindpipe.llm.session"]
+    recorded = [r.get("failed_calls", 0) for r in degraded_manifest["stages"].values()]
+    assert sum(recorded) == len(warnings) > 0
+
+    # failed calls were not cached, so the same config on a healthy backend answers them
+    pipeline.run_all(degraded_config(), [corpus_path], run_dir)
+    reports = _report_files(fixture_run)
+    assert _report_files(run_dir) == reports
+    for name in STAGE_FILES + reports:
+        assert (run_dir / name).read_bytes() == (fixture_run / name).read_bytes(), name

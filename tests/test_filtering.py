@@ -21,7 +21,6 @@ from mindpipe.filtering import (
     safety_screen,
 )
 from mindpipe.ingestion import RawEntry
-from mindpipe.llm.session import LlmSession
 
 
 def _entry(body: str, entry_id="e1", author="alice") -> dict:
@@ -146,11 +145,12 @@ def test_is_relevant_rejects_removed_entries():
         is_relevant(clean_entry(_entry("[deleted]")), session)
 
 
-class _FailingSession:
+class _FailingSession(ScriptedSession):
+    def __init__(self):
+        super().__init__({})
+
     def ask(self, *args, **kwargs):
         raise BackendExhaustedError("gave up")
-
-    ask_parsed = LlmSession.ask_parsed
 
 
 def test_is_relevant_backend_failure_is_unknown():

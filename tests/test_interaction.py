@@ -104,11 +104,12 @@ def test_classify_unknown_label_preserved():
     assert record["detail"] == "solidarity"
 
 
-class _FailingSession:
+class _FailingSession(ScriptedSession):
+    def __init__(self):
+        super().__init__({})
+
     def ask(self, *args, **kwargs):
         raise BackendExhaustedError("down")
-
-    ask_parsed = ScriptedSession.ask_parsed
 
 
 def test_classify_backend_failure_degrades():

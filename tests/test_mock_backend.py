@@ -92,10 +92,12 @@ def test_take_records_empties_the_log_and_restarts_seq(templates):
     session = LlmSession(MockBackend(packaged_path("data/mock_rules.json")), templates, model="m")
     session.ask("relevance", {"text": "i feel anxious"}, tags={})
     session.ask("relevance", {"text": "i feel calm"}, tags={})
-    assert [r.seq for r in session.take_records()] == [1, 2]
+    records, failed = session.take_records()
+    assert [r.seq for r in records] == [1, 2] and failed == 0
     assert session.records == []
     session.ask("relevance", {"text": "i feel anxious"}, tags={})
-    assert [r.seq for r in session.take_records()] == [1]
+    records, failed = session.take_records()
+    assert [r.seq for r in records] == [1] and failed == 0
 
 
 def test_session_reask_appends_reminder(templates):
@@ -216,6 +218,7 @@ def test_ask_parsed_turns_a_backend_error_into_a_failure(templates, tmp_path, fa
     )
     assert (value, failure) == (None, f"backend failure: {error}")
     assert backend.calls == fail_on
+    assert session.failed_calls == 1
     # only the answered ask is logged and cached; the failed one is neither
     assert [r.reask for r in session.records] == [False] * (fail_on - 1)
     assert _hits_and_misses(session.records) == (0, fail_on - 1)
