@@ -1,4 +1,4 @@
-"""Stage orchestration: the stage table, run directory, manifest and resume.
+"""Stage orchestration: the stage table, the executor, the manifest and resume.
 
 Stage graph (deps in parentheses):
 
@@ -11,7 +11,8 @@ Stage graph (deps in parentheses):
 files it reads and writes, and the resource files (prompt templates, data
 files) it reads. A stage's deps are the producers of its inputs, and it
 uses the backend when it renders prompts. ``run-all``, the single-stage CLI
-and the skip check all read the table.
+and the skip check all read the table. The stage bodies are in ``stages``,
+except ``stage_report``, which reads the manifest's stage records.
 
 Only ``execute_stage`` touches the run directory for a stage. It reads the
 declared inputs, calls ``stage.run(inputs, config, session, manifest)``,
@@ -23,17 +24,20 @@ is deleted). One backend session serves the whole run: it is built at the
 first backend stage that executes and closed when the run ends.
 
 A stage's ``stats`` hold only facts about its rows. A backend stage's
-manifest record also holds its cache hits and misses (``cache``), and the
-manifest's ``cache`` block totals them; ``reports/`` holds neither, so it
-is the same for a cold and a warm-cache run. The manifest's ``request``
-block holds the parameters that every logged request was sent with.
+manifest record also holds its cache hits and misses (``cache``) and the
+number of its calls that failed on a backend error (``failed_calls``); the
+manifest's ``cache`` block totals the hits and misses. ``reports/`` holds
+none of these, so it is the same for a cold and a warm-cache run. The
+manifest's ``request`` block holds the parameters that every logged
+request was sent with.
 
 A stage is skipped on rerun when its manifest record is intact: same
 config digest (the config plus the tool version), same input digest,
-outputs present with the recorded digest, and no upstream stage
-re-executed this invocation. The input digest covers the bytes of the
-stage's run-dir inputs (the dump files, for ingest), of its resource
-files, and of the mock rule table when a backend stage runs on the mock.
+outputs present with the recorded digest, no failed backend call, and no
+upstream stage re-executed this invocation. The input digest covers the
+bytes of the stage's run-dir inputs (the dump files, for ingest), of its
+resource files, and of the mock rule table when a backend stage runs on
+the mock.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from . import __version__, runfiles
+from . import __version__, runfiles, stages
 from .config import BACKEND_HTTP, PipelineConfig, packaged_path, run_cache_dir
 from .errors import RunLockedError, StageError
 from .llm.cache import ResponseCache, read_stats
@@ -59,16 +63,6 @@ from .llm.session import CallRecord, LlmSession
 from .llm.templates import load_templates
 from .recommendation import load_aliases
 from .reports import emit_reports
-from .stages import (
-    StageResult,
-    stage_aggregate,
-    stage_diagnose,
-    stage_extract,
-    stage_filter,
-    stage_ingest,
-    stage_interact,
-    stage_recommend,
-)
 
 logger = logging.getLogger(__name__)
 
@@ -115,7 +109,7 @@ def _write_backend_log(run_dir: Path, stage: str, records: list[CallRecord]) -> 
 
 def stage_report(
     inputs: dict, config: PipelineConfig, session: None, manifest: dict
-) -> StageResult:
+) -> stages.StageResult:
     """Per-user and run reports from the stage rows and the recorded stage stats."""
     stage_stats = {
         name: record.get("stats", {})
@@ -139,7 +133,7 @@ class StageDef:
     resource files whose bytes its outputs depend on."""
 
     name: str
-    run: Callable[[dict, PipelineConfig, LlmSession | None, dict], StageResult]
+    run: Callable[[dict, PipelineConfig, LlmSession | None, dict], stages.StageResult]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     resources: tuple[str, ...] = ()
@@ -156,34 +150,37 @@ class StageDef:
 
 # Each entry: name, function, run-dir inputs, outputs, resources.
 STAGES: tuple[StageDef, ...] = (
-    StageDef("ingest", stage_ingest, (), (runfiles.ENTRIES, runfiles.REJECTS, runfiles.COHORT)),
     StageDef(
-        "filter", stage_filter,
+        "ingest", stages.stage_ingest,
+        (), (runfiles.ENTRIES, runfiles.REJECTS, runfiles.COHORT),
+    ),
+    StageDef(
+        "filter", stages.stage_filter,
         (runfiles.ENTRIES, runfiles.COHORT), (runfiles.FILTERED,),
         ("prompts/relevance.txt", "prompts/safety.txt", LEXICON),
     ),
     StageDef(
-        "extract", stage_extract,
+        "extract", stages.stage_extract,
         (runfiles.FILTERED,), (runfiles.FEATURES,),
         ("prompts/extract_features.txt", "prompts/extract_temporal.txt"),
     ),
     StageDef(
-        "aggregate", stage_aggregate,
+        "aggregate", stages.stage_aggregate,
         (runfiles.FILTERED, runfiles.FEATURES, runfiles.COHORT), (runfiles.SUMMARIES,),
         ("prompts/summary_non_temporal.txt", "prompts/summary_temporal.txt"),
     ),
     StageDef(
-        "diagnose", stage_diagnose,
+        "diagnose", stages.stage_diagnose,
         (runfiles.SUMMARIES,), (runfiles.DIAGNOSIS,),
         ("prompts/diagnosis.txt",),
     ),
     StageDef(
-        "recommend", stage_recommend,
+        "recommend", stages.stage_recommend,
         (runfiles.DIAGNOSIS, runfiles.SUMMARIES), (runfiles.RECOMMENDATIONS,),
         ("prompts/recommendation.txt", "data/medication_blocklist.txt"),
     ),
     StageDef(
-        "interact", stage_interact,
+        "interact", stages.stage_interact,
         (runfiles.FILTERED,), (runfiles.RELATIONS,),
         ("prompts/relation.txt",),
     ),

@@ -108,18 +108,17 @@ def _run_report_markdown(report: dict) -> str:
 
 
 def _user_payload(author: str, by_author: dict[str, dict[str, dict]]) -> dict:
-    summary_row = by_author[runfiles.SUMMARIES].get(author)
+    """The report of one author of ``summaries.jsonl``."""
+    summary_row = by_author[runfiles.SUMMARIES][author]
     diagnosis_row = by_author[runfiles.DIAGNOSIS].get(author)
     rec_row = by_author[runfiles.RECOMMENDATIONS].get(author)
-    status = summary_row["status"] if summary_row else "no_surviving_entries"
-    payload = {"author": author, "status": status}
-    if status == "safety_excluded":
+    payload = {"author": author, "status": summary_row["status"]}
+    if summary_row["status"] == "safety_excluded":
         payload["escalation"] = rec_row["notice"] if rec_row else None
         return payload
-    if summary_row:
-        payload["non_temporal_summary"] = summary_row.get("non_temporal")
-        payload["temporal_summary"] = summary_row.get("temporal")
-        payload["chronology"] = summary_row.get("chronology", [])
+    payload["non_temporal_summary"] = summary_row["non_temporal"]
+    payload["temporal_summary"] = summary_row["temporal"]
+    payload["chronology"] = summary_row["chronology"]
     if diagnosis_row:
         payload["diagnosis"] = {
             key: diagnosis_row.get(key)
