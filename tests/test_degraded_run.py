@@ -128,17 +128,17 @@ def test_degraded_run_accounts_for_every_entry(degraded):
     assert report["conservation_violations"] == []
 
 
+def _report_files(run_dir) -> list[str]:
+    return sorted(str(p.relative_to(run_dir)) for p in (run_dir / "reports").rglob("*.*"))
+
+
 def test_degraded_run_at_concurrency_4_matches_serial(degraded, tmp_path):
     run_dir, _manifest, _failed, _reasks = degraded
     run_degraded(tmp_path / "parallel", concurrency=4)
-    reports = sorted(str(p.relative_to(run_dir)) for p in (run_dir / "reports").rglob("*.*"))
+    reports = _report_files(run_dir)
     assert reports
     for name in STAGE_FILES + reports:
         assert (tmp_path / "parallel" / name).read_bytes() == (run_dir / name).read_bytes(), name
-
-
-def _report_files(run_dir) -> list[str]:
-    return sorted(str(p.relative_to(run_dir)) for p in (run_dir / "reports").rglob("*.*"))
 
 
 def test_a_healthy_rerun_heals_a_degraded_run(fixture_run, corpus_path, tmp_path, caplog):
