@@ -81,7 +81,7 @@ MOCK_RULES = "data/mock_rules.json"
 def build_session(config: PipelineConfig, run_dir: Path) -> LlmSession:
     templates = load_templates(config.prompts_dir())
     if config.backend.kind == BACKEND_HTTP:
-        from .llm.http_backend import HttpBackend  # imports requests, which mock runs never use
+        from .llm.http_backend import HttpBackend  # imports http.client, which mock runs never use
 
         backend = HttpBackend(
             base_url=config.backend.base_url,

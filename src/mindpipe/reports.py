@@ -114,7 +114,8 @@ def _user_payload(author: str, by_author: dict[str, dict[str, dict]]) -> dict:
     rec_row = by_author[runfiles.RECOMMENDATIONS].get(author)
     payload = {"author": author, "status": summary_row["status"]}
     if summary_row["status"] == "safety_excluded":
-        payload["escalation"] = rec_row["notice"] if rec_row else None
+        # recommend writes an escalation row for every safety-excluded author
+        payload["escalation"] = by_author[runfiles.RECOMMENDATIONS][author]["notice"]
         return payload
     payload["non_temporal_summary"] = summary_row["non_temporal"]
     payload["temporal_summary"] = summary_row["temporal"]
@@ -137,7 +138,7 @@ def _user_markdown(payload: dict) -> str:
     if payload["status"] == "safety_excluded":
         lines.append("## Safety escalation")
         lines.append("")
-        lines.append(payload.get("escalation") or "content withheld")
+        lines.append(payload["escalation"])
         lines.append("")
         return "\n".join(lines) + "\n"
 

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import base64
 import json
+import logging
+import os
+import subprocess
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
-import requests
 
-from conftest import COHORT_SIZE
+from conftest import COHORT_SIZE, CORPUS
 from mindpipe import pipeline
 from mindpipe.config import load_config, packaged_path
 from mindpipe.errors import BackendError, BackendExhaustedError, ConfigError
@@ -25,7 +30,13 @@ class _StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length)) if length else {}
         type(self).seen.append(
-            {"path": self.path, "payload": payload, "auth": self.headers.get("Authorization")}
+            {
+                "path": self.path,
+                "payload": payload,
+                "auth": self.headers.get("Authorization"),
+                "host": self.headers.get("Host"),
+                "proxy_auth": self.headers.get("Proxy-Authorization"),
+            }
         )
         status, body = self.script.pop(0) if self.script else (500, None)
         self.send_response(status)
@@ -34,26 +45,41 @@ class _StubHandler(BaseHTTPRequestHandler):
         if body is not None:
             self.wfile.write(json.dumps(body).encode())
 
+    def do_CONNECT(self):
+        """As a proxy: record the tunnel asked for and refuse it."""
+        type(self).seen.append({"connect": self.path})
+        self.send_response(502)
+        self.end_headers()
+
     def log_message(self, *args):
         pass
 
 
 @pytest.fixture()
 def stub_server():
-    handlers = {}
+    servers = []
 
-    def start(script):
-        handler = type("Handler", (_StubHandler,), {"script": list(script), "seen": []})
+    def start(script, handler_class=_StubHandler):
+        handler = type("Handler", (handler_class,), {"script": list(script), "seen": []})
         server = HTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        handlers["server"] = server
+        servers.append(server)
         return f"http://127.0.0.1:{server.server_port}", handler
 
     yield start
-    if "server" in handlers:
-        handlers["server"].shutdown()
-        handlers["server"].server_close()
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture()
+def proxy_env(monkeypatch):
+    """Clear every proxy variable; return a setter for them."""
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch.setenv
 
 
 def _ok_body(text="hello"):
@@ -67,7 +93,7 @@ def _request():
     return CompletionRequest(model="m", messages=[{"role": "user", "content": "hi"}])
 
 
-def _backend(base_url, monkeypatch, attempts=4):
+def _backend(base_url, monkeypatch, attempts=4, **kwargs):
     monkeypatch.setenv("TEST_API_KEY", "sekret")
     sleeps = []
     backend = HttpBackend(
@@ -75,6 +101,7 @@ def _backend(base_url, monkeypatch, attempts=4):
         api_key_env="TEST_API_KEY",
         max_attempts=attempts,
         sleeper=sleeps.append,
+        **kwargs,
     )
     return backend, sleeps
 
@@ -134,6 +161,23 @@ def test_missing_credential_env_is_config_error(monkeypatch):
         HttpBackend(base_url="http://x", api_key_env="NOPE_KEY")
 
 
+@pytest.mark.parametrize(
+    ("base_url", "proxy", "message"),
+    [
+        ("ftp://llm.example.com/v1", None, "http:// or https://"),
+        ("http://127.0.0.1:port/v1", None, "bad port"),
+        ("http://127.0.0.1:9/v1", "socks5://127.0.0.1:1080", "http_proxy"),
+    ],
+)
+def test_unusable_base_url_or_proxy_is_config_error(
+    monkeypatch, proxy_env, base_url, proxy, message
+):
+    if proxy:
+        proxy_env("HTTP_PROXY", proxy)
+    with pytest.raises(ConfigError, match=message):
+        _backend(base_url, monkeypatch)
+
+
 def test_malformed_success_body_is_backend_error(stub_server, monkeypatch):
     base, _ = stub_server([(200, {"unexpected": True})])
     backend, _ = _backend(base, monkeypatch)
@@ -143,20 +187,32 @@ def test_malformed_success_body_is_backend_error(stub_server, monkeypatch):
 
 class _FakeResponse:
     def __init__(self, status, headers=None, body=None):
-        self.status_code = status
-        self.headers = headers or {}
-        self._body = body
+        self.status = status
+        self._headers = headers or {}
+        self._body = b"" if body is None else json.dumps(body).encode()
 
-    def json(self):
+    def getheader(self, name, default=None):
+        return self._headers.get(name, default)
+
+    def read(self):
         return self._body
 
 
-class _FakeSession:
+class _FakeConnection:
+    """An ``http.client`` connection that answers with scripted responses."""
+
     def __init__(self, responses):
         self.responses = list(responses)
+        self.sock = None
 
-    def post(self, *args, **kwargs):
+    def request(self, method, target, body, headers):
+        self.sock = "open"
+
+    def getresponse(self):
         return self.responses.pop(0)
+
+    def close(self):
+        self.sock = None
 
 
 class _CountingLimiter:
@@ -188,7 +244,9 @@ class _CountingLimiter:
 def test_retry_waits_retry_after_on_429_and_503(monkeypatch, status, retry_after, expected):
     monkeypatch.setenv("TEST_API_KEY", "sekret")
     headers = {} if retry_after is None else {"Retry-After": retry_after}
-    session = _FakeSession([_FakeResponse(status, headers), _FakeResponse(200, body=_ok_body())])
+    connection = _FakeConnection(
+        [_FakeResponse(status, headers), _FakeResponse(200, body=_ok_body())]
+    )
     limiter = _CountingLimiter()
     sleeps = []
     backend = HttpBackend(
@@ -196,7 +254,7 @@ def test_retry_waits_retry_after_on_429_and_503(monkeypatch, status, retry_after
         api_key_env="TEST_API_KEY",
         limiter=limiter,
         sleeper=sleeps.append,
-        session=session,
+        connect=lambda: connection,
     )
     assert backend.complete(_request()).text == "hello"
     assert limiter.entered == 2  # the retry is paced like any request
@@ -257,9 +315,33 @@ def test_mock_and_http_runs_share_a_cache_dir_without_sharing_answers(
     assert handler.served == mock_run["cache"]["misses"] > 0
 
 
-def test_http_run_builds_one_limiter_and_one_http_session(tmp_path, monkeypatch, corpus_path):
+class _ConnectionLog:
+    """Handler mixin: one event per connection served, set when the connection ends."""
+
+    connections: list
+
+    def setup(self):
+        super().setup()
+        self.ended = threading.Event()
+        type(self).connections.append(self.ended)
+
+    def finish(self):
+        super().finish()
+        self.ended.set()
+
+
+class _KeepAliveMockRulesHandler(_ConnectionLog, _MockRulesHandler):
+    protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; with Nagle's algorithm the
+    # client's delayed ACK would hold the body back
+    disable_nagle_algorithm = True
+
+
+def test_http_run_builds_one_limiter_and_keeps_at_most_concurrency_connections(
+    tmp_path, monkeypatch, corpus_path
+):
     # one limiter paces the requests of every stage, so rps holds across stage boundaries
-    limiters, opened, closed = [], [], []
+    limiters, backends = [], []
 
     def recording(method, seen):
         def record(self, *args, **kwargs):
@@ -269,12 +351,10 @@ def test_http_run_builds_one_limiter_and_one_http_session(tmp_path, monkeypatch,
         return record
 
     monkeypatch.setattr(RateLimiter, "__init__", recording(RateLimiter.__init__, limiters))
-    monkeypatch.setattr(
-        requests.Session, "__init__", recording(requests.Session.__init__, opened)
-    )
-    monkeypatch.setattr(requests.Session, "close", recording(requests.Session.close, closed))
+    monkeypatch.setattr(HttpBackend, "__init__", recording(HttpBackend.__init__, backends))
     monkeypatch.setenv("TEST_API_KEY", "sekret")
-    server = HTTPServer(("127.0.0.1", 0), type("Handler", (_MockRulesHandler,), {}))
+    handler = type("Handler", (_KeepAliveMockRulesHandler,), {"connections": []})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     config = load_config(
@@ -284,20 +364,207 @@ def test_http_run_builds_one_limiter_and_one_http_session(tmp_path, monkeypatch,
             "backend.base_url": f"http://127.0.0.1:{server.server_port}/v1",
             "backend.api_key_env": "TEST_API_KEY",
             "limits.rps": 1000.0,
+            "limits.concurrency": 2,
         }
     )
     try:
         manifest = pipeline.run_all(config, [corpus_path], tmp_path / "run")
+        # the connections outlive each stage's worker threads and close when the run ends
+        assert 1 <= len(handler.connections) <= config.limits.concurrency
+        assert all(ended.wait(timeout=10) for ended in handler.connections)
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
     assert manifest["stage_order"] == list(pipeline.STAGE_NAMES)
-    assert len(limiters) == len(opened) == 1
-    assert closed == opened
+    assert handler.served == manifest["cache"]["misses"] > len(handler.connections)
+    assert len(limiters) == len(backends) == 1
     # a no-op rerun and a stage without a backend build no session, so need no credential
     monkeypatch.delenv("TEST_API_KEY")
     rerun = pipeline.run_all(config, None, tmp_path / "run")
     assert rerun["stage_order"] == manifest["stage_order"]
     pipeline.run_stage("report", config, None, tmp_path / "run")
-    assert len(limiters) == len(opened) == 1
+    assert len(limiters) == len(backends) == 1
+
+
+class _EchoHandler(_KeepAliveMockRulesHandler):
+    """Answers each request with its own last message."""
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        body = json.dumps(_ok_body(payload["messages"][-1]["content"])).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+def test_concurrent_calls_never_share_a_connection(monkeypatch, caplog):
+    handler = type("Echo", (_EchoHandler,), {"connections": []})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_port}"
+    backend, sleeps = _backend(base, monkeypatch, timeout=5.0)
+    workers, calls = 8, 25
+    answers = {}
+
+    def work(worker):
+        for call in range(calls):
+            text = f"{worker}.{call}"
+            request = CompletionRequest(model="m", messages=[{"role": "user", "content": text}])
+            answers[text] = backend.complete(request).text
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with caplog.at_level(logging.WARNING, logger="mindpipe.llm.http_backend"):
+            threads = [
+                threading.Thread(target=work, args=(n,), daemon=True) for n in range(workers)
+            ]
+            for worker in threads:
+                worker.start()
+            for worker in threads:
+                worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in threads)
+        backend.close()
+        assert all(ended.wait(timeout=10) for ended in handler.connections)
+    finally:
+        sys.setswitchinterval(interval)
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert len(answers) == workers * calls
+    assert all(text == answer for text, answer in answers.items())
+    assert caplog.records == [] and sleeps == []
+    assert len(handler.connections) <= workers
+
+
+class _IdleTimeoutHandler(_ConnectionLog, _StubHandler):
+    """Closes each connection after one answer without saying so, as a server
+    does when a kept-alive connection reaches its idle timeout."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        body = json.dumps(_ok_body()).encode()
+        self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).seen.append(self.path)
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        self.close_connection = True
+
+
+def test_a_connection_the_server_closed_while_idle_is_reopened_at_once(
+    stub_server, monkeypatch, caplog
+):
+    handler_class = type("Idle", (_IdleTimeoutHandler,), {"connections": []})
+    base, handler = stub_server([], handler_class)
+    limiter = _CountingLimiter()
+    backend, sleeps = _backend(base, monkeypatch, limiter=limiter)
+    with caplog.at_level(logging.WARNING, logger="mindpipe.llm.http_backend"):
+        assert backend.complete(_request()).text == "hello"
+        assert handler.connections[0].wait(timeout=10)  # the server is done with it
+        assert backend.complete(_request()).text == "hello"
+    backend.close()
+    assert caplog.records == []  # no failed attempt
+    assert sleeps == []  # and no backoff
+    assert limiter.entered == 3  # the re-send on a new connection is paced too
+    assert len(handler.connections) == len(handler.seen) == 2
+
+
+class _HangUpHandler(_StubHandler):
+    """Reads each request and closes the connection without an answer."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).seen.append(self.path)
+        self.close_connection = True
+
+
+def test_a_new_connection_closed_before_a_status_line_is_a_failed_attempt(
+    stub_server, monkeypatch
+):
+    base, handler = stub_server([], _HangUpHandler)
+    backend, sleeps = _backend(base, monkeypatch, attempts=3)
+    with pytest.raises(BackendExhaustedError, match="transport"):
+        backend.complete(_request())
+    # only a kept-alive connection is re-sent on without counting an attempt
+    assert len(handler.seen) == 3
+    assert len(sleeps) == 2
+
+
+def test_http_proxy_carries_an_http_base_url(stub_server, monkeypatch, proxy_env):
+    proxy, handler = stub_server([(200, _ok_body("via proxy"))])
+    proxy_env("HTTP_PROXY", proxy.replace("http://", "http://user:p%40ss@"))
+    backend, _ = _backend("http://127.0.0.1:9/v1", monkeypatch)
+    assert backend.complete(_request()).text == "via proxy"
+    backend.close()
+    (seen,) = handler.seen
+    assert seen["path"] == "http://127.0.0.1:9/v1/chat/completions"
+    assert seen["host"] == "127.0.0.1:9"
+    assert seen["auth"] == "Bearer sekret"
+    assert seen["proxy_auth"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+
+def test_no_proxy_bypasses_the_proxy(stub_server, monkeypatch, proxy_env):
+    proxy, proxy_handler = stub_server([(200, _ok_body("via proxy"))])
+    base, handler = stub_server([(200, _ok_body("direct"))])
+    proxy_env("HTTP_PROXY", proxy)
+    proxy_env("NO_PROXY", "example.com,127.0.0.1")
+    backend, _ = _backend(base + "/v1", monkeypatch)
+    assert backend.complete(_request()).text == "direct"
+    backend.close()
+    assert [seen["path"] for seen in handler.seen] == ["/v1/chat/completions"]
+    assert handler.seen[0]["proxy_auth"] is None
+    assert proxy_handler.seen == []
+
+
+def test_https_proxy_tunnels_an_https_base_url(stub_server, monkeypatch, proxy_env):
+    proxy, handler = stub_server([])
+    proxy_env("HTTPS_PROXY", proxy)
+    backend, _ = _backend("https://127.0.0.1:9/v1", monkeypatch, attempts=1)
+    with pytest.raises(BackendExhaustedError, match="Tunnel connection failed: 502"):
+        backend.complete(_request())
+    assert handler.seen == [{"connect": "127.0.0.1:9"}]
+
+
+def test_http_run_imports_no_requests_module(tmp_path):
+    server = HTTPServer(("127.0.0.1", 0), type("Handler", (_MockRulesHandler,), {}))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    overrides = {
+        "pipeline.cohort_size": COHORT_SIZE,
+        "backend.kind": "http",
+        "backend.base_url": f"http://127.0.0.1:{server.server_port}/v1",
+        "backend.api_key_env": "TEST_API_KEY",
+        "limits.rps": 1000.0,
+    }
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from mindpipe import pipeline\n"
+        "from mindpipe.config import load_config\n"
+        f"config = load_config(overrides={overrides!r})\n"
+        f"pipeline.run_all(config, [Path({str(CORPUS)!r})], Path({str(tmp_path / 'run')!r}))\n"
+        "print('mindpipe.llm.http_backend' in sys.modules)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'requests'))\n"
+    )
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        "TEST_API_KEY": "sekret",
+    }
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["True", "[]"]

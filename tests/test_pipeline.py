@@ -227,7 +227,8 @@ def test_mock_run_does_not_import_requests(corpus_path, tmp_path):
         "from mindpipe.config import load_config\n"
         f"config = load_config(overrides={{'pipeline.cohort_size': {COHORT_SIZE}}})\n"
         f"pipeline.run_all(config, [Path({str(corpus_path)!r})], Path({str(tmp_path / 'run')!r}))\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'requests'))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'requests'"
+        " or name in ('mindpipe.llm.http_backend', 'http.client')))\n"
     )
     src = str(Path(pipeline.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

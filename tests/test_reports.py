@@ -105,6 +105,21 @@ def test_missing_stage_file_names_the_stage(fixture_run, tmp_path):
     assert err.value.__cause__.stage == "interact"
 
 
+def test_a_safety_excluded_author_without_an_escalation_row_fails_the_report(
+    fixture_run, tmp_path
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(fixture_run, run_dir)
+    path = run_dir / "recommendations.jsonl"
+    rows = [row for row in read_jsonl(path) if row["author"] not in SAFETY_USERS]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(StageError) as err:
+        pipeline.run_stage("report", load_config(), None, run_dir)
+    assert err.value.stage == "report"
+    assert isinstance(err.value.__cause__, KeyError)
+    assert err.value.__cause__.args[0] in SAFETY_USERS
+
+
 def test_author_slug_sanitizes_and_disambiguates():
     assert author_slug("ash_ember") == "ash_ember"
     slug = author_slug("weird/../name")
