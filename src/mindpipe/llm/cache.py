@@ -11,9 +11,10 @@ cache directory never serve each other's answers.
 The database runs in WAL mode with ``synchronous=NORMAL``. A put goes into
 an in-memory ``pending`` map, which ``get`` reads before the database, so a
 cache serves its own answers at once. Every ``_FLUSH_EVERY`` puts, and at
-``flush()`` and ``close()``, the pending rows are written as ``INSERT OR
-REPLACE`` in one transaction, so concurrent writers of one key degrade to
-last-writer-wins. Another connection sees a put only after that flush, and
+``flush()`` and ``close()``, the pending rows are written in key order as
+``INSERT OR REPLACE`` in one transaction, so concurrent writers of one key
+degrade to last-writer-wins, and the file's pages do not depend on the order
+of the puts. Another connection sees a put only after that flush, and
 a process killed without ``close()`` loses at most ``_FLUSH_EVERY - 1`` (255)
 answers, which a resumed run asks for again. No transaction stays open
 between flushes, so other processes are never locked out for long.
@@ -125,7 +126,7 @@ class ResponseCache:
             self._conn.execute("BEGIN IMMEDIATE")
             self._conn.executemany(
                 "INSERT OR REPLACE INTO responses (key, text) VALUES (?, ?)",
-                self._pending.items(),
+                sorted(self._pending.items()),
             )
             self._conn.execute("COMMIT")
         except BaseException:

@@ -226,14 +226,18 @@ def _route(
 
 
 def _parse_completion(body: bytes) -> CompletionResult:
+    """The completion of a 200 response. Content that is not text, such as a blocked
+    completion's null, is an error; a missing or null token count reads as 0."""
     try:
         parsed = json.loads(body)
         text = parsed["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise BackendError(f"malformed completion response: {exc}", status=200) from exc
+    if not isinstance(text, str):
+        raise BackendError(f"completion content is {type(text).__name__}, not text", status=200)
     usage = parsed.get("usage") or {}
     return CompletionResult(
         text=text,
-        prompt_tokens=int(usage.get("prompt_tokens", 0)),
-        completion_tokens=int(usage.get("completion_tokens", 0)),
+        prompt_tokens=int(usage.get("prompt_tokens") or 0),
+        completion_tokens=int(usage.get("completion_tokens") or 0),
     )

@@ -114,12 +114,15 @@ class LlmSession:
         return records, failed
 
     def close(self) -> None:
-        """Close the cache and the backend's pooled connections, if it keeps any."""
-        if self.cache is not None:
-            self.cache.close()
-        close_backend = getattr(self.backend, "close", None)
-        if close_backend is not None:
-            close_backend()
+        """Close the cache, then the backend's pooled connections, if it keeps any,
+        also when closing the cache raises."""
+        try:
+            if self.cache is not None:
+                self.cache.close()
+        finally:
+            close_backend = getattr(self.backend, "close", None)
+            if close_backend is not None:
+                close_backend()
 
     def _answer(self, key: str, request: CompletionRequest) -> tuple[str, bool]:
         """(text, hit) from the cache, from an identical request in flight, or the backend.

@@ -98,7 +98,7 @@ def parse_recommendations(text: str) -> dict:
         raise ResponseFormatError("no therapy items found")
     if not behaviors:
         raise ResponseFormatError("no behavior change items found")
-    return {"raw": text, "therapies": therapies, "behaviors": behaviors}
+    return {"therapies": therapies, "behaviors": behaviors}
 
 
 def _strip_blocked(
@@ -120,8 +120,7 @@ def recommend(
 ) -> tuple[dict | None, str | None]:
     """Generate and parse recommendations for one user from their diagnosis text.
 
-    A set holds ``author``, ``therapies``, ``behavior_changes``, ``raw_text``
-    and ``warnings``.
+    A set holds ``author``, ``therapies``, ``behavior_changes`` and ``warnings``.
     """
     tags = {"author": author}
     parsed, failure = session.ask_parsed(
@@ -152,7 +151,6 @@ def recommend(
         "author": author,
         "therapies": therapies,
         "behavior_changes": behaviors,
-        "raw_text": parsed["raw"],
         "warnings": warnings,
     }, None
 

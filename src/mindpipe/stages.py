@@ -20,7 +20,6 @@ from .aggregation import (
     UserRecord,
     build_chronology,
     build_user_records,
-    monthly_counts,
     summarize_non_temporal,
     summarize_temporal,
 )
@@ -101,9 +100,8 @@ def stage_filter(
 
     def process(entry_row: dict) -> dict:
         row = clean_entry(entry_row)
-        row.update(relevant=None, safety=None)
         if row["removed"] is not None:
-            row["disposition"] = DISPOSITION_REMOVED
+            row.update(safety=None, disposition=DISPOSITION_REMOVED)
             return row
         trigger = safety_screen(row, session, lexicon)
         row["safety"] = {"flagged": trigger is not None, "trigger": trigger}
@@ -113,14 +111,9 @@ def stage_filter(
             return row
         verdict = is_relevant(row, session)
         if verdict is None:
-            row["relevant"] = "unknown"
             row["disposition"] = DISPOSITION_UNKNOWN
-        elif verdict:
-            row["relevant"] = True
-            row["disposition"] = DISPOSITION_RETAINED
         else:
-            row["relevant"] = False
-            row["disposition"] = DISPOSITION_IRRELEVANT
+            row["disposition"] = DISPOSITION_RETAINED if verdict else DISPOSITION_IRRELEVANT
         return row
 
     rows = _map_items(cohort_rows, process, config.limits.concurrency)
@@ -148,7 +141,6 @@ def stage_extract(
         out = {
             "entry_id": entry["id"],
             "author": entry["author"],
-            "kind": entry["kind"],
             "created_utc": entry["created_utc"],
             "flagged": flagged,
         }
@@ -196,9 +188,6 @@ def stage_aggregate(
             "temporal": None,
             "failure": None,
             "chronology": chronology,
-            "monthly_counts": monthly_counts(record),
-            "entry_count": len(record.entries),
-            "flagged_entries": sum(1 for e in record.entries if e["flagged"]),
         }
         if not record.non_flagged():
             row["status"] = "safety_excluded"

@@ -279,7 +279,6 @@ def _user_records(draw):
             {
                 "entry_id": f"e{i}",
                 "author": "u",
-                "kind": "post",
                 "created_utc": created,
                 "flagged": False,
                 "status": "ok",

@@ -44,7 +44,6 @@ def _entry(entry_id, created, timeline=None, flagged=False, author_text="text", 
     return {
         "entry_id": entry_id,
         "author": author,
-        "kind": "post",
         "created_utc": created,
         "flagged": flagged,
         "status": "ok",

@@ -16,10 +16,12 @@ from conftest import COHORT_SIZE, CORPUS
 from mindpipe import pipeline
 from mindpipe.config import load_config, packaged_path
 from mindpipe.errors import BackendError, BackendExhaustedError, ConfigError
+from mindpipe.llm.cache import ResponseCache, read_stats
 from mindpipe.llm.completion import CompletionRequest
 from mindpipe.llm.http_backend import _BACKOFF_CAP, HttpBackend
 from mindpipe.llm.mock_backend import MockBackend
 from mindpipe.llm.ratelimit import RateLimiter
+from mindpipe.llm.session import LlmSession
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -55,6 +57,16 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+def _serve(server: HTTPServer) -> threading.Thread:
+    """Serve in a daemon thread that sees ``shutdown()`` within 10 ms, where
+    ``serve_forever``'s default poll interval would take up to 0.5 s."""
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
+    thread.start()
+    return thread
+
+
 @pytest.fixture()
 def stub_server():
     servers = []
@@ -62,8 +74,7 @@ def stub_server():
     def start(script, handler_class=_StubHandler):
         handler = type("Handler", (handler_class,), {"script": list(script), "seen": []})
         server = HTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        _serve(server)
         servers.append(server)
         return f"http://127.0.0.1:{server.server_port}", handler
 
@@ -265,6 +276,39 @@ def test_retry_waits_retry_after_on_429_and_503(monkeypatch, status, retry_after
         assert sleeps[0] == expected
 
 
+def _fake_backend(monkeypatch, *bodies):
+    """A backend whose one connection answers 200 with each body in turn."""
+    monkeypatch.setenv("TEST_API_KEY", "sekret")
+    connection = _FakeConnection([_FakeResponse(200, body=body) for body in bodies])
+    return HttpBackend(
+        base_url="http://stub", api_key_env="TEST_API_KEY", connect=lambda: connection
+    )
+
+
+def test_null_content_is_a_failed_call_that_nothing_caches(monkeypatch, templates, tmp_path):
+    # a content filter that blocks a completion answers 200 with null content
+    blocked = {"choices": [{"message": {"role": "assistant", "content": None}}]}
+    backend = _fake_backend(monkeypatch, blocked, blocked)
+    with pytest.raises(BackendError, match="NoneType, not text") as err:
+        backend.complete(_request())
+    assert err.value.status == 200
+
+    session = LlmSession(
+        backend, templates, model="m", cache=ResponseCache(tmp_path, backend.identity)
+    )
+    verdict = session.ask_parsed("safety", {"text": "t"}, str.strip, tags={"entry_id": "t"})
+    assert verdict == (None, "backend failure: completion content is NoneType, not text")
+    assert session.failed_calls == 1
+    session.close()  # no answer is pending, so the final flush writes nothing
+    assert read_stats(tmp_path)[0] == 0
+
+
+def test_null_token_counts_read_as_zero(monkeypatch):
+    body = {**_ok_body(), "usage": {"prompt_tokens": None, "completion_tokens": None}}
+    result = _fake_backend(monkeypatch, body).complete(_request())
+    assert (result.text, result.prompt_tokens, result.completion_tokens) == ("hello", 0, 0)
+
+
 class _MockRulesHandler(BaseHTTPRequestHandler):
     """Answers chat completions through the packaged mock rule table."""
 
@@ -291,8 +335,7 @@ def test_mock_and_http_runs_share_a_cache_dir_without_sharing_answers(
 ):
     handler = type("Handler", (_MockRulesHandler,), {})
     server = HTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    thread = _serve(server)
     monkeypatch.setenv("TEST_API_KEY", "sekret")
     shared = {"pipeline.cohort_size": COHORT_SIZE, "paths.cache_dir": str(tmp_path / "cache")}
     http = {
@@ -355,8 +398,7 @@ def test_http_run_builds_one_limiter_and_keeps_at_most_concurrency_connections(
     monkeypatch.setenv("TEST_API_KEY", "sekret")
     handler = type("Handler", (_KeepAliveMockRulesHandler,), {"connections": []})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    thread = _serve(server)
     config = load_config(
         overrides={
             "pipeline.cohort_size": COHORT_SIZE,
@@ -402,8 +444,7 @@ class _EchoHandler(_KeepAliveMockRulesHandler):
 def test_concurrent_calls_never_share_a_connection(monkeypatch, caplog):
     handler = type("Echo", (_EchoHandler,), {"connections": []})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    thread = _serve(server)
     base = f"http://127.0.0.1:{server.server_port}"
     backend, sleeps = _backend(base, monkeypatch, timeout=5.0)
     workers, calls = 8, 25
@@ -533,8 +574,7 @@ def test_https_proxy_tunnels_an_https_base_url(stub_server, monkeypatch, proxy_e
 
 def test_http_run_imports_no_requests_module(tmp_path):
     server = HTTPServer(("127.0.0.1", 0), type("Handler", (_MockRulesHandler,), {}))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    thread = _serve(server)
     overrides = {
         "pipeline.cohort_size": COHORT_SIZE,
         "backend.kind": "http",

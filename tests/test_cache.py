@@ -113,6 +113,17 @@ def test_a_process_killed_without_close_loses_only_its_last_partial_batch(tmp_pa
     cache.close()
 
 
+def test_the_same_puts_in_another_order_give_the_same_database_bytes(tmp_path):
+    keys = [f"request {i}" for i in range(200)]
+    for name, order in (("forward", keys), ("reverse", keys[::-1])):
+        cache = ResponseCache(tmp_path / name, "ns")
+        for key in order:
+            cache.put(key, f"answer to {key}")
+        cache.close()
+    forward, reverse = ((tmp_path / name / DB_NAME).read_bytes() for name in ("forward", "reverse"))
+    assert forward == reverse
+
+
 def test_namespaces_do_not_serve_each_other(tmp_path):
     mock = ResponseCache(tmp_path / "cache", "mock:rules")
     http = ResponseCache(tmp_path / "cache", "http:http://127.0.0.1:1/v1")

@@ -88,7 +88,8 @@ def test_parse_failure_entry_recorded_and_excluded(fixture_run):
     summaries = read_jsonl(fixture_run / "summaries.jsonl")
     gorse = _row(summaries, author="gorse_vale")
     assert gorse["status"] == "ok"  # user still summarized from remaining entries
-    assert gorse["entry_count"] == 7  # 9 entries minus 1 irrelevant, 1 parse-failed
+    gorse_ok = [r for r in features if r["author"] == "gorse_vale" and r["status"] == "ok"]
+    assert len(gorse_ok) == 7  # 9 entries minus 1 irrelevant, 1 parse-failed
 
 
 def test_relevance_unknown_entry_dropped(fixture_run):

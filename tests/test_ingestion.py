@@ -151,9 +151,7 @@ def test_reparse_is_identical(corpus_path):
 
 def test_select_cohort_zero():
     entries, _ = parse_dump([_post("p1", "alice")])
-    cohort = select_cohort(entries, 0)
-    assert cohort["users"] == []
-    assert cohort["selection_size"] == 0
+    assert select_cohort(entries, 0) == {"users": []}
 
 
 def test_select_cohort_tie_breaks_lexicographically():
@@ -194,8 +192,8 @@ def test_cohort_roundtrip_dict():
         for i, author in enumerate("aaab")
     ]
     cohort = select_cohort(entries, 2)
-    assert cohort == {"selection_size": 2, "users": users}
+    assert cohort == {"users": users}
     # the row written as cohort.json, in field order, reads back as the same cohort
     row = json.loads(json.dumps(cohort))
-    assert list(row) == ["selection_size", "users"]
+    assert list(row) == ["users"]
     assert row == cohort

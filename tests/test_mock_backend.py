@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sqlite3
 import threading
 import time
 
@@ -229,3 +230,23 @@ def test_ask_parsed_turns_a_backend_error_into_a_failure(templates, tmp_path, fa
     cached = [cache.get(r.cache_key()) is not None for r in (request, reask)]
     assert cached == [fail_on == 2, False]
     cache.close()
+
+
+class _ClosableBackend(MockBackend):
+    closed = False
+
+    def close(self):
+        self.closed = True
+
+
+class _FailingCloseCache:
+    def close(self):
+        raise sqlite3.IntegrityError("NOT NULL constraint failed: responses.text")
+
+
+def test_close_closes_the_backend_when_closing_the_cache_raises(templates):
+    backend = _ClosableBackend(packaged_path("data/mock_rules.json"))
+    session = LlmSession(backend, templates, model="m", cache=_FailingCloseCache())
+    with pytest.raises(sqlite3.IntegrityError):
+        session.close()
+    assert backend.closed

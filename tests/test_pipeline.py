@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import COHORT_SIZE, read_backend_log, read_jsonl
-from mindpipe import pipeline
+from mindpipe import pipeline, runfiles
 from mindpipe.config import PipelineConfig, load_config, packaged_path
 from mindpipe.errors import ConfigError, RunLockedError, StageError
 from mindpipe.llm.cache import DB_NAME, read_stats
@@ -509,6 +509,29 @@ def test_a_run_dir_with_prompts_and_stage_tags_in_its_logs_resumes_like_a_fresh_
         records = read_jsonl(run_dir / "logs" / log.name)
         assert not any("messages" in r or "stage" in r["tags"] for r in records)
         assert records == [{**r, "cache_hit": True} for r in read_jsonl(log)]
+
+
+def test_a_run_dir_with_the_keys_nothing_read_resumes_like_a_fresh_run(
+    fixture_run, corpus_path, tmp_path
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(fixture_run, run_dir)
+    # the layout written by 0.5.0: seven stage-file keys that no stage read
+    unread = {
+        "filtered.jsonl": {"relevant": None},
+        "features.jsonl": {"kind": "post"},
+        "summaries.jsonl": {"monthly_counts": {}, "entry_count": 0, "flagged_entries": 0},
+        "recommendations.jsonl": {"raw_text": ""},
+    }
+    for name, keys in unread.items():
+        rows = [{**row, **keys} for row in read_jsonl(run_dir / name)]
+        runfiles.write(run_dir / name, rows)
+    cohort = runfiles.read(run_dir / "cohort.json", "ingest")
+    runfiles.write(run_dir / "cohort.json", {"selection_size": COHORT_SIZE, **cohort})
+    config = _config()
+    _record_as_written_by(run_dir, config, "0.5.0")
+    pipeline.run_all(config, [corpus_path], run_dir)
+    assert _outputs(run_dir) == _outputs(fixture_run)
 
 
 def _record_as_written_by(run_dir: Path, config: PipelineConfig, version: str) -> dict:

@@ -80,7 +80,8 @@ def test_recommend_truncates_overlong_lists():
     assert len(rec["behavior_changes"]) == 5
     assert any("truncated from 4 to 3" in w for w in rec["warnings"])
     assert any("truncated from 6 to 5" in w for w in rec["warnings"])
-    assert rec["raw_text"] == response
+    assert list(rec) == ["author", "therapies", "behavior_changes", "warnings"]
+    assert [c[2] for c in session.calls] == [False]  # the one answer, with no re-ask
 
 
 def test_recommend_failure_after_reask():
