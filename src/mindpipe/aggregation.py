@@ -19,14 +19,11 @@ from .extraction import NO_TIMELINE, parse_labeled_sections, _split_list
 
 @dataclass
 class UserRecord:
-    """One author's surviving entries. An entry is its ``features.jsonl`` row
-    (status ``ok``) plus the entry's ``clean_text``."""
+    """One author's surviving unflagged entries. An entry is its
+    ``features.jsonl`` row (status ``ok``) plus the entry's ``clean_text``."""
 
     author: str
     entries: list[dict]
-
-    def non_flagged(self) -> list[dict]:
-        return [e for e in self.entries if not e["flagged"]]
 
 
 # Each summary's sections in answer order: (prompt header, summary key, is a
@@ -55,27 +52,25 @@ def utc_date(epoch: int) -> str:
 
 
 def build_user_records(
-    cohort_authors: list[str], entries: list[dict]
-) -> tuple[list[UserRecord], int]:
-    """Group surviving entries per cohort author, sorted by (time, entry id).
+    cohort_authors: list[str], entries: list[dict], escalated: set[str]
+) -> list[UserRecord]:
+    """Group surviving unflagged entries per cohort author, sorted by (time, entry id).
 
-    Returns the records plus the count of cohort authors omitted for
-    having zero surviving entries. Record order follows cohort order.
+    Record order follows cohort order. An escalated author keeps a record,
+    which has no entries; any other author with zero surviving unflagged
+    entries is omitted.
     """
     by_author: dict[str, list[dict]] = {author: [] for author in cohort_authors}
     for entry in entries:
-        if entry["author"] in by_author:
+        if entry["author"] in by_author and not entry["flagged"]:
             by_author[entry["author"]].append(entry)
     records: list[UserRecord] = []
-    omitted = 0
     for author in cohort_authors:
         bucket = by_author[author]
-        if not bucket:
-            omitted += 1
-            continue
-        bucket.sort(key=lambda e: (e["created_utc"], e["entry_id"]))
-        records.append(UserRecord(author=author, entries=bucket))
-    return records, omitted
+        if bucket or author in escalated:
+            bucket.sort(key=lambda e: (e["created_utc"], e["entry_id"]))
+            records.append(UserRecord(author=author, entries=bucket))
+    return records
 
 
 def build_chronology(
@@ -95,9 +90,9 @@ def build_chronology(
 
 
 def monthly_counts(record: UserRecord) -> dict[str, int]:
-    """Posts per calendar month over the user's non-flagged entries."""
+    """Posts per calendar month over the user's entries."""
     counts: dict[str, int] = {}
-    for entry in record.non_flagged():
+    for entry in record.entries:
         month = utc_date(entry["created_utc"])[:7]
         counts[month] = counts.get(month, 0) + 1
     return dict(sorted(counts.items()))
@@ -105,17 +100,15 @@ def monthly_counts(record: UserRecord) -> dict[str, int]:
 
 def serialize_features_block(record: UserRecord) -> str:
     """Canonical per-entry feature lines for the non-temporal summary prompt."""
-    lines = []
-    for entry in record.non_flagged():
-        lines.append(
-            "- severity={severity} | causes={causes} | tone={tone} | disorders={disorders}".format(
-                severity=entry["severity"],
-                causes=", ".join(entry["causes"]) or "none",
-                tone=", ".join(entry["tone"]) or "none",
-                disorders=", ".join(entry["disorders"]) or "none",
-            )
+    return "\n".join(
+        "- severity={severity} | causes={causes} | tone={tone} | disorders={disorders}".format(
+            severity=entry["severity"],
+            causes=", ".join(entry["causes"]) or "none",
+            tone=", ".join(entry["tone"]) or "none",
+            disorders=", ".join(entry["disorders"]) or "none",
         )
-    return "\n".join(lines)
+        for entry in record.entries
+    )
 
 
 def serialize_chronology_block(chronology: list[dict], months: dict[str, int]) -> str:
@@ -158,8 +151,8 @@ def section_lines(values: dict, sections: tuple[tuple[str, str, bool], ...]) -> 
 
 def summarize_non_temporal(record: UserRecord, session) -> tuple[dict | None, str | None]:
     """Six-aspect user-level synthesis over the concatenated entry features."""
-    if not record.non_flagged():
-        raise ValueError("summarize_non_temporal requires at least one non-flagged entry")
+    if not record.entries:
+        raise ValueError("summarize_non_temporal requires at least one unflagged entry")
     tags = {"author": record.author}
     return session.ask_parsed(
         "summary_non_temporal",

@@ -1,8 +1,8 @@
 """Post-comment pair construction and relationship classification.
 
 Pairs are direct parent-child only: a retained comment joined to its
-retained parent post. Pairs touching safety-flagged content are labeled
-without any backend call.
+retained parent post. A quarantined pair, one that touches safety-flagged
+content, is labeled without any backend call.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ class Pair:
 
     post: dict
     comment: dict
-    post_flagged: bool
-    comment_flagged: bool
 
 
 def _parent_key(parent_id: str) -> str:
@@ -46,9 +44,7 @@ def _parent_key(parent_id: str) -> str:
     return parent_id
 
 
-def pair_entries(
-    retained: list[dict], flagged_ids: set[str]
-) -> tuple[list[Pair], int]:
+def pair_entries(retained: list[dict]) -> tuple[list[Pair], int]:
     """Join every retained comment to its retained parent post; both are
     filtered rows.
 
@@ -66,14 +62,7 @@ def pair_entries(
         if parent is None:
             skipped += 1
             continue
-        pairs.append(
-            Pair(
-                post=parent,
-                comment=row,
-                post_flagged=parent["entry"]["id"] in flagged_ids,
-                comment_flagged=entry["id"] in flagged_ids,
-            )
-        )
+        pairs.append(Pair(post=parent, comment=row))
     return pairs, skipped
 
 
@@ -100,8 +89,8 @@ def _parse_relation_response(text: str) -> str:
     raise ResponseFormatError("missing RELATION line")
 
 
-def classify_relation(pair: Pair, session) -> dict:
-    """Label one post-comment pair; safety-flagged pairs bypass the backend.
+def classify_relation(pair: Pair, session, *, quarantined: bool) -> dict:
+    """Label one post-comment pair; a quarantined pair bypasses the backend.
 
     Returns its ``relations.jsonl`` row: the pair's ids and authors, then
     ``relation`` and ``detail``.
@@ -114,7 +103,7 @@ def classify_relation(pair: Pair, session) -> dict:
         "comment_author": comment["author"],
     }
     record = {**tags, "relation": RELATION_SAFETY, "detail": None}
-    if pair.post_flagged or pair.comment_flagged:
+    if quarantined:
         return record
     label, failure = session.ask_parsed(
         "relation",

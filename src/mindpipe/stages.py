@@ -28,7 +28,7 @@ from .diagnosis import diagnose
 from .extraction import NO_TIMELINE, extract_non_temporal, extract_temporal
 from .filtering import clean_entry, is_relevant, load_lexicon, safety_screen
 from .ingestion import KIND_COMMENT, RawEntry, iter_parse, select_cohort
-from .interaction import classify_relation, pair_entries
+from .interaction import Pair, classify_relation, pair_entries
 from .llm.session import LlmSession
 from .recommendation import recommend, safety_notice
 
@@ -39,6 +39,16 @@ DISPOSITION_IRRELEVANT = "irrelevant"
 DISPOSITION_UNKNOWN = "relevance_unknown"
 
 _RETAINED = (DISPOSITION_FLAGGED, DISPOSITION_RETAINED)
+
+
+def escalated_authors(filtered_rows: list[dict]) -> set[str]:
+    """The authors escalated to a practitioner instead of summarized: those with at
+    least one flagged entry and no retained one, so no generative call concerns them."""
+
+    def authors(wanted: str) -> set[str]:
+        return {row["entry"]["author"] for row in filtered_rows if row["disposition"] == wanted}
+
+    return authors(DISPOSITION_FLAGGED) - authors(DISPOSITION_RETAINED)
 
 
 def _map_items(items: list, fn: Callable, workers: int) -> list:
@@ -170,6 +180,7 @@ def stage_aggregate(
 ) -> StageResult:
     """Build per-user records and produce both user-level summaries."""
     cohort_users = inputs[runfiles.COHORT]["users"]
+    escalated = escalated_authors(inputs[runfiles.FILTERED])
     clean_text_by_id = {row["entry"]["id"]: row["clean_text"] for row in inputs[runfiles.FILTERED]}
     entries = [
         {**row, "clean_text": clean_text_by_id[row["entry_id"]]}
@@ -177,7 +188,7 @@ def stage_aggregate(
         if row["status"] == "ok"
     ]
     cohort_order = [user["author"] for user in cohort_users]
-    records, omitted = build_user_records(cohort_order, entries)
+    records = build_user_records(cohort_order, entries, escalated)
 
     def process(record: UserRecord) -> dict:
         chronology = build_chronology(record, config.pipeline.event_content_budget)
@@ -189,18 +200,14 @@ def stage_aggregate(
             "failure": None,
             "chronology": chronology,
         }
-        if not record.non_flagged():
+        if record.author in escalated:
             row["status"] = "safety_excluded"
             return row
         non_temporal, failure = summarize_non_temporal(record, session)
+        if failure is None:
+            temporal, failure = summarize_temporal(record, chronology, session)
         if failure is not None:
-            row["status"] = "summary_failure"
-            row["failure"] = failure
-            return row
-        temporal, temporal_failure = summarize_temporal(record, chronology, session)
-        if temporal_failure is not None:
-            row["status"] = "summary_failure"
-            row["failure"] = temporal_failure
+            row.update(status="summary_failure", failure=failure)
             return row
         row.update(status="ok", non_temporal=non_temporal, temporal=temporal)
         return row
@@ -214,7 +221,7 @@ def stage_aggregate(
         "summarized": statuses.count("ok"),
         "summary_failures": statuses.count("summary_failure"),
         "safety_excluded": statuses.count("safety_excluded"),
-        "omitted_no_entries": omitted,
+        "omitted_no_entries": len(cohort_users) - len(records),
         "temporal_summaries": sum(1 for row in rows if row["temporal"] is not None),
     }
 
@@ -297,14 +304,13 @@ def stage_interact(
 ) -> StageResult:
     """Pair retained comments with their posts and classify each pair."""
     retained = [row for row in inputs[runfiles.FILTERED] if row["disposition"] in _RETAINED]
-    flagged_ids = {
-        row["entry"]["id"] for row in retained if row["disposition"] == DISPOSITION_FLAGGED
-    }
+    pairs, skipped = pair_entries(retained)
 
-    pairs, skipped = pair_entries(retained, flagged_ids)
-    rows = _map_items(
-        pairs, lambda pair: classify_relation(pair, session), config.limits.concurrency
-    )
+    def process(pair: Pair) -> dict:
+        flagged = DISPOSITION_FLAGGED in (pair.post["disposition"], pair.comment["disposition"])
+        return classify_relation(pair, session, quarantined=flagged)
+
+    rows = _map_items(pairs, process, config.limits.concurrency)
     return {runfiles.RELATIONS: rows}, {
         "input_comments": sum(1 for row in retained if row["entry"]["kind"] == KIND_COMMENT),
         "pairs": len(pairs),

@@ -20,6 +20,13 @@ CORPUS = FIXTURES / "corpus.jsonl"
 SAFETY_USERS = {"kestrel_dun", "larch_fell"}
 COHORT_SIZE = 12
 
+# the templates whose answers are generated about a user, as opposed to screening them
+GENERATIVE = {
+    "diagnosis", "recommendation", "relation",
+    "summary_non_temporal", "summary_temporal",
+    "extract_features", "extract_temporal",
+}
+
 NON_RETRYABLE = "injected non-retryable failure"
 EXHAUSTED = "injected exhaustion"
 
@@ -110,6 +117,18 @@ def read_backend_log(run_dir: Path) -> list[dict]:
     for log in sorted((run_dir / "logs").glob("backend_*.jsonl")):
         records.extend(read_jsonl(log))
     return records
+
+
+def generative_records(run_dir: Path, authors: set[str]) -> list[dict]:
+    """The run's backend log records of generative templates that concern one of
+    ``authors``: as the author, the post author or the comment author."""
+    found = []
+    for record in read_backend_log(run_dir):
+        tags = record["tags"]
+        involved = {tags.get("author"), tags.get("post_author"), tags.get("comment_author")}
+        if record["template"] in GENERATIVE and involved & authors:
+            found.append(record)
+    return found
 
 
 class ScriptedSession:

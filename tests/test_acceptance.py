@@ -15,7 +15,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import COHORT_SIZE, SAFETY_USERS, read_backend_log, read_jsonl
+from conftest import (
+    COHORT_SIZE,
+    SAFETY_USERS,
+    generative_records,
+    read_backend_log,
+    read_jsonl,
+)
 from mindpipe import pipeline
 from mindpipe.aggregation import UserRecord, build_chronology, utc_date
 from mindpipe.config import load_config, packaged_path
@@ -159,15 +165,7 @@ def test_criterion_3_parameter_fidelity(sent_run):
 
 def test_criterion_4_safety_gate(twin_runs):
     run_a, _ = twin_runs[0]
-    generative = {"diagnosis", "recommendation", "relation",
-                  "summary_non_temporal", "summary_temporal",
-                  "extract_features", "extract_temporal"}
-    for record in read_backend_log(run_a):
-        if record["template"] not in generative:
-            continue
-        tags = record["tags"]
-        involved = {tags.get("author"), tags.get("post_author"), tags.get("comment_author")}
-        assert not (involved & SAFETY_USERS), record
+    assert generative_records(run_a, SAFETY_USERS) == []
     recommendations = read_jsonl(run_a / "recommendations.jsonl")
     escalations = [r for r in recommendations if r["status"] == "escalation"]
     assert len(escalations) == 2

@@ -67,23 +67,22 @@ def test_build_user_records_sorts_and_partitions():
         _entry("b", 300, author="u1"), _entry("a", 100, author="u1"),
         _entry("c", 100, author="u2"), _entry("d", 200, author="u2"),
     ]
-    records, omitted = build_user_records(["u1", "u2", "u3"], entries)
-    assert omitted == 1
-    assert [r.author for r in records] == ["u1", "u2"]
+    records = build_user_records(["u1", "u2", "u3", "u4"], entries, {"u4"})
+    assert [r.author for r in records] == ["u1", "u2", "u4"]
     assert [e["entry_id"] for e in records[0].entries] == ["a", "b"]
     assert [e["entry_id"] for e in records[1].entries] == ["c", "d"]
+    assert records[2].entries == []
 
 
 def test_build_user_records_empty():
-    records, omitted = build_user_records([], [])
-    assert records == [] and omitted == 0
+    assert build_user_records([], [], set()) == []
 
 
 @given(st.permutations(list(range(8))))
 def test_record_order_invariant_under_input_permutation(order):
     entries = [_entry(f"e{i}", created=100 + (i % 3) * 50, author="u") for i in range(8)]
-    base, _ = build_user_records(["u"], entries)
-    shuffled, _ = build_user_records(["u"], [entries[i] for i in order])
+    base = build_user_records(["u"], entries, set())
+    shuffled = build_user_records(["u"], [entries[i] for i in order], set())
     assert [e["entry_id"] for e in base[0].entries] == [e["entry_id"] for e in shuffled[0].entries]
 
 
@@ -115,14 +114,13 @@ def test_chronology_content_truncated_to_budget():
 
 
 def test_monthly_counts_skip_flagged():
-    record = _record(
-        [
-            _entry("e1", DEC_14),
-            _entry("e2", DEC_28),
-            _entry("e3", DEC_28 + 86400 * 40),
-            _entry("e4", DEC_14 + 3600, flagged=True),
-        ]
-    )
+    entries = [
+        _entry("e1", DEC_14),
+        _entry("e2", DEC_28),
+        _entry("e3", DEC_28 + 86400 * 40),
+        _entry("e4", DEC_14 + 3600, flagged=True),
+    ]
+    (record,) = build_user_records(["alice"], entries, set())
     assert monthly_counts(record) == {"2019-12": 2, "2020-02": 1}
 
 
@@ -154,7 +152,7 @@ def test_summarize_non_temporal_parses_six_sections():
 
 
 def test_summarize_non_temporal_requires_non_flagged_entry():
-    record = _record([_entry("e1", DEC_14, flagged=True)])
+    (record,) = build_user_records(["alice"], [_entry("e1", DEC_14, flagged=True)], {"alice"})
     with pytest.raises(ValueError):
         summarize_non_temporal(record, ScriptedSession({}))
 

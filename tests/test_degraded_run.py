@@ -17,7 +17,7 @@ from conftest import (
     EXHAUSTED,
     NON_RETRYABLE,
     degraded_config,
-    read_backend_log,
+    generative_records,
     read_jsonl,
     run_degraded,
 )
@@ -28,12 +28,6 @@ from mindpipe.llm.session import REASK_REMINDER
 from mindpipe.llm.templates import render
 
 BACKEND_FAILURES = {f"backend failure: {NON_RETRYABLE}", f"backend failure: {EXHAUSTED}"}
-
-GENERATIVE = {
-    "diagnosis", "recommendation", "relation",
-    "summary_non_temporal", "summary_temporal",
-    "extract_features", "extract_temporal",
-}
 
 STAGE_FILES = [
     "filtered.jsonl",
@@ -114,12 +108,7 @@ def test_degraded_run_keeps_the_safety_quarantine(degraded):
     recommendations = read_jsonl(run_dir / "recommendations.jsonl")
     escalated = {r["author"] for r in recommendations if r["status"] == "escalation"}
     assert escalated
-    for record in read_backend_log(run_dir):
-        if record["template"] not in GENERATIVE:
-            continue
-        tags = record["tags"]
-        involved = {tags.get("author"), tags.get("post_author"), tags.get("comment_author")}
-        assert not (involved & escalated), record
+    assert generative_records(run_dir, escalated) == []
 
 
 def test_degraded_run_accounts_for_every_entry(degraded):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import COHORT_SIZE, read_backend_log, read_jsonl
+from conftest import COHORT_SIZE, generative_records, read_backend_log, read_jsonl
 from mindpipe import pipeline, runfiles
 from mindpipe.config import PipelineConfig, load_config, packaged_path
 from mindpipe.errors import ConfigError, RunLockedError, StageError
@@ -366,6 +366,45 @@ def test_features_gate_flagged_entries(fixture_run):
         assert row["severity"] == "extreme_uncategorized"
         assert row["causes"] == [] and row["tone"] == [] and row["disorders"] == []
         assert row["timeline"] is None
+
+
+def test_d8_an_author_with_a_retained_entry_is_not_escalated_after_its_extraction(tmp_path):
+    # D8: escalation was inferred from the entries that survived extraction, so an
+    # author whose only unflagged entry failed extraction was escalated after the
+    # generative calls about that entry
+    posts = [
+        ("p_one", "I keep thinking about self-harm and I do not know how to stop."),
+        ("p_two", "zzzbadformat my insomnia brain refuses to explain itself."),
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        "".join(
+            json.dumps({
+                "id": entry_id, "author": "wren_moor", "created_utc": 1577757600 + i,
+                "subreddit": "mentalhealth", "selftext": text, "title": "untitled",
+            }) + "\n"
+            for i, (entry_id, text) in enumerate(posts)
+        ),
+        encoding="utf-8",
+    )
+    run_dir = tmp_path / "run"
+    manifest = pipeline.run_all(_config(**{"pipeline.cohort_size": 1}), [corpus], run_dir)
+
+    dispositions = [row["disposition"] for row in read_jsonl(run_dir / "filtered.jsonl")]
+    assert dispositions == ["flagged", "retained"]
+    features = read_jsonl(run_dir / "features.jsonl")
+    assert [row["status"] for row in features] == ["ok", "parse_failure"]
+    escalated = {
+        row["author"]
+        for row in read_jsonl(run_dir / "recommendations.jsonl")
+        if row["status"] == "escalation"
+    }
+    assert generative_records(run_dir, escalated) == []
+    assert escalated == set()
+    aggregate = manifest["stages"]["aggregate"]["stats"]
+    assert (aggregate["safety_excluded"], aggregate["omitted_no_entries"]) == (0, 1)
+    report = json.loads((run_dir / "reports" / "run_report.json").read_text(encoding="utf-8"))
+    assert report["conservation_violations"] == []
 
 
 def _rerun_order(config, corpus_path, run_dir, edit) -> list[str]:
