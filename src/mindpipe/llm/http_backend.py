@@ -225,9 +225,17 @@ def _route(
     return parts.path + (f"?{parts.query}" if parts.query else ""), {}, connect
 
 
+def _token_count(usage, key: str) -> int:
+    """A token count of ``usage``; 0 when it or ``usage`` is malformed, as nothing reads it."""
+    try:
+        return int(usage.get(key) or 0)
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        return 0
+
+
 def _parse_completion(body: bytes) -> CompletionResult:
     """The completion of a 200 response. Content that is not text, such as a blocked
-    completion's null, is an error; a missing or null token count reads as 0."""
+    completion's null, is an error; an unreadable token count reads as 0."""
     try:
         parsed = json.loads(body)
         text = parsed["choices"][0]["message"]["content"]
@@ -235,9 +243,9 @@ def _parse_completion(body: bytes) -> CompletionResult:
         raise BackendError(f"malformed completion response: {exc}", status=200) from exc
     if not isinstance(text, str):
         raise BackendError(f"completion content is {type(text).__name__}, not text", status=200)
-    usage = parsed.get("usage") or {}
+    usage = parsed.get("usage")
     return CompletionResult(
         text=text,
-        prompt_tokens=int(usage.get("prompt_tokens") or 0),
-        completion_tokens=int(usage.get("completion_tokens") or 0),
+        prompt_tokens=_token_count(usage, "prompt_tokens"),
+        completion_tokens=_token_count(usage, "completion_tokens"),
     )

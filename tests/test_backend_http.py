@@ -309,6 +309,14 @@ def test_null_token_counts_read_as_zero(monkeypatch):
     assert (result.text, result.prompt_tokens, result.completion_tokens) == ("hello", 0, 0)
 
 
+@pytest.mark.parametrize(
+    "usage", [[1], {"prompt_tokens": "n/a", "completion_tokens": "n/a"}], ids=["list", "text"]
+)
+def test_unreadable_token_counts_read_as_zero(monkeypatch, usage):
+    result = _fake_backend(monkeypatch, {**_ok_body(), "usage": usage}).complete(_request())
+    assert (result.text, result.prompt_tokens, result.completion_tokens) == ("hello", 0, 0)
+
+
 class _MockRulesHandler(BaseHTTPRequestHandler):
     """Answers chat completions through the packaged mock rule table."""
 
