@@ -17,6 +17,7 @@ REMOVED_MARKER = "removed_marker"
 REMOVED_EMPTY = "empty_after_clean"
 
 BACKEND_TRIGGER = "backend"
+UNKNOWN_TRIGGER = "verdict_unknown"
 
 _HTML_TAG_RE = re.compile(r"<[^>]+>")
 _MD_IMAGE_RE = re.compile(r"!\[[^\]]*\]\([^)]*\)")
@@ -114,9 +115,8 @@ def is_relevant(clean: dict, session) -> bool | None:
 def safety_screen(clean: dict, session, terms: list[str]) -> str | None:
     """Lexicon-first safety screen with backend confirmation on lexicon miss.
 
-    Returns what flagged the entry (its first lexicon term, or
-    ``BACKEND_TRIGGER``), or None when the entry is clear. Backend failures
-    fall back to the lexicon-only verdict.
+    Returns what flagged the entry (its first lexicon term, ``BACKEND_TRIGGER``, or
+    ``UNKNOWN_TRIGGER`` if no usable verdict came back), or None when it is clear.
     """
     if clean["removed"] is not None:
         raise ValueError("safety_screen called on a removed entry")
@@ -127,4 +127,6 @@ def safety_screen(clean: dict, session, terms: list[str]) -> str | None:
     verdict, _failure = session.ask_parsed(
         "safety", {"text": clean["clean_text"]}, _parse_yes_no, tags=tags
     )
+    if verdict is None:
+        return UNKNOWN_TRIGGER
     return BACKEND_TRIGGER if verdict else None

@@ -150,12 +150,12 @@ def iter_parse(
 def select_cohort(entries: Iterable[RawEntry], n: int) -> dict:
     """Pick the n most active authors; ties break on author ascending.
 
-    Returns the ``cohort.json`` row: ``users``, one ``{"author",
-    "entry_count"}`` row per author, most active first.
+    Returns the ``cohort.json`` row: ``users``, one ``{"author"}`` row per
+    author, most active first.
     """
     if n < 0:
         raise ValueError("cohort size must be >= 0")
     counts = Counter(entry.author for entry in entries)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    users = [{"author": author, "entry_count": count} for author, count in ranked[:n]]
+    users = [{"author": author} for author, _ in ranked[:n]]
     return {"users": users}

@@ -82,7 +82,8 @@ def stage_ingest(
                         {"file": str(path), "line_no": item.line_no, "reason": item.reason}
                     )
     cohort = select_cohort(entries, config.pipeline.cohort_size)
-    cohort_entries = sum(user["entry_count"] for user in cohort["users"])
+    cohort_authors = {user["author"] for user in cohort["users"]}
+    cohort_entries = sum(1 for entry in entries if entry.author in cohort_authors)
     files = {
         runfiles.ENTRIES: [vars(entry) for entry in entries],
         runfiles.REJECTS: reject_rows,

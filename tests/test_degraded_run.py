@@ -18,11 +18,12 @@ from conftest import (
     NON_RETRYABLE,
     degraded_config,
     generative_records,
+    read_backend_log,
     read_jsonl,
     run_degraded,
 )
 from mindpipe import pipeline
-from mindpipe.filtering import lexicon_match, load_lexicon
+from mindpipe.filtering import UNKNOWN_TRIGGER, lexicon_match, load_lexicon
 from mindpipe.llm.completion import CompletionRequest
 from mindpipe.llm.session import REASK_REMINDER
 from mindpipe.llm.templates import render
@@ -109,6 +110,22 @@ def test_degraded_run_keeps_the_safety_quarantine(degraded):
     escalated = {r["author"] for r in recommendations if r["status"] == "escalation"}
     assert escalated
     assert generative_records(run_dir, escalated) == []
+
+
+def test_d7_an_entry_without_a_safety_verdict_is_quarantined(degraded):
+    run_dir, _manifest, _failed, _reasks = degraded
+    rows = {row["entry"]["id"]: row for row in read_jsonl(run_dir / "filtered.jsonl")}
+    # the healthy run flags p_larch_04 on the backend's verdict; here the call fails
+    assert rows["p_larch_04"]["disposition"] == "flagged"
+    assert rows["p_larch_04"]["safety"] == {"flagged": True, "trigger": UNKNOWN_TRIGGER}
+    answered = {
+        record["tags"]["entry_id"]
+        for record in read_backend_log(run_dir)
+        if record["template"] == "safety"
+    }
+    clear = {key for key, row in rows.items() if row["safety"] and row["safety"]["trigger"] is None}
+    assert clear
+    assert clear <= answered
 
 
 def test_degraded_run_accounts_for_every_entry(degraded):

@@ -12,6 +12,7 @@ from mindpipe.filtering import (
     REMOVED_DELETED,
     REMOVED_EMPTY,
     REMOVED_MARKER,
+    UNKNOWN_TRIGGER,
     clean_entry,
     clean_string,
     _parse_yes_no,
@@ -184,6 +185,9 @@ def test_safety_screen_negative():
     assert trigger is None
 
 
-def test_safety_screen_backend_failure_falls_back_to_lexicon():
+def test_safety_screen_fails_closed_without_a_verdict():
+    # D7: a failed call, or an answer still unusable after the re-ask, flags the entry
     trigger = safety_screen(_clean("plain text"), _FailingSession(), ["self-harm"])
-    assert trigger is None
+    assert trigger == UNKNOWN_TRIGGER
+    session = ScriptedSession({"safety": ["perhaps", "perhaps"]})
+    assert safety_screen(_clean("plain text"), session, ["self-harm"]) == UNKNOWN_TRIGGER

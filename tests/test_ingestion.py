@@ -162,9 +162,7 @@ def test_select_cohort_tie_breaks_lexicographically():
     )
     entries, _ = parse_dump(lines)
     cohort = select_cohort(entries, 2)
-    assert cohort["users"] == [
-        {"author": "a", "entry_count": 3}, {"author": "b", "entry_count": 3}
-    ]
+    assert cohort["users"] == [{"author": "a"}, {"author": "b"}]
 
 
 def test_select_cohort_larger_n_returns_all():
@@ -186,7 +184,7 @@ def test_select_cohort_invariant_under_permutation(order):
 
 
 def test_cohort_roundtrip_dict():
-    users = [{"author": "a", "entry_count": 3}, {"author": "b", "entry_count": 1}]
+    users = [{"author": "a"}, {"author": "b"}]
     entries = [
         RawEntry(id=f"p{i}", author=author, kind="post", created_utc=1, subreddit="s", body="x")
         for i, author in enumerate("aaab")

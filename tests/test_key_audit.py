@@ -1,13 +1,15 @@
 """Key-removal audit: every key a stage file holds is read, or kept for a stated reason.
 
-For each stage file of ``pipeline.STAGES`` and each top-level key of its
-rows, the audit drops the key from every row of a copy of a pinned run
-directory, re-runs every stage downstream of the file with
-``pipeline.run_stage``, and compares the files those stages write (their
-stage files, ``reports/`` and ``logs/``) with an unmodified rerun of the
-same stages. The baseline is a rerun, not the original run, because a
-rerun logs every call as a cache hit. A key is read when its removal
-changes one of those files or makes a stage raise.
+For each stage file of ``pipeline.STAGES`` and each key of its rows, the
+audit drops the key from every row of a copy of a pinned run directory,
+re-runs every stage downstream of the file with ``pipeline.run_stage``, and
+compares the files those stages write (their stage files, ``reports/`` and
+``logs/``) with an unmodified rerun of the same stages. The baseline is a
+rerun, not the original run, because a rerun logs every call as a cache
+hit. A key is read when its removal changes one of those files or makes a
+stage raise. The keys are the top-level keys of the rows and, one level
+down, ``key.sub`` for each key of a dict value, or of the dicts in a list
+value, of a top-level key that is not in ``KEPT_UNREAD``.
 
 Both pinned runs are audited: the healthy fixture run and the fixture run
 on the failing backend of ``conftest.failing_complete``, whose reruns fail
@@ -68,16 +70,31 @@ def _downstream(name: str) -> list[pipeline.StageDef]:
     return [stage for stage in pipeline.STAGES if stage.name in reached]
 
 
+def _nested(value) -> list[dict]:
+    """The dicts one level below a row key: its dict value, or the dicts in its list value."""
+    if isinstance(value, dict):
+        return [value]
+    return [item for item in value if isinstance(item, dict)] if isinstance(value, list) else []
+
+
 def _keys(run_dir: Path, name: str) -> list[str]:
     content = runfiles.read(run_dir / name, "audit")
-    rows = content if isinstance(content, list) else [content]
-    return list(dict.fromkeys(key for row in rows for key in row))
+    keys: dict[str, None] = {}
+    for row in content if isinstance(content, list) else [content]:
+        for key, value in row.items():
+            keys[key] = None
+            if (name, key) not in KEPT_UNREAD:
+                keys.update((f"{key}.{sub}", None) for inner in _nested(value) for sub in inner)
+    return list(keys)
 
 
 def _drop(run_dir: Path, name: str, key: str) -> None:
+    """Drop ``key`` from every row, or ``sub`` from every dict below ``outer`` for ``outer.sub``."""
     content = runfiles.read(run_dir / name, "audit")
+    outer, _, sub = key.partition(".")
     for row in content if isinstance(content, list) else [content]:
-        row.pop(key, None)
+        for holder in _nested(row.get(outer)) if sub else [row]:
+            holder.pop(sub or outer, None)
     runfiles.write(run_dir / name, content)
 
 
@@ -170,6 +187,17 @@ def test_the_audit_reaches_every_stage_file():
         "extract", "aggregate", "diagnose", "recommend", "interact", "report"
     ]
     assert _downstream(runfiles.REJECTS) == []
+
+
+def test_the_audit_reaches_one_level_down(audits):
+    written = set().union(*(keys for keys, _ in audits))
+    assert {
+        (runfiles.COHORT, "users.author"),
+        (runfiles.FILTERED, "entry.parent_id"),
+        (runfiles.SUMMARIES, "chronology.content"),
+        (runfiles.SUMMARIES, "non_temporal.triggers"),
+    } <= written
+    assert not any(name == runfiles.FILTERED and key.startswith("safety.") for name, key in written)
 
 
 def test_every_stage_file_key_is_read_or_kept_for_a_reason(audits):
