@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -66,18 +67,24 @@ def _reask(request: CompletionRequest) -> bool:
     return request.messages[-1]["content"].endswith(REASK_REMINDER)
 
 
-def failing_complete(failed: set[str], reasks_failed: list[str]):
-    """The mock backend's ``complete``, except that a request fails when the first
-    byte of its cache key is odd, and every format-reminder re-ask fails. Which
-    exception is raised (non-retryable or exhausted retries) also follows the
-    key, so both kinds occur. Failed keys go to ``failed``, failed re-asks to
-    ``reasks_failed``."""
+def odd_first_byte(key: str) -> bool:
+    return int(key[:2], 16) % 2 == 1
+
+
+def failing_complete(
+    failed: set[str], reasks_failed: list[str], fails: Callable[[str], bool] = odd_first_byte
+):
+    """The mock backend's ``complete``, except that a request fails when ``fails``
+    holds for its cache key (by default, when the key's first byte is odd), and
+    every format-reminder re-ask fails. Which exception is raised (non-retryable
+    or exhausted retries) follows the key's first byte, so both kinds occur.
+    Failed keys go to ``failed``, failed re-asks to ``reasks_failed``."""
     complete = MockBackend.complete
 
     def flaky(self, request: CompletionRequest):
         key = request.cache_key()
         byte = int(key[:2], 16)
-        if byte % 2 or _reask(request):
+        if fails(key) or _reask(request):
             failed.add(key)
             if _reask(request):
                 reasks_failed.append(key)
@@ -89,13 +96,15 @@ def failing_complete(failed: set[str], reasks_failed: list[str]):
     return flaky
 
 
-def run_degraded(run_dir: Path, concurrency: int = 1) -> tuple[dict, set[str], list[str]]:
+def run_degraded(
+    run_dir: Path, concurrency: int = 1, fails: Callable[[str], bool] = odd_first_byte
+) -> tuple[dict, set[str], list[str]]:
     """Run the fixture corpus on the failing backend: (manifest, failed request
     keys, failed re-ask keys)."""
     failed: set[str] = set()
     reasks_failed: list[str] = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MockBackend, "complete", failing_complete(failed, reasks_failed))
+        patch.setattr(MockBackend, "complete", failing_complete(failed, reasks_failed, fails))
         manifest = pipeline.run_all(degraded_config(concurrency), [CORPUS], run_dir)
     return manifest, failed, reasks_failed
 

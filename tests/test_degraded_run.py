@@ -9,9 +9,12 @@ for every entry.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from collections import Counter
+
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     EXHAUSTED,
@@ -67,8 +70,9 @@ def test_failed_calls_are_recorded_as_backend_failures(degraded):
     assert gorse["failure"] in BACKEND_FAILURES
 
 
-def _relation_keys(templates, model: str, post: str, reply: str) -> set[str]:
-    messages = render(templates["relation"], {"post": post, "reply": reply})
+def _request_keys(templates, model: str, template: str, bindings: dict) -> set[str]:
+    """The cache keys of a template's ask and of its format-reminder re-ask."""
+    messages = render(templates[template], bindings)
     reminded = {"role": "user", "content": messages[-1]["content"] + REASK_REMINDER}
     reask = [*messages[:-1], reminded]
     return {CompletionRequest(model=model, messages=m).cache_key() for m in (messages, reask)}
@@ -83,7 +87,8 @@ def test_failed_relation_calls_are_other_backend_error(degraded, templates):
     for row in read_jsonl(run_dir / "relations.jsonl"):
         if row["relation"] == "unprocessed_safety":
             continue
-        keys = _relation_keys(templates, model, text[row["post_id"]], text[row["comment_id"]])
+        bindings = {"post": text[row["post_id"]], "reply": text[row["comment_id"]]}
+        keys = _request_keys(templates, model, "relation", bindings)
         if keys & failed:
             assert (row["relation"], row["detail"]) == ("other", "backend_error"), row
             degraded_pairs += 1
@@ -161,3 +166,35 @@ def test_a_healthy_rerun_heals_a_degraded_run(fixture_run, corpus_path, tmp_path
     assert _report_files(run_dir) == reports
     for name in STAGE_FILES + reports:
         assert (run_dir / name).read_bytes() == (fixture_run / name).read_bytes(), name
+
+
+def _salted_failures(salt: int, rate: float):
+    """A drawn failing-key predicate: a key fails when its salted hash falls under ``rate``."""
+
+    def fails(key: str) -> bool:
+        digest = hashlib.sha256(f"{salt}:{key}".encode()).digest()
+        return digest[0] < rate * 256
+
+    return fails
+
+
+@settings(max_examples=30, deadline=None)
+@example(salt=0, rate=0.1)  # D7: failed safety calls left their entries unflagged
+@given(salt=st.integers(0, 2**32), rate=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+def test_the_quarantine_holds_whichever_calls_fail(salt, rate, templates, tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("drawn")
+    _manifest, failed, _reasks = run_degraded(run_dir, fails=_salted_failures(salt, rate))
+    model = degraded_config().backend.model
+
+    recommendations = read_jsonl(run_dir / "recommendations.jsonl")
+    escalated = {r["author"] for r in recommendations if r["status"] == "escalation"}
+    assert generative_records(run_dir, escalated) == []
+    # re-asks always fail here, so an entry has a parsed safety answer iff none of its
+    # safety requests failed
+    for row in read_jsonl(run_dir / "filtered.jsonl"):
+        if row["removed"] is None:
+            keys = _request_keys(templates, model, "safety", {"text": row["clean_text"]})
+            if keys & failed:
+                assert row["disposition"] == "flagged", row["entry"]["id"]
+    report = json.loads((run_dir / "reports" / "run_report.json").read_text(encoding="utf-8"))
+    assert report["conservation_violations"] == []
