@@ -32,17 +32,18 @@ manifest's ``request`` block holds the parameters that every logged
 request was sent with.
 
 A stage is skipped on rerun when its manifest record is intact: same
-config digest (the config plus the tool version), same input digest,
-outputs present with the recorded digest, no failed backend call, and no
-upstream stage re-executed this invocation. The input digest covers the
-bytes of the stage's run-dir inputs (the dump files, for ingest), of its
-resource files, and of the mock rule table when a backend stage runs on
-the mock.
+config digest (the config plus the package's Python source, so any edit
+to the code re-runs every stage), same input digest, outputs present with
+the recorded digest, no failed backend call, and no upstream stage
+re-executed this invocation. The input digest covers the bytes of the
+stage's run-dir inputs (the dump files, for ingest), of its resource
+files, and of the mock rule table when a backend stage runs on the mock.
 """
 
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import json
 import logging
@@ -273,9 +274,16 @@ def stage_output_digest(stage: StageDef, run_dir: Path) -> str | None:
     return _digest_paths(paths, base=run_dir)
 
 
+@functools.cache
+def code_digest() -> str:
+    """Digest of the package's Python source, computed once per process."""
+    package = Path(__file__).parent
+    return _digest_paths(sorted(package.rglob("*.py")), base=package)
+
+
 def config_digest(config: PipelineConfig) -> str:
-    """Digest of the config and the tool version; a change in either re-runs every stage."""
-    source = f"{__version__}\0{config.digest_source()}"
+    """Digest of the package source and the config; a change in either re-runs every stage."""
+    source = f"{code_digest()}\0{config.digest_source()}"
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
@@ -290,18 +298,6 @@ def save_manifest(run_dir: Path, manifest: dict) -> None:
     runfiles.write_json(run_dir / runfiles.MANIFEST, manifest)
 
 
-def new_manifest(config: PipelineConfig, input_paths: list[str]) -> dict:
-    return {
-        "tool_version": __version__,
-        "config": config.snapshot(),
-        "config_digest": config_digest(config),
-        "input_paths": input_paths,
-        "stages": {},
-        "stage_order": [],
-        "cache": {"hits": 0, "misses": 0, "hit_ratio": None},
-    }
-
-
 @contextmanager
 def _open_run(
     config: PipelineConfig, input_paths: list[Path] | None, run_dir: Path
@@ -314,10 +310,14 @@ def _open_run(
     """
     run_dir.mkdir(parents=True, exist_ok=True)
     with RunLock(run_dir):
-        manifest = load_manifest(run_dir) or new_manifest(config, [])
-        manifest["tool_version"] = __version__
-        manifest["config"] = config.snapshot()
-        manifest["config_digest"] = config_digest(config)
+        manifest = load_manifest(run_dir) or {"input_paths": [], "stages": {}, "stage_order": []}
+        manifest.setdefault("cache", {"hits": 0, "misses": 0, "hit_ratio": None})
+        manifest.update(
+            tool_version=__version__,
+            code_digest=code_digest(),
+            config=config.snapshot(),
+            config_digest=config_digest(config),
+        )
         if input_paths:
             manifest["input_paths"] = [str(p) for p in input_paths]
         built: list[LlmSession] = []
@@ -438,7 +438,7 @@ def execute_stage(
 
 
 def _refresh_cache_totals(manifest: dict) -> None:
-    # only an ok record of a backend stage, written by this version, has counts
+    # only an ok record of a backend stage in the current layout has counts
     counts = [r["cache"] for r in manifest["stages"].values() if "cache" in r]
     hits = sum(c["hits"] for c in counts)
     misses = sum(c["misses"] for c in counts)

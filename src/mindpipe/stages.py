@@ -115,7 +115,7 @@ def stage_filter(
             row.update(safety=None, disposition=DISPOSITION_REMOVED)
             return row
         trigger = safety_screen(row, session, lexicon)
-        row["safety"] = {"flagged": trigger is not None, "trigger": trigger}
+        row["safety"] = trigger
         if trigger is not None:
             # quarantined entries are retained without a relevance verdict
             row["disposition"] = DISPOSITION_FLAGGED

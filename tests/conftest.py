@@ -121,6 +121,18 @@ def read_jsonl(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
 
 
+def run_outputs(run_dir: Path) -> dict[str, bytes]:
+    """{path relative to the run dir: bytes} of every stage output of a run: the
+    stage files and each file under ``reports/``. Two runs made the same outputs
+    exactly when their ``run_outputs`` are equal."""
+    paths: list[Path] = []
+    for stage in pipeline.STAGES:
+        for name in stage.outputs:
+            path = run_dir / name
+            paths += sorted(p for p in path.rglob("*") if p.is_file()) if path.is_dir() else [path]
+    return {path.relative_to(run_dir).as_posix(): path.read_bytes() for path in paths}
+
+
 def read_backend_log(run_dir: Path) -> list[dict]:
     records = []
     for log in sorted((run_dir / "logs").glob("backend_*.jsonl")):

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from conftest import COHORT_SIZE
+from conftest import COHORT_SIZE, run_outputs
 from mindpipe import pipeline
 from mindpipe.cli import build_parser, main
 from mindpipe.config import PipelineConfig
@@ -68,8 +68,7 @@ def test_stage_by_stage_matches_run_all(tmp_path, corpus_path):
     assert main(
         ["run-all", "--input", str(corpus_path), "--out", str(reference)] + args
     ) == 0
-    for name in ["filtered.jsonl", "summaries.jsonl", "recommendations.jsonl", "relations.jsonl"]:
-        assert (staged / name).read_bytes() == (reference / name).read_bytes(), name
+    assert run_outputs(staged) == run_outputs(reference)
 
 
 def test_filter_without_ingest_fails_cleanly(tmp_path, capsys):

@@ -24,6 +24,7 @@ from conftest import (
     read_backend_log,
     read_jsonl,
     run_degraded,
+    run_outputs,
 )
 from mindpipe import pipeline
 from mindpipe.filtering import UNKNOWN_TRIGGER, lexicon_match, load_lexicon
@@ -32,16 +33,6 @@ from mindpipe.llm.session import REASK_REMINDER
 from mindpipe.llm.templates import render
 
 BACKEND_FAILURES = {f"backend failure: {NON_RETRYABLE}", f"backend failure: {EXHAUSTED}"}
-
-STAGE_FILES = [
-    "filtered.jsonl",
-    "features.jsonl",
-    "summaries.jsonl",
-    "diagnosis.jsonl",
-    "recommendations.jsonl",
-    "relations.jsonl",
-]
-
 
 def test_degraded_run_completes(degraded):
     _run_dir, manifest, failed, reasks_failed = degraded
@@ -107,7 +98,7 @@ def test_degraded_run_keeps_the_safety_quarantine(degraded):
         term = lexicon_match(row["clean_text"], lexicon)
         if term is not None:
             assert row["disposition"] == "flagged", row["entry"]["id"]
-            assert row["safety"] == {"flagged": True, "trigger": term}
+            assert row["safety"] == term
             lexicon_flagged += 1
     assert lexicon_flagged > 0
 
@@ -122,14 +113,15 @@ def test_d7_an_entry_without_a_safety_verdict_is_quarantined(degraded):
     rows = {row["entry"]["id"]: row for row in read_jsonl(run_dir / "filtered.jsonl")}
     # the healthy run flags p_larch_04 on the backend's verdict; here the call fails
     assert rows["p_larch_04"]["disposition"] == "flagged"
-    assert rows["p_larch_04"]["safety"] == {"flagged": True, "trigger": UNKNOWN_TRIGGER}
+    assert rows["p_larch_04"]["safety"] == UNKNOWN_TRIGGER
     answered = {
         record["tags"]["entry_id"]
         for record in read_backend_log(run_dir)
         if record["template"] == "safety"
     }
-    clear = {key for key, row in rows.items() if row["safety"] and row["safety"]["trigger"] is None}
+    clear = {key for key, row in rows.items() if row["disposition"] not in ("removed", "flagged")}
     assert clear
+    assert all(rows[key]["safety"] is None for key in clear)
     assert clear <= answered
 
 
@@ -139,17 +131,12 @@ def test_degraded_run_accounts_for_every_entry(degraded):
     assert report["conservation_violations"] == []
 
 
-def _report_files(run_dir) -> list[str]:
-    return sorted(str(p.relative_to(run_dir)) for p in (run_dir / "reports").rglob("*.*"))
-
-
 def test_degraded_run_at_concurrency_4_matches_serial(degraded, tmp_path):
     run_dir, _manifest, _failed, _reasks = degraded
     run_degraded(tmp_path / "parallel", concurrency=4)
-    reports = _report_files(run_dir)
-    assert reports
-    for name in STAGE_FILES + reports:
-        assert (tmp_path / "parallel" / name).read_bytes() == (run_dir / name).read_bytes(), name
+    serial = run_outputs(run_dir)
+    assert any(name.startswith("reports/") for name in serial)
+    assert run_outputs(tmp_path / "parallel") == serial
 
 
 def test_a_healthy_rerun_heals_a_degraded_run(fixture_run, corpus_path, tmp_path, caplog):
@@ -162,10 +149,7 @@ def test_a_healthy_rerun_heals_a_degraded_run(fixture_run, corpus_path, tmp_path
 
     # failed calls were not cached, so the same config on a healthy backend answers them
     pipeline.run_all(degraded_config(), [corpus_path], run_dir)
-    reports = _report_files(fixture_run)
-    assert _report_files(run_dir) == reports
-    for name in STAGE_FILES + reports:
-        assert (run_dir / name).read_bytes() == (fixture_run / name).read_bytes(), name
+    assert run_outputs(run_dir) == run_outputs(fixture_run)
 
 
 def _salted_failures(salt: int, rate: float):

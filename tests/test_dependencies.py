@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from mindpipe import __version__
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -44,3 +46,9 @@ def test_declared_dependencies_are_the_third_party_imports():
         for distribution in provided_by.get(module, [module])
     }
     assert used == declared
+
+
+def test_the_project_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["version"] == __version__

@@ -46,7 +46,7 @@ KEPT_UNREAD = {
     (runfiles.REJECTS, "line_no"): _REJECT_REPORT,
     (runfiles.REJECTS, "reason"): _REJECT_REPORT,
     (runfiles.FILTERED, "removed"): "why cleaning dropped the entry (deleted or empty body)",
-    (runfiles.FILTERED, "safety"): "why the entry was quarantined: the verdict and its trigger",
+    (runfiles.FILTERED, "safety"): "the trigger that quarantined the entry, or null",
     (runfiles.FEATURES, "failure"): "why the entry's feature extraction failed",
     (runfiles.FEATURES, "temporal_degraded"): "the temporal answer was unusable after the re-ask",
     (runfiles.SUMMARIES, "failure"): "why the author's summary failed",

@@ -14,7 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import COHORT_SIZE, generative_records, read_backend_log, read_jsonl
+from conftest import (
+    COHORT_SIZE,
+    generative_records,
+    read_backend_log,
+    read_jsonl,
+    run_outputs,
+)
 from mindpipe import pipeline, runfiles
 from mindpipe.config import PipelineConfig, load_config, packaged_path
 from mindpipe.errors import ConfigError, RunLockedError, StageError
@@ -89,20 +95,14 @@ def test_manifest_digests_stable_across_reruns(fixture_run, corpus_path, tmp_pat
         assert first["stages"][name]["input_digest"] == second["stages"][name]["input_digest"]
 
 
-def _outputs(run_dir):
-    files = [run_dir / name for name in STAGE_FILES]
-    files += sorted(p for p in (run_dir / "reports").rglob("*") if p.is_file())
-    return {str(path.relative_to(run_dir)): path.read_bytes() for path in files}
-
-
 def test_concurrency_produces_identical_stage_files(fixture_run, corpus_path, tmp_path):
     # neither the stage files nor reports/ hold cache counts, so however the
     # parallel calls interleave, the outputs must equal the serial run's
-    serial = _outputs(fixture_run)
+    serial = run_outputs(fixture_run)
     for attempt in range(15):
         run_dir = tmp_path / f"parallel{attempt}"
         pipeline.run_all(_config(**{"limits.concurrency": 8}), [corpus_path], run_dir)
-        outputs = _outputs(run_dir)
+        outputs = run_outputs(run_dir)
         assert outputs.keys() == serial.keys()
         assert [name for name in serial if outputs[name] != serial[name]] == [], attempt
 
@@ -213,8 +213,7 @@ def test_unreadable_cache_is_replaced_and_old_layout_left_alone(
         )
     assert "unreadable" in caplog.text
     assert manifest["cache"] == pipeline.load_manifest(fixture_run)["cache"]
-    for name in STAGE_FILES:
-        assert (run_dir / name).read_bytes() == (fixture_run / name).read_bytes(), name
+    assert run_outputs(run_dir) == run_outputs(fixture_run)
     assert old_object.read_text(encoding="utf-8") == '{"text": "yes"}'
     assert sorted(p.name for p in cache_dir.iterdir()) == ["objects", DB_NAME]
 
@@ -336,7 +335,7 @@ def test_filtered_rows_carry_disposition_and_safety(fixture_run):
         if row["disposition"] == "removed":
             assert row["clean_text"] == "" and row["removed"] is not None
         if row["disposition"] == "flagged":
-            assert row["safety"]["flagged"] is True and row["safety"]["trigger"]
+            assert row["safety"]
 
 
 def test_filtered_rows_keep_no_raw_text(fixture_run):
@@ -429,8 +428,7 @@ def test_lexicon_edit_reruns_filter_and_downstream_like_a_fresh_run(corpus_path,
     resumed = pipeline.load_manifest(tmp_path / "run")["stages"]["filter"]["stats"]
     fresh = pipeline.run_all(config, [corpus_path], tmp_path / "fresh")["stages"]["filter"]["stats"]
     assert resumed["flagged"] == fresh["flagged"]
-    for name in STAGE_FILES:
-        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert run_outputs(tmp_path / "run") == run_outputs(tmp_path / "fresh")
 
 
 def test_prompt_edit_reruns_exactly_the_stages_that_read_it(corpus_path, tmp_path):
@@ -477,38 +475,18 @@ def test_a_failed_stage_writes_no_outputs(fixture_run, corpus_path, tmp_path):
     assert read_stats(tmp_path / "run" / "cache")[0] == misses + interact["misses"]
 
 
-def test_a_run_dir_with_cache_counts_in_stats_resumes_like_a_fresh_run(
-    fixture_run, corpus_path, tmp_path
-):
-    run_dir = tmp_path / "run"
-    shutil.copytree(fixture_run, run_dir, ignore=shutil.ignore_patterns("cache"))
-    # the earlier manifest layout, written by 0.1.0: every record carries that
-    # version's config digest, and every stage's stats end with its cache counts
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline, "__version__", "0.1.0")
-        old_digest = pipeline.config_digest(_config())
+def _cache_counts_in_stats(run_dir: Path) -> None:
+    # every stage's stats end with its cache counts, and the run dir kept no cache
+    shutil.rmtree(run_dir / "cache")
     manifest = pipeline.load_manifest(run_dir)
-    manifest.update(tool_version="0.1.0", config_digest=old_digest)
     for record in manifest["stages"].values():
-        record["config_digest"] = old_digest
         counts = record.pop("cache", {"hits": 0, "misses": 0})
         record["stats"].update(cache_hits=counts["hits"], cache_misses=counts["misses"])
-    # the report read seven stage files then, so its recorded input digest is another
-    manifest["stages"]["report"]["input_digest"] = "0" * 64
     pipeline.save_manifest(run_dir, manifest)
-    resumed = pipeline.run_all(_config(), [corpus_path], run_dir)
-    assert _outputs(run_dir) == _outputs(fixture_run)
-    assert resumed["cache"] == pipeline.load_manifest(fixture_run)["cache"]
-    assert all("cache_hits" not in r["stats"] for r in resumed["stages"].values())
 
 
-def test_a_run_dir_with_raw_text_in_filtered_rows_resumes_like_a_fresh_run(
-    fixture_run, corpus_path, tmp_path
-):
-    run_dir = tmp_path / "run"
-    shutil.copytree(fixture_run, run_dir)
-    # the layout written by 0.2.0: each filtered row's entry is the whole entries row,
-    # and every record in the manifest agrees with the files
+def _raw_text_in_filtered_rows(run_dir: Path) -> None:
+    # each filtered row's entry is the whole entries row
     entries = {row["id"]: row for row in read_jsonl(run_dir / "entries.jsonl")}
     rows = read_jsonl(run_dir / "filtered.jsonl")
     for row in rows:
@@ -516,18 +494,10 @@ def test_a_run_dir_with_raw_text_in_filtered_rows_resumes_like_a_fresh_run(
     (run_dir / "filtered.jsonl").write_text(
         "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8"
     )
-    config = _config()
-    _record_as_written_by(run_dir, config, "0.2.0")
-    pipeline.run_all(config, [corpus_path], run_dir)
-    assert _outputs(run_dir) == _outputs(fixture_run)
 
 
-def test_a_run_dir_with_prompts_and_stage_tags_in_its_logs_resumes_like_a_fresh_run(
-    fixture_run, corpus_path, tmp_path
-):
-    run_dir = tmp_path / "run"
-    shutil.copytree(fixture_run, run_dir)
-    # the layout written by 0.3.0: every log record carries `messages` and a `stage` tag
+def _prompts_and_stage_tags_in_its_logs(run_dir: Path) -> None:
+    # every log record carries `messages` and a `stage` tag
     for log in (run_dir / "logs").glob("backend_*.jsonl"):
         stage = log.stem.removeprefix("backend_")
         records = [
@@ -537,25 +507,10 @@ def test_a_run_dir_with_prompts_and_stage_tags_in_its_logs_resumes_like_a_fresh_
         log.write_text(
             "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
         )
-    config = _config()
-    manifest = _record_as_written_by(run_dir, config, "0.3.0")
-    resumed = pipeline.run_all(config, [corpus_path], run_dir)
-    executed = resumed["stage_order"][len(manifest["stage_order"]):]
-    assert executed == [stage.name for stage in pipeline.STAGES]
-    assert resumed["cache"]["misses"] == 0  # the run's own cache serves every call
-    assert _outputs(run_dir) == _outputs(fixture_run)
-    for log in sorted((fixture_run / "logs").glob("backend_*.jsonl")):
-        records = read_jsonl(run_dir / "logs" / log.name)
-        assert not any("messages" in r or "stage" in r["tags"] for r in records)
-        assert records == [{**r, "cache_hit": True} for r in read_jsonl(log)]
 
 
-def test_a_run_dir_with_the_keys_nothing_read_resumes_like_a_fresh_run(
-    fixture_run, corpus_path, tmp_path
-):
-    run_dir = tmp_path / "run"
-    shutil.copytree(fixture_run, run_dir)
-    # the layout written by 0.5.0: seven stage-file keys that no stage read
+def _the_keys_nothing_read(run_dir: Path) -> None:
+    # seven stage-file keys that no stage read
     unread = {
         "filtered.jsonl": {"relevant": None},
         "features.jsonl": {"kind": "post"},
@@ -567,19 +522,62 @@ def test_a_run_dir_with_the_keys_nothing_read_resumes_like_a_fresh_run(
         runfiles.write(run_dir / name, rows)
     cohort = runfiles.read(run_dir / "cohort.json", "ingest")
     runfiles.write(run_dir / "cohort.json", {"selection_size": COHORT_SIZE, **cohort})
+
+
+def _asks_every_call_again(resumed: dict, run_dir: Path, fixture_run: Path) -> None:
+    assert resumed["cache"] == pipeline.load_manifest(fixture_run)["cache"]
+
+
+def _logs_in_the_current_layout(resumed: dict, run_dir: Path, fixture_run: Path) -> None:
+    assert resumed["cache"]["misses"] == 0  # the run's own cache serves every call
+    for log in sorted((fixture_run / "logs").glob("backend_*.jsonl")):
+        records = read_jsonl(run_dir / "logs" / log.name)
+        assert not any("messages" in r or "stage" in r["tags"] for r in records)
+        assert records == [{**r, "cache_hit": True} for r in read_jsonl(log)]
+
+
+@pytest.mark.parametrize(
+    ("version", "layout", "check"),
+    [
+        ("0.1.0", _cache_counts_in_stats, _asks_every_call_again),
+        ("0.2.0", _raw_text_in_filtered_rows, None),
+        ("0.3.0", _prompts_and_stage_tags_in_its_logs, _logs_in_the_current_layout),
+        ("0.5.0", _the_keys_nothing_read, None),
+    ],
+    ids=[
+        "cache_counts_in_stats",
+        "raw_text_in_filtered_rows",
+        "prompts_and_stage_tags_in_logs",
+        "the_keys_nothing_read",
+    ],
+)
+def test_an_older_layout_resumes_like_a_fresh_run(
+    version, layout, check, fixture_run, corpus_path, tmp_path
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(fixture_run, run_dir)
+    layout(run_dir)
     config = _config()
-    _record_as_written_by(run_dir, config, "0.5.0")
-    pipeline.run_all(config, [corpus_path], run_dir)
-    assert _outputs(run_dir) == _outputs(fixture_run)
+    manifest = _record_as_written_by(run_dir, config, version)
+    resumed = pipeline.run_all(config, [corpus_path], run_dir)
+    # the earlier code's config digest differs from this code's, so every stage re-runs
+    assert resumed["stage_order"][len(manifest["stage_order"]):] == list(pipeline.STAGE_NAMES)
+    assert run_outputs(run_dir) == run_outputs(fixture_run)
+    assert all("cache_hits" not in r["stats"] for r in resumed["stages"].values())
+    if check is not None:
+        check(resumed, run_dir, fixture_run)
 
 
 def _record_as_written_by(run_dir: Path, config: PipelineConfig, version: str) -> dict:
-    """Make the manifest one that ``version`` wrote: its config digest, and every
-    stage record agreeing with the files as they are now. Returns the manifest."""
+    """Make the manifest one that ``version`` wrote: no ``code_digest``, the config
+    digest that version computed (over the version string, where this code hashes
+    its source), and every stage record agreeing with the files as they are now.
+    Returns the manifest."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline, "__version__", version)
+        patch.setattr(pipeline, "code_digest", lambda: version)
         old_digest = pipeline.config_digest(config)
     manifest = pipeline.load_manifest(run_dir)
+    del manifest["code_digest"]
     manifest.update(tool_version=version, config_digest=old_digest)
     for stage in pipeline.STAGES:
         record = manifest["stages"][stage.name]
@@ -599,12 +597,7 @@ def test_a_smaller_cohort_rerun_leaves_no_stale_reports(corpus_path, tmp_path):
     pipeline.run_all(_config(**smaller), [corpus_path], run_dir)
     fresh = tmp_path / "fresh"
     pipeline.run_all(_config(**smaller), [corpus_path], fresh)
-
-    def reports(root):
-        files = (p for p in (root / "reports").rglob("*") if p.is_file())
-        return {str(p.relative_to(root)): p.read_bytes() for p in files}
-
-    assert reports(run_dir) == reports(fresh)
+    assert run_outputs(run_dir) == run_outputs(fresh)
     stats = pipeline.load_manifest(run_dir)["stages"]["report"]["stats"]
     assert len(list((run_dir / "reports" / "users").glob("*.json"))) == stats["users_reported"]
 
@@ -614,7 +607,7 @@ def test_a_stage_returning_an_undeclared_file_fails_and_writes_nothing(
 ):
     run_dir = tmp_path / "run"
     shutil.copytree(fixture_run, run_dir)
-    before = _outputs(run_dir)
+    before = run_outputs(run_dir)
     report = pipeline._STAGE_BY_NAME["report"]
     stray = dataclasses.replace(
         report, run=lambda *args: ({**report.run(*args)[0], "stray.json": {}}, {})
@@ -623,17 +616,46 @@ def test_a_stage_returning_an_undeclared_file_fails_and_writes_nothing(
     with pytest.raises(StageError, match="declares"):
         pipeline.run_stage("report", _config(), None, run_dir)
     assert not (run_dir / "stray.json").exists()
-    assert _outputs(run_dir) == before
+    assert run_outputs(run_dir) == before
 
 
-def test_version_change_reruns_every_stage(corpus_path, tmp_path, monkeypatch):
-    order = _rerun_order(
-        _config(),
-        corpus_path,
-        tmp_path / "run",
-        lambda: monkeypatch.setattr(pipeline, "__version__", "0.0.0+changed"),
+def test_a_source_edit_reruns_every_stage_once(corpus_path, tmp_path):
+    package = tmp_path / "src" / "mindpipe"
+    shutil.copytree(
+        Path(pipeline.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
     )
+    run_dir = tmp_path / "run"
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    command = [
+        sys.executable, "-m", "mindpipe.cli", "run-all", "--input", str(corpus_path),
+        "--out", str(run_dir), "--cohort-size", str(COHORT_SIZE),
+    ]
+
+    def run_all() -> tuple[list[str], str]:
+        """Run the copy in a new process: (the stages it executed, its code digest)."""
+        before = pipeline.load_manifest(run_dir)
+        executed = len(before["stage_order"]) if before else 0
+        done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        manifest = pipeline.load_manifest(run_dir)
+        return manifest["stage_order"][executed:], manifest["code_digest"]
+
+    order, first = run_all()
     assert order == list(pipeline.STAGE_NAMES)
+    assert first == pipeline.code_digest()  # the digest does not depend on where the code is
+    stages = package / "stages.py"
+    stages.write_text(stages.read_text(encoding="utf-8") + "# an edit\n", encoding="utf-8")
+    order, edited = run_all()
+    assert order == list(pipeline.STAGE_NAMES) and edited != first
+    assert run_all() == ([], edited)
+
+
+def test_the_manifest_explains_its_config_digest(fixture_run):
+    manifest = pipeline.load_manifest(fixture_run)
+    config = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
+    source = f"{manifest['code_digest']}\0{config}"
+    assert manifest["config_digest"] == hashlib.sha256(source.encode("utf-8")).hexdigest()
+    assert manifest["code_digest"] == pipeline.code_digest()
 
 
 def test_stages_come_after_their_deps():

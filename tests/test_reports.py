@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from conftest import COHORT_SIZE, SAFETY_USERS, read_backend_log, read_jsonl
+from conftest import COHORT_SIZE, SAFETY_USERS, read_backend_log, read_jsonl, run_outputs
 from mindpipe import pipeline
 from mindpipe.config import load_config
 from mindpipe.diagnosis import serialize_dataframe
@@ -142,9 +142,4 @@ def test_cold_and_warm_cache_runs_give_identical_reports(corpus_path, tmp_path):
     cold = pipeline.run_all(config, [corpus_path], tmp_path / "cold")
     warm = pipeline.run_all(config, [corpus_path], tmp_path / "warm")
     assert cold["cache"]["misses"] > 0 and warm["cache"]["misses"] == 0
-
-    def reports(run_dir):
-        files = (p for p in (run_dir / "reports").rglob("*") if p.is_file())
-        return {str(p.relative_to(run_dir)): p.read_bytes() for p in files}
-
-    assert reports(tmp_path / "cold") == reports(tmp_path / "warm")
+    assert run_outputs(tmp_path / "cold") == run_outputs(tmp_path / "warm")
