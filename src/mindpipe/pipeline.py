@@ -119,8 +119,7 @@ def stage_report(
     }
     aliases = load_aliases(packaged_path("data/therapy_aliases.json"))
     files = emit_reports(inputs, stage_stats, aliases)
-    users = {row["author"] for row in inputs[runfiles.SUMMARIES]}
-    return files, {"users_reported": len(users), "run_report": 1}
+    return files, {"users_reported": len(inputs[runfiles.SUMMARIES]), "run_report": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ def _open_run(
             config_digest=config_digest(config),
         )
         if input_paths:
-            manifest["input_paths"] = [str(p) for p in input_paths]
+            manifest["input_paths"] = [os.path.abspath(p) for p in input_paths]
         built: list[LlmSession] = []
 
         def get_session() -> LlmSession:

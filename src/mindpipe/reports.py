@@ -2,8 +2,8 @@
 
 Reports are pure functions of the stage rows, keyed by stage file name,
 and of the stages' stats; this module neither reads nor writes files.
-Authors are emitted in ascending order and human-readable fractions are
-rounded to two decimals while the structured output keeps full precision.
+``users.jsonl`` rows follow ``summaries.jsonl`` order. Human-readable
+fractions are rounded to two decimals; the structured output keeps full precision.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ def _run_report_markdown(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _user_payload(author: str, by_author: dict[str, dict[str, dict]]) -> dict:
-    """The report of one author of ``summaries.jsonl``."""
-    summary_row = by_author[runfiles.SUMMARIES][author]
+def _user_payload(summary_row: dict, by_author: dict[str, dict[str, dict]]) -> dict:
+    """The report of the author of one ``summaries.jsonl`` row."""
+    author = summary_row["author"]
     diagnosis_row = by_author[runfiles.DIAGNOSIS].get(author)
     rec_row = by_author[runfiles.RECOMMENDATIONS].get(author)
     payload = {"author": author, "status": summary_row["status"]}
@@ -206,14 +206,13 @@ def emit_reports(rows: dict, stage_stats: dict, aliases: dict[str, str]) -> dict
     # built from the reversed rows, so each author maps to their first row
     by_author = {
         name: {row["author"]: row for row in reversed(rows[name])}
-        for name in (runfiles.SUMMARIES, runfiles.DIAGNOSIS, runfiles.RECOMMENDATIONS)
+        for name in (runfiles.DIAGNOSIS, runfiles.RECOMMENDATIONS)
     }
-    files: dict[str, object] = {}
-    for author in sorted(by_author[runfiles.SUMMARIES]):
-        payload = _user_payload(author, by_author)
-        stem = f"{runfiles.REPORTS_DIR}/users/{author_slug(author)}"
-        files[f"{stem}.json"] = payload
-        files[f"{stem}.md"] = _user_markdown(payload)
+    payloads = [_user_payload(row, by_author) for row in rows[runfiles.SUMMARIES]]
+    files: dict[str, object] = {f"{runfiles.REPORTS_DIR}/users.jsonl": payloads}
+    for payload in payloads:
+        slug = author_slug(payload["author"])
+        files[f"{runfiles.REPORTS_DIR}/users/{slug}.md"] = _user_markdown(payload)
     report = build_run_report(rows, stage_stats, aliases)
     files[f"{runfiles.REPORTS_DIR}/run_report.json"] = report
     files[f"{runfiles.REPORTS_DIR}/run_report.md"] = _run_report_markdown(report)

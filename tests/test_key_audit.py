@@ -189,7 +189,7 @@ def test_the_audit_reaches_every_stage_file():
     assert _downstream(runfiles.REJECTS) == []
 
 
-def test_the_audit_reaches_one_level_down(audits):
+def test_the_audit_reaches_one_level_down(audits, tmp_path):
     written = set().union(*(keys for keys, _ in audits))
     assert {
         (runfiles.COHORT, "users.author"),
@@ -197,7 +197,12 @@ def test_the_audit_reaches_one_level_down(audits):
         (runfiles.SUMMARIES, "chronology.content"),
         (runfiles.SUMMARIES, "non_temporal.triggers"),
     } <= written
-    assert not any(name == runfiles.FILTERED and key.startswith("safety.") for name, key in written)
+    # no kept key holds a dict in the pinned runs; a built row shows that none is descended into
+    row = {"entry": {"id": "e1"}, "removed": {"why": "x"}}
+    runfiles.write_jsonl(tmp_path / runfiles.FILTERED, [row])
+    keys = _keys(tmp_path, runfiles.FILTERED)
+    assert {"removed", "entry.id"} <= set(keys)
+    assert not any(key.startswith("removed.") for key in keys)
 
 
 def test_every_stage_file_key_is_read_or_kept_for_a_reason(audits):

@@ -85,6 +85,21 @@ def test_config_change_invalidates_everything(corpus_path, tmp_path):
     assert order[executed:] == list(pipeline.STAGE_NAMES)
 
 
+def test_d9_a_run_resumes_from_another_working_directory(corpus_path, tmp_path, monkeypatch):
+    """A relative input path is recorded absolute, so the run resumes from anywhere."""
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    shutil.copy(corpus_path, tmp_path / "a" / "corpus.jsonl")
+    run_dir = tmp_path / "run"
+    config = _config()
+    monkeypatch.chdir(tmp_path / "a")
+    pipeline.run_all(config, [Path("corpus.jsonl")], run_dir)
+    executed = len(pipeline.load_manifest(run_dir)["stage_order"])
+    monkeypatch.chdir(tmp_path / "b")
+    pipeline.run_all(config, None, run_dir)
+    assert pipeline.load_manifest(run_dir)["stage_order"][executed:] == []
+
+
 def test_manifest_digests_stable_across_reruns(fixture_run, corpus_path, tmp_path):
     other = tmp_path / "other"
     pipeline.run_all(_config(), [corpus_path], other)
@@ -599,7 +614,8 @@ def test_a_smaller_cohort_rerun_leaves_no_stale_reports(corpus_path, tmp_path):
     pipeline.run_all(_config(**smaller), [corpus_path], fresh)
     assert run_outputs(run_dir) == run_outputs(fresh)
     stats = pipeline.load_manifest(run_dir)["stages"]["report"]["stats"]
-    assert len(list((run_dir / "reports" / "users").glob("*.json"))) == stats["users_reported"]
+    assert len(read_jsonl(run_dir / "reports" / "users.jsonl")) == stats["users_reported"]
+    assert len(list((run_dir / "reports" / "users").glob("*.md"))) == stats["users_reported"]
 
 
 def test_a_stage_returning_an_undeclared_file_fails_and_writes_nothing(

@@ -15,12 +15,14 @@ from mindpipe.llm.templates import render
 from mindpipe.reports import author_slug
 
 
+def _user_row(run_dir, author: str) -> dict:
+    """The author's row of ``reports/users.jsonl``."""
+    return next(r for r in read_jsonl(run_dir / "reports" / "users.jsonl") if r["author"] == author)
+
+
 def test_one_report_pair_per_user_plus_run_report(fixture_run):
-    users_dir = fixture_run / "reports" / "users"
-    json_reports = sorted(p.name for p in users_dir.glob("*.json"))
-    md_reports = sorted(p.name for p in users_dir.glob("*.md"))
-    assert len(json_reports) == 12
-    assert len(md_reports) == 12
+    assert len(read_jsonl(fixture_run / "reports" / "users.jsonl")) == 12
+    assert len(list((fixture_run / "reports" / "users").glob("*.md"))) == 12
     assert (fixture_run / "reports" / "run_report.json").exists()
     assert (fixture_run / "reports" / "run_report.md").exists()
 
@@ -28,7 +30,7 @@ def test_one_report_pair_per_user_plus_run_report(fixture_run):
 def test_safety_excluded_report_has_escalation_only(fixture_run):
     users_dir = fixture_run / "reports" / "users"
     for author in SAFETY_USERS:
-        payload = json.loads((users_dir / f"{author_slug(author)}.json").read_text())
+        payload = _user_row(fixture_run, author)
         assert payload["status"] == "safety_excluded"
         assert payload["escalation"] == "content withheld; route to qualified practitioner"
         assert "diagnosis" not in payload
@@ -40,7 +42,7 @@ def test_safety_excluded_report_has_escalation_only(fixture_run):
 
 def test_regular_report_carries_all_sections(fixture_run):
     users_dir = fixture_run / "reports" / "users"
-    payload = json.loads((users_dir / "ash_ember.json").read_text())
+    payload = _user_row(fixture_run, "ash_ember")
     assert payload["status"] == "ok"
     assert payload["non_temporal_summary"]["overall_severity"]
     assert payload["temporal_summary"]["frequency"]
@@ -59,7 +61,7 @@ def test_report_summary_lines_are_the_dataframe_lines_of_the_diagnosis_prompt(
     fixture_run, templates
 ):
     author = "ash_ember"
-    payload = json.loads((fixture_run / "reports" / "users" / f"{author}.json").read_text())
+    payload = _user_row(fixture_run, author)
     assert payload["non_temporal_summary"] and payload["temporal_summary"]
     record = next(
         r for r in read_backend_log(fixture_run)
@@ -128,11 +130,11 @@ def test_author_slug_sanitizes_and_disambiguates():
     assert author_slug("weird_.._name") != slug  # no collision after sanitizing
 
 
-def test_run_report_authors_sorted(fixture_run):
-    users_dir = fixture_run / "reports" / "users"
-    names = sorted(p.stem for p in users_dir.glob("*.json"))
-    payloads = [json.loads((users_dir / f"{n}.json").read_text())["author"] for n in names]
-    assert payloads == sorted(payloads)
+def test_user_rows_follow_summaries_with_one_profile_each(fixture_run):
+    authors = [row["author"] for row in read_jsonl(fixture_run / "reports" / "users.jsonl")]
+    assert authors == [row["author"] for row in read_jsonl(fixture_run / "summaries.jsonl")]
+    profiles = sorted(p.name for p in (fixture_run / "reports" / "users").iterdir())
+    assert profiles == sorted(f"{author_slug(author)}.md" for author in authors)
 
 
 def test_cold_and_warm_cache_runs_give_identical_reports(corpus_path, tmp_path):
