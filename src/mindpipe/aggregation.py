@@ -149,28 +149,44 @@ def section_lines(values: dict, sections: tuple[tuple[str, str, bool], ...]) -> 
     ]
 
 
-def summarize_non_temporal(record: UserRecord, session) -> tuple[dict | None, str | None]:
-    """Six-aspect user-level synthesis over the concatenated entry features."""
-    if not record.entries:
-        raise ValueError("summarize_non_temporal requires at least one unflagged entry")
+def summarize_user(record: UserRecord, escalated: set[str], budget: int, session) -> dict:
+    """The ``summaries.jsonl`` row of one user record: ``author``, ``status``,
+    both summaries, ``failure`` and the chronology, its events' content cut at
+    ``budget`` characters.
+
+    An escalated author is ``safety_excluded`` with no backend call. Any other
+    user gets the six-aspect synthesis over their entry features, then, when
+    the chronology holds events, the temporal pattern synthesis; a failure of
+    either makes the row a ``summary_failure``.
+    """
+    chronology = build_chronology(record, budget)
+    row = {
+        "author": record.author,
+        "status": None,
+        "non_temporal": None,
+        "temporal": None,
+        "failure": None,
+        "chronology": chronology,
+    }
+    if record.author in escalated:
+        row["status"] = "safety_excluded"
+        return row
     tags = {"author": record.author}
-    return session.ask_parsed(
+    non_temporal, failure = session.ask_parsed(
         "summary_non_temporal",
         {"features": serialize_features_block(record)},
         _summary_parser(NON_TEMPORAL_SECTIONS),
         tags=tags,
     )
-
-
-def summarize_temporal(
-    record: UserRecord,
-    chronology: list[dict],
-    session,
-) -> tuple[dict | None, str | None]:
-    """Temporal pattern synthesis; absent (None, None) for empty chronologies."""
-    if not chronology:
-        return None, None
-    tags = {"author": record.author}
-    block = serialize_chronology_block(chronology, monthly_counts(record))
-    parser = _summary_parser(TEMPORAL_SECTIONS)
-    return session.ask_parsed("summary_temporal", {"chronology": block}, parser, tags=tags)
+    temporal = None
+    if failure is None and chronology:
+        block = serialize_chronology_block(chronology, monthly_counts(record))
+        parser = _summary_parser(TEMPORAL_SECTIONS)
+        temporal, failure = session.ask_parsed(
+            "summary_temporal", {"chronology": block}, parser, tags=tags
+        )
+    if failure is not None:
+        row.update(status="summary_failure", failure=failure)
+        return row
+    row.update(status="ok", non_temporal=non_temporal, temporal=temporal)
+    return row

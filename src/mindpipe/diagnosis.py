@@ -9,7 +9,6 @@ never truncated.
 from __future__ import annotations
 
 from .aggregation import NON_TEMPORAL_SECTIONS, TEMPORAL_SECTIONS, section_lines
-from .config import PipelineKnobs
 
 WORD_TARGET = 400
 
@@ -30,25 +29,27 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def diagnose(
-    author: str,
-    non_temporal: dict,
-    temporal: dict | None,
-    session,
-    slack: float = PipelineKnobs.word_budget_slack,
-) -> tuple[dict | None, str | None]:
-    """Run the diagnosis prompt for one user; returns (summary, failure). A
-    summary holds ``author``, ``text``, ``word_count`` and ``over_budget``.
+def diagnose(summary: dict, session, slack: float) -> dict:
+    """The ``diagnosis.jsonl`` row of one summarized user (a ``summaries.jsonl``
+    row with status ``ok``): ``author``, status ``ok``, ``text``, ``word_count``
+    and ``over_budget``, or status ``diagnosis_failure`` with ``failure``.
 
     Any text is a diagnosis, so only a backend failure is a failure; it is
     never re-asked.
     """
-    tags = {"author": author}
-    dataframe = serialize_dataframe(non_temporal, temporal)
-    text, failure = session.ask_parsed("diagnosis", {"Dataframe": dataframe}, str, tags=tags)
+    author = summary["author"]
+    dataframe = serialize_dataframe(summary["non_temporal"], summary["temporal"])
+    text, failure = session.ask_parsed(
+        "diagnosis", {"Dataframe": dataframe}, str, tags={"author": author}
+    )
     if failure is not None:
-        return None, failure
+        return {"author": author, "status": "diagnosis_failure", "failure": failure}
     words = word_count(text)
     budget = int(round(WORD_TARGET * slack))
-    summary = {"author": author, "text": text, "word_count": words, "over_budget": words > budget}
-    return summary, None
+    return {
+        "author": author,
+        "status": "ok",
+        "text": text,
+        "word_count": words,
+        "over_budget": words > budget,
+    }

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import ResponseFormatError
+from .filtering import DISPOSITION_FLAGGED
 
 SEVERITY_MILD = "mild"
 SEVERITY_MODERATE = "moderate"
@@ -87,32 +88,41 @@ def parse_timeline_response(text: str) -> str | None:
     return value
 
 
-def extract_non_temporal(
-    clean: dict, flagged: bool, session
-) -> tuple[dict | None, str | None]:
-    """Extract the four non-temporal features for one relevant, cleaned entry
-    (``filtering.clean_entry``'s keys).
+def extract_entry(row: dict, session) -> dict:
+    """The ``features.jsonl`` row of one retained ``filtered.jsonl`` row: the
+    entry's id, author, time and ``flagged``, then ``status``.
 
-    Returns (features, None) on success or (None, failure detail) when the
-    backend failed or the response stayed unparseable after one re-ask.
-    Flagged entries are quarantined without any backend call.
+    A flagged entry is quarantined: it gets the quarantine severity band,
+    empty feature lists and no timeline, with no backend call. Any other entry
+    gets its four features, or status ``parse_failure`` with the failure detail
+    when the backend failed or the answer stayed unparseable after one re-ask;
+    then its in-text temporal reference, where ``temporal_degraded`` marks a
+    failed call that fell back to the no-timeline sentinel.
     """
+    entry = row["entry"]
+    flagged = row["disposition"] == DISPOSITION_FLAGGED
+    out = {
+        "entry_id": entry["id"],
+        "author": entry["author"],
+        "created_utc": entry["created_utc"],
+        "flagged": flagged,
+    }
     if flagged:
-        return {"severity": SEVERITY_EXTREME, "causes": [], "tone": [], "disorders": []}, None
-    tags = {"author": clean["entry"]["author"], "entry_id": clean["entry"]["id"]}
-    return session.ask_parsed(
-        "extract_features", {"text": clean["clean_text"]}, parse_feature_response, tags=tags
+        out.update(
+            status="ok", severity=SEVERITY_EXTREME, causes=[], tone=[], disorders=[],
+            timeline=NO_TIMELINE, temporal_degraded=False,
+        )
+        return out
+    tags = {"author": entry["author"], "entry_id": entry["id"]}
+    bindings = {"text": row["clean_text"]}
+    features, failure = session.ask_parsed(
+        "extract_features", bindings, parse_feature_response, tags=tags
     )
-
-
-def extract_temporal(clean: dict, session) -> tuple[str | None, bool]:
-    """Extract the in-text temporal reference of one cleaned entry.
-
-    Returns (timeline, degraded) where degraded marks a backend failure
-    or unparseable response that fell back to the no-timeline sentinel.
-    """
-    tags = {"author": clean["entry"]["author"], "entry_id": clean["entry"]["id"]}
+    if failure is not None:
+        out.update(status="parse_failure", failure=failure)
+        return out
     timeline, failure = session.ask_parsed(
-        "extract_temporal", {"text": clean["clean_text"]}, parse_timeline_response, tags=tags
+        "extract_temporal", bindings, parse_timeline_response, tags=tags
     )
-    return timeline, failure is not None
+    out.update(status="ok", **features, timeline=timeline, temporal_degraded=failure is not None)
+    return out

@@ -19,6 +19,12 @@ REMOVED_EMPTY = "empty_after_clean"
 BACKEND_TRIGGER = "backend"
 UNKNOWN_TRIGGER = "verdict_unknown"
 
+DISPOSITION_REMOVED = "removed"
+DISPOSITION_FLAGGED = "flagged"
+DISPOSITION_RETAINED = "retained"
+DISPOSITION_IRRELEVANT = "irrelevant"
+DISPOSITION_UNKNOWN = "relevance_unknown"
+
 _HTML_TAG_RE = re.compile(r"<[^>]+>")
 _MD_IMAGE_RE = re.compile(r"!\[[^\]]*\]\([^)]*\)")
 _MD_LINK_RE = re.compile(r"\[([^\]]*)\]\([^)]*\)")
@@ -97,36 +103,37 @@ def _parse_yes_no(response: str) -> bool:
     return token == "yes"
 
 
-def is_relevant(clean: dict, session) -> bool | None:
-    """Binary mental-health relevance of a cleaned entry (``clean_entry``'s keys);
-    None when the verdict is unusable.
+def filter_entry(entry: dict, session, terms: list[str]) -> dict:
+    """The ``filtered.jsonl`` row of one ``entries.jsonl`` row: ``clean_entry``'s
+    keys, then ``safety`` and ``disposition``.
 
-    The caller must not pass removed entries.
+    A removed entry gets no backend call. The safety screen is lexicon-first,
+    with a backend verdict on a lexicon miss; ``safety`` is what flagged the
+    entry (its first lexicon term, ``BACKEND_TRIGGER``, or ``UNKNOWN_TRIGGER``
+    if no usable verdict came back), or None when it is clear. A flagged entry
+    is retained without a relevance verdict; a clear one is retained,
+    irrelevant, or of unknown relevance when the verdict is unusable.
     """
-    if clean["removed"] is not None:
-        raise ValueError("is_relevant called on a removed entry")
-    tags = {"author": clean["entry"]["author"], "entry_id": clean["entry"]["id"]}
-    verdict, _failure = session.ask_parsed(
-        "relevance", {"text": clean["clean_text"]}, _parse_yes_no, tags=tags
-    )
-    return verdict
-
-
-def safety_screen(clean: dict, session, terms: list[str]) -> str | None:
-    """Lexicon-first safety screen with backend confirmation on lexicon miss.
-
-    Returns what flagged the entry (its first lexicon term, ``BACKEND_TRIGGER``, or
-    ``UNKNOWN_TRIGGER`` if no usable verdict came back), or None when it is clear.
-    """
-    if clean["removed"] is not None:
-        raise ValueError("safety_screen called on a removed entry")
-    term = lexicon_match(clean["clean_text"], terms)
-    if term is not None:
-        return term
-    tags = {"author": clean["entry"]["author"], "entry_id": clean["entry"]["id"]}
-    verdict, _failure = session.ask_parsed(
-        "safety", {"text": clean["clean_text"]}, _parse_yes_no, tags=tags
-    )
-    if verdict is None:
-        return UNKNOWN_TRIGGER
-    return BACKEND_TRIGGER if verdict else None
+    row = clean_entry(entry)
+    if row["removed"] is not None:
+        row.update(safety=None, disposition=DISPOSITION_REMOVED)
+        return row
+    tags = {"author": row["entry"]["author"], "entry_id": row["entry"]["id"]}
+    bindings = {"text": row["clean_text"]}
+    trigger = lexicon_match(row["clean_text"], terms)
+    if trigger is None:
+        unsafe, _failure = session.ask_parsed("safety", bindings, _parse_yes_no, tags=tags)
+        if unsafe is None:
+            trigger = UNKNOWN_TRIGGER
+        elif unsafe:
+            trigger = BACKEND_TRIGGER
+    row["safety"] = trigger
+    if trigger is not None:
+        row["disposition"] = DISPOSITION_FLAGGED
+        return row
+    relevant, _failure = session.ask_parsed("relevance", bindings, _parse_yes_no, tags=tags)
+    if relevant is None:
+        row["disposition"] = DISPOSITION_UNKNOWN
+    else:
+        row["disposition"] = DISPOSITION_RETAINED if relevant else DISPOSITION_IRRELEVANT
+    return row

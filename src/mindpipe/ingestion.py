@@ -42,15 +42,20 @@ class Reject:
     reason: str
 
 
+# 9999-12-31T23:59:59Z, the last second a ``datetime`` can hold
+MAX_EPOCH = 253402300799
+
+
 def _coerce_epoch(value) -> int | None:
-    """Best-effort integer epoch seconds; None when not coercible or <= 0."""
+    """Best-effort integer epoch seconds; None when not coercible (an infinity
+    included), <= 0, or past ``MAX_EPOCH``."""
     try:
         if isinstance(value, bool):
             return None
         seconds = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
-    return seconds if seconds > 0 else None
+    return seconds if 0 < seconds <= MAX_EPOCH else None
 
 
 def _required_str(obj: dict, field: str) -> str | None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ResponseFormatError
+from .filtering import DISPOSITION_FLAGGED
 from .ingestion import KIND_COMMENT, KIND_POST
 
 RELATION_TYPES = (
@@ -89,8 +90,9 @@ def _parse_relation_response(text: str) -> str:
     raise ResponseFormatError("missing RELATION line")
 
 
-def classify_relation(pair: Pair, session, *, quarantined: bool) -> dict:
-    """Label one post-comment pair; a quarantined pair bypasses the backend.
+def classify_relation(pair: Pair, session) -> dict:
+    """Label one post-comment pair; a quarantined pair, one with a flagged
+    side, bypasses the backend.
 
     Returns its ``relations.jsonl`` row: the pair's ids and authors, then
     ``relation`` and ``detail``.
@@ -103,7 +105,7 @@ def classify_relation(pair: Pair, session, *, quarantined: bool) -> dict:
         "comment_author": comment["author"],
     }
     record = {**tags, "relation": RELATION_SAFETY, "detail": None}
-    if quarantined:
+    if DISPOSITION_FLAGGED in (pair.post["disposition"], pair.comment["disposition"]):
         return record
     label, failure = session.ask_parsed(
         "relation",

@@ -88,7 +88,7 @@ def build_session(config: PipelineConfig, run_dir: Path) -> LlmSession:
             base_url=config.backend.base_url,
             api_key_env=config.backend.api_key_env,
             max_attempts=config.retry.max_attempts,
-            limiter=RateLimiter(config.limits.rps, config.limits.concurrency),
+            limiter=RateLimiter(config.limits.rps),
         )
     else:
         backend = MockBackend(packaged_path(MOCK_RULES))

@@ -115,30 +115,35 @@ def _strip_blocked(
     return kept
 
 
-def recommend(
-    author: str, diagnosis_text: str, session, blocklist: list[str] | None = None
-) -> tuple[dict | None, str | None]:
-    """Generate and parse recommendations for one user from their diagnosis text.
+def recommend(row: dict, session, blocklist: list[str] | None = None) -> dict:
+    """The ``recommendations.jsonl`` row of one user.
 
-    A set holds ``author``, ``therapies``, ``behavior_changes`` and ``warnings``.
+    ``row`` is the user's ``diagnosis.jsonl`` row (status ``ok``), or, for a
+    safety-excluded user, their ``summaries.jsonl`` row, which gets the
+    fixed escalation record with no backend call. A generated set holds ``author``,
+    status ``ok``, ``therapies``, ``behavior_changes`` and ``warnings``; a set
+    that failed is status ``recommendation_failure`` with ``failure``.
     """
-    tags = {"author": author}
+    author = row["author"]
+    if row["status"] == "safety_excluded":
+        return {"author": author, "status": "escalation", "notice": ESCALATION_NOTICE}
     parsed, failure = session.ask_parsed(
-        "recommendation", {"Dataframe": diagnosis_text}, parse_recommendations, tags=tags
+        "recommendation", {"Dataframe": row["text"]}, parse_recommendations,
+        tags={"author": author},
     )
-    if failure is not None:
-        return None, failure
-
     warnings: list[str] = []
-    therapies = parsed["therapies"]
-    behaviors = parsed["behaviors"]
-    if blocklist:
-        therapies = _strip_blocked(therapies, blocklist, warnings, "therapy")
-        behaviors = _strip_blocked(behaviors, blocklist, warnings, "behavior")
-    if not therapies:
-        return None, "no therapy items left after blocklist"
-    if not behaviors:
-        return None, "no behavior change items left after blocklist"
+    if failure is None:
+        therapies = parsed["therapies"]
+        behaviors = parsed["behaviors"]
+        if blocklist:
+            therapies = _strip_blocked(therapies, blocklist, warnings, "therapy")
+            behaviors = _strip_blocked(behaviors, blocklist, warnings, "behavior")
+        if not therapies:
+            failure = "no therapy items left after blocklist"
+        elif not behaviors:
+            failure = "no behavior change items left after blocklist"
+    if failure is not None:
+        return {"author": author, "status": "recommendation_failure", "failure": failure}
     if len(therapies) > MAX_THERAPIES:
         warnings.append(f"therapy list truncated from {len(therapies)} to {MAX_THERAPIES}")
         therapies = therapies[:MAX_THERAPIES]
@@ -149,12 +154,8 @@ def recommend(
         behaviors = behaviors[:MAX_BEHAVIOR_CHANGES]
     return {
         "author": author,
+        "status": "ok",
         "therapies": therapies,
         "behavior_changes": behaviors,
         "warnings": warnings,
-    }, None
-
-
-def safety_notice(author: str) -> dict:
-    """Fixed escalation record for a safety-excluded user; zero backend calls."""
-    return {"author": author, "status": "escalation", "notice": ESCALATION_NOTICE}
+    }

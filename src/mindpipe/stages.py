@@ -5,8 +5,10 @@ declared run-dir inputs, keyed by path; the config; the run's backend
 session, or None for a stage that makes no backend call; and the manifest.
 It returns ``({relative path: rows | object | text}, stats)`` and touches no
 file of the run directory; ``pipeline.execute_stage`` reads and writes
-those. Per-item work goes through ``_map_items``, which keeps input order
-at any ``limits.concurrency``.
+those. A stage body that writes one row per item only selects its input
+rows, maps the row function of the module that computes them (such as
+``filtering.filter_entry``) over them with ``_map_items``, which keeps input
+order at any ``limits.concurrency``, and counts its stats from the rows.
 """
 
 from __future__ import annotations
@@ -16,27 +18,23 @@ from pathlib import Path
 from typing import Callable
 
 from . import runfiles
-from .aggregation import (
-    UserRecord,
-    build_chronology,
-    build_user_records,
-    summarize_non_temporal,
-    summarize_temporal,
-)
+from .aggregation import build_user_records, summarize_user
 from .config import PipelineConfig, packaged_path
 from .diagnosis import diagnose
-from .extraction import NO_TIMELINE, extract_non_temporal, extract_temporal
-from .filtering import clean_entry, is_relevant, load_lexicon, safety_screen
+from .extraction import extract_entry
+from .filtering import (
+    DISPOSITION_FLAGGED,
+    DISPOSITION_IRRELEVANT,
+    DISPOSITION_REMOVED,
+    DISPOSITION_RETAINED,
+    DISPOSITION_UNKNOWN,
+    filter_entry,
+    load_lexicon,
+)
 from .ingestion import KIND_COMMENT, RawEntry, iter_parse, select_cohort
-from .interaction import Pair, classify_relation, pair_entries
+from .interaction import classify_relation, pair_entries
 from .llm.session import LlmSession
-from .recommendation import recommend, safety_notice
-
-DISPOSITION_REMOVED = "removed"
-DISPOSITION_FLAGGED = "flagged"
-DISPOSITION_RETAINED = "retained"
-DISPOSITION_IRRELEVANT = "irrelevant"
-DISPOSITION_UNKNOWN = "relevance_unknown"
+from .recommendation import recommend
 
 _RETAINED = (DISPOSITION_FLAGGED, DISPOSITION_RETAINED)
 
@@ -106,28 +104,10 @@ def stage_filter(
     """Clean, safety-screen, and relevance-filter the cohort's entries."""
     cohort_authors = {user["author"] for user in inputs[runfiles.COHORT]["users"]}
     lexicon = load_lexicon(config.lexicon_path())
-
     cohort_rows = [row for row in inputs[runfiles.ENTRIES] if row["author"] in cohort_authors]
-
-    def process(entry_row: dict) -> dict:
-        row = clean_entry(entry_row)
-        if row["removed"] is not None:
-            row.update(safety=None, disposition=DISPOSITION_REMOVED)
-            return row
-        trigger = safety_screen(row, session, lexicon)
-        row["safety"] = trigger
-        if trigger is not None:
-            # quarantined entries are retained without a relevance verdict
-            row["disposition"] = DISPOSITION_FLAGGED
-            return row
-        verdict = is_relevant(row, session)
-        if verdict is None:
-            row["disposition"] = DISPOSITION_UNKNOWN
-        else:
-            row["disposition"] = DISPOSITION_RETAINED if verdict else DISPOSITION_IRRELEVANT
-        return row
-
-    rows = _map_items(cohort_rows, process, config.limits.concurrency)
+    rows = _map_items(
+        cohort_rows, lambda row: filter_entry(row, session, lexicon), config.limits.concurrency
+    )
     dispositions = [row["disposition"] for row in rows]
     return {runfiles.FILTERED: rows}, {
         "input_entries": len(rows),
@@ -145,26 +125,7 @@ def stage_extract(
 ) -> StageResult:
     """Per-entry non-temporal features and temporal annotations."""
     retained = [row for row in inputs[runfiles.FILTERED] if row["disposition"] in _RETAINED]
-
-    def process(row: dict) -> dict:
-        entry = row["entry"]
-        flagged = row["disposition"] == DISPOSITION_FLAGGED
-        out = {
-            "entry_id": entry["id"],
-            "author": entry["author"],
-            "created_utc": entry["created_utc"],
-            "flagged": flagged,
-        }
-        features, failure = extract_non_temporal(row, flagged, session)
-        if failure is not None:
-            out.update({"status": "parse_failure", "failure": failure})
-            return out
-        # quarantine gate: a flagged entry gets no temporal call either
-        timeline, degraded = (NO_TIMELINE, False) if flagged else extract_temporal(row, session)
-        out.update(status="ok", **features, timeline=timeline, temporal_degraded=degraded)
-        return out
-
-    rows = _map_items(retained, process, config.limits.concurrency)
+    rows = _map_items(retained, lambda row: extract_entry(row, session), config.limits.concurrency)
     ok_rows = [row for row in rows if row["status"] == "ok"]
     return {runfiles.FEATURES: rows}, {
         "input_entries": len(retained),
@@ -190,30 +151,12 @@ def stage_aggregate(
     ]
     cohort_order = [user["author"] for user in cohort_users]
     records = build_user_records(cohort_order, entries, escalated)
-
-    def process(record: UserRecord) -> dict:
-        chronology = build_chronology(record, config.pipeline.event_content_budget)
-        row = {
-            "author": record.author,
-            "status": None,
-            "non_temporal": None,
-            "temporal": None,
-            "failure": None,
-            "chronology": chronology,
-        }
-        if record.author in escalated:
-            row["status"] = "safety_excluded"
-            return row
-        non_temporal, failure = summarize_non_temporal(record, session)
-        if failure is None:
-            temporal, failure = summarize_temporal(record, chronology, session)
-        if failure is not None:
-            row.update(status="summary_failure", failure=failure)
-            return row
-        row.update(status="ok", non_temporal=non_temporal, temporal=temporal)
-        return row
-
-    rows = _map_items(records, process, config.limits.concurrency)
+    budget = config.pipeline.event_content_budget
+    rows = _map_items(
+        records,
+        lambda record: summarize_user(record, escalated, budget, session),
+        config.limits.concurrency,
+    )
     statuses = [row["status"] for row in rows]
     return {runfiles.SUMMARIES: rows}, {
         "input_entries": len(entries),
@@ -232,20 +175,8 @@ def stage_diagnose(
 ) -> StageResult:
     """Fused diagnosis summary for every successfully summarized user."""
     ready = [row for row in inputs[runfiles.SUMMARIES] if row["status"] == "ok"]
-
-    def process(row: dict) -> dict:
-        summary, failure = diagnose(
-            row["author"],
-            row["non_temporal"],
-            row["temporal"],
-            session,
-            slack=config.pipeline.word_budget_slack,
-        )
-        if failure is not None:
-            return {"author": row["author"], "status": "diagnosis_failure", "failure": failure}
-        return {"author": row["author"], "status": "ok", **summary}
-
-    rows = _map_items(ready, process, config.limits.concurrency)
+    slack = config.pipeline.word_budget_slack
+    rows = _map_items(ready, lambda row: diagnose(row, session, slack), config.limits.concurrency)
     diagnosed = [row for row in rows if row["status"] == "ok"]
     return {runfiles.DIAGNOSIS: rows}, {
         "input_users": len(ready),
@@ -259,33 +190,17 @@ def stage_recommend(
     inputs: dict, config: PipelineConfig, session: LlmSession, manifest: dict
 ) -> StageResult:
     """Recommendation sets for diagnosed users; escalations for safety-excluded ones."""
-    diagnosis_by_author = {row["author"]: row for row in inputs[runfiles.DIAGNOSIS]}
+    diagnosed = {row["author"]: row for row in inputs[runfiles.DIAGNOSIS] if row["status"] == "ok"}
     blocklist = load_lexicon(packaged_path("data/medication_blocklist.txt"))
-
+    # in summaries order: a safety-excluded user's summary row, a diagnosed user's diagnosis row
     selected = [
-        row
+        diagnosed.get(row["author"], row)
         for row in inputs[runfiles.SUMMARIES]
-        if row["status"] == "safety_excluded"
-        or (
-            row["status"] == "ok"
-            and diagnosis_by_author.get(row["author"], {}).get("status") == "ok"
-        )
+        if row["status"] == "safety_excluded" or row["author"] in diagnosed
     ]
-
-    def process(row: dict) -> dict:
-        if row["status"] == "safety_excluded":
-            return safety_notice(row["author"])  # no backend call
-        diagnosis_text = diagnosis_by_author[row["author"]]["text"]
-        rec, failure = recommend(row["author"], diagnosis_text, session, blocklist)
-        if failure is not None:
-            return {
-                "author": row["author"],
-                "status": "recommendation_failure",
-                "failure": failure,
-            }
-        return {"author": row["author"], "status": "ok", **rec}
-
-    rows = _map_items(selected, process, config.limits.concurrency)
+    rows = _map_items(
+        selected, lambda row: recommend(row, session, blocklist), config.limits.concurrency
+    )
     statuses = [row["status"] for row in rows]
     escalations = statuses.count("escalation")
     ok_rows = [row for row in rows if row["status"] == "ok"]
@@ -306,12 +221,9 @@ def stage_interact(
     """Pair retained comments with their posts and classify each pair."""
     retained = [row for row in inputs[runfiles.FILTERED] if row["disposition"] in _RETAINED]
     pairs, skipped = pair_entries(retained)
-
-    def process(pair: Pair) -> dict:
-        flagged = DISPOSITION_FLAGGED in (pair.post["disposition"], pair.comment["disposition"])
-        return classify_relation(pair, session, quarantined=flagged)
-
-    rows = _map_items(pairs, process, config.limits.concurrency)
+    rows = _map_items(
+        pairs, lambda pair: classify_relation(pair, session), config.limits.concurrency
+    )
     return {runfiles.RELATIONS: rows}, {
         "input_comments": sum(1 for row in retained if row["entry"]["kind"] == KIND_COMMENT),
         "pairs": len(pairs),

@@ -396,8 +396,8 @@ LIVE_KEY_ENV = "MINDPIPE_LIVE_API_KEY_ENV"
     reason=f"set {LIVE_URL_ENV}, {LIVE_MODEL_ENV}, {LIVE_KEY_ENV} to run the live smoke test",
 )
 def test_criterion_10_live_smoke(corpus_path, templates):
-    from mindpipe.extraction import extract_non_temporal, extract_temporal
-    from mindpipe.filtering import clean_entry, is_relevant
+    from mindpipe.extraction import extract_entry
+    from mindpipe.filtering import filter_entry
     from test_ingestion import parse_dump
 
     backend = HttpBackend(
@@ -411,13 +411,16 @@ def test_criterion_10_live_smoke(corpus_path, templates):
     entries, _ = parse_dump(corpus_path.read_text(encoding="utf-8").splitlines())
     sample = [e for e in entries if e.id in ("p_ash_01", "p_briar_01", "p_cedar_01")]
     assert len(sample) == 3
-    for entry in sample:
-        clean = clean_entry(vars(entry))
-        verdict = is_relevant(clean, session)
-        assert verdict in (True, False, None)
-        features, failure = extract_non_temporal(clean, False, session)
-        assert (features is None) != (failure is None)
-        timeline, _ = extract_temporal(clean, session)
-        assert timeline is None or isinstance(timeline, str)
-        assert clean["entry"]["created_utc"] == entry.created_utc
+    try:
+        for entry in sample:
+            filtered = filter_entry(vars(entry), session, [])
+            assert filtered["disposition"] in (
+                "flagged", "retained", "irrelevant", "relevance_unknown"
+            )
+            row = extract_entry({**filtered, "disposition": "retained"}, session)
+            assert (row["status"] == "ok") != ("failure" in row)
+            assert row.get("timeline") is None or isinstance(row["timeline"], str)
+            assert row["created_utc"] == entry.created_utc
+    finally:
+        session.close()  # its pooled connections
     _passed(10, "live endpoint smoke: parse or well-formed failure, no crash")

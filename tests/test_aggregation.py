@@ -15,8 +15,7 @@ from mindpipe.aggregation import (
     monthly_counts,
     serialize_chronology_block,
     serialize_features_block,
-    summarize_non_temporal,
-    summarize_temporal,
+    summarize_user,
 )
 
 DEC_14 = 1576281600  # 2019-12-14T00:00:00Z
@@ -140,11 +139,15 @@ def test_chronology_block_includes_monthly_counts():
     assert "- 2019-12: 1" in block
 
 
+BUDGET = 500
+
+
 def test_summarize_non_temporal_parses_six_sections():
     session = ScriptedSession({"summary_non_temporal": [NT_RESPONSE]})
     record = _record([_entry("e1", DEC_14)])
-    summary, failure = summarize_non_temporal(record, session)
-    assert failure is None
+    row = summarize_user(record, set(), BUDGET, session)
+    assert row["status"] == "ok" and row["failure"] is None
+    summary = row["non_temporal"]
     assert list(summary) == [name for _, name, _ in NON_TEMPORAL_SECTIONS]
     assert summary["overall_severity"] == "Moderate to Severe"
     assert summary["language_tone"] == "confessional, introspective, and self-deprecating"
@@ -152,31 +155,41 @@ def test_summarize_non_temporal_parses_six_sections():
 
 
 def test_summarize_non_temporal_requires_non_flagged_entry():
+    # an author with only flagged entries is escalated: a record, but no summary call
     (record,) = build_user_records(["alice"], [_entry("e1", DEC_14, flagged=True)], {"alice"})
-    with pytest.raises(ValueError):
-        summarize_non_temporal(record, ScriptedSession({}))
+    session = ScriptedSession({})  # any ask would raise KeyError
+    row = summarize_user(record, {"alice"}, BUDGET, session)
+    assert row["status"] == "safety_excluded"
+    assert row["non_temporal"] is None and row["temporal"] is None
+    assert session.calls == []
 
 
 def test_summarize_non_temporal_failure_after_reask():
     session = ScriptedSession({"summary_non_temporal": ["nope", "still nope"]})
-    summary, failure = summarize_non_temporal(_record([_entry("e1", DEC_14)]), session)
-    assert summary is None
-    assert failure is not None
+    row = summarize_user(_record([_entry("e1", DEC_14)]), set(), BUDGET, session)
+    assert row["status"] == "summary_failure"
+    assert row["non_temporal"] is None
+    assert row["failure"] is not None
 
 
 def test_summarize_temporal_absent_without_events():
-    session = ScriptedSession({})
+    session = ScriptedSession({"summary_non_temporal": [NT_RESPONSE]})
     record = _record([_entry("e1", DEC_14)])
-    summary, failure = summarize_temporal(record, [], session)
-    assert summary is None and failure is None
-    assert session.calls == []
+    row = summarize_user(record, set(), BUDGET, session)
+    assert row["chronology"] == []
+    assert row["temporal"] is None and row["failure"] is None
+    assert [call[0] for call in session.calls] == ["summary_non_temporal"]
 
 
 def test_summarize_temporal_parses_five_sections():
-    session = ScriptedSession({"summary_temporal": [T_RESPONSE]})
+    session = ScriptedSession(
+        {"summary_non_temporal": [NT_RESPONSE], "summary_temporal": [T_RESPONSE]}
+    )
     record = _record([_entry("e1", DEC_14, timeline="past half decade")])
-    summary, failure = summarize_temporal(record, build_chronology(record), session)
-    assert failure is None
+    row = summarize_user(record, set(), BUDGET, session)
+    assert row["status"] == "ok" and row["failure"] is None
+    assert row["chronology"] == build_chronology(record, BUDGET)
+    summary = row["temporal"]
     assert list(summary) == [name for _, name, _ in TEMPORAL_SECTIONS]
     assert summary["frequency"] == "gap of 14 days between the two posts"
     assert summary["explicit_times"] == "past half decade; 5 years"
@@ -194,12 +207,13 @@ SECTIONS = [
 
 
 def _summarize(template, answer):
-    """Ask one summary with ``answer`` scripted for both the ask and the re-ask."""
-    session = ScriptedSession({template: [answer]})
+    """(summary, failure) of one summary, with ``answer`` scripted for both the
+    ask and the re-ask and the other summary's answer well-formed."""
+    session = ScriptedSession({name: [good] for name, (good, _) in SUMMARIES.items()})
+    session.responses[template] = [answer]
     record = _record([_entry("e1", DEC_14, timeline="past half decade")])
-    if template == "summary_non_temporal":
-        return summarize_non_temporal(record, session)
-    return summarize_temporal(record, build_chronology(record), session)
+    row = summarize_user(record, set(), BUDGET, session)
+    return row[template.removeprefix("summary_")], row["failure"]
 
 
 def _answer_with(template, header, value):

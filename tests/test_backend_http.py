@@ -388,10 +388,30 @@ class _KeepAliveMockRulesHandler(_ConnectionLog, _MockRulesHandler):
     disable_nagle_algorithm = True
 
 
+class _InFlightLog(_KeepAliveMockRulesHandler):
+    """Also records the most requests it was answering at once."""
+
+    lock = threading.Lock()
+    in_flight = 0
+    peak = 0
+
+    def do_POST(self):
+        cls = type(self)
+        with cls.lock:
+            cls.in_flight += 1
+            cls.peak = max(cls.peak, cls.in_flight)
+        try:
+            super().do_POST()
+        finally:
+            with cls.lock:
+                cls.in_flight -= 1
+
+
 def test_http_run_builds_one_limiter_and_keeps_at_most_concurrency_connections(
     tmp_path, monkeypatch, corpus_path
 ):
-    # one limiter paces the requests of every stage, so rps holds across stage boundaries
+    # one limiter paces the requests of every stage, so rps holds across stage
+    # boundaries; the stage workers alone bound the requests in flight
     limiters, backends = [], []
 
     def recording(method, seen):
@@ -404,7 +424,7 @@ def test_http_run_builds_one_limiter_and_keeps_at_most_concurrency_connections(
     monkeypatch.setattr(RateLimiter, "__init__", recording(RateLimiter.__init__, limiters))
     monkeypatch.setattr(HttpBackend, "__init__", recording(HttpBackend.__init__, backends))
     monkeypatch.setenv("TEST_API_KEY", "sekret")
-    handler = type("Handler", (_KeepAliveMockRulesHandler,), {"connections": []})
+    handler = type("Handler", (_InFlightLog,), {"connections": []})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = _serve(server)
     config = load_config(
@@ -421,6 +441,7 @@ def test_http_run_builds_one_limiter_and_keeps_at_most_concurrency_connections(
         manifest = pipeline.run_all(config, [corpus_path], tmp_path / "run")
         # the connections outlive each stage's worker threads and close when the run ends
         assert 1 <= len(handler.connections) <= config.limits.concurrency
+        assert 1 <= handler.peak <= config.limits.concurrency
         assert all(ended.wait(timeout=10) for ended in handler.connections)
     finally:
         server.shutdown()

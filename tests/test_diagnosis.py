@@ -54,22 +54,28 @@ def test_word_count_is_whitespace_tokens():
     assert word_count("") == 0
 
 
+def _summary(temporal: dict | None) -> dict:
+    """An ok summaries row of alice."""
+    return {"author": "alice", "status": "ok", "non_temporal": _nt(), "temporal": temporal}
+
+
 def test_diagnose_counts_words_and_budget():
     session = ScriptedSession({"diagnosis": [" ".join(["w"] * 440)]})
-    summary, failure = diagnose("alice", _nt(), _t(), session, slack=1.1)
-    assert failure is None
-    assert summary["word_count"] == 440
-    assert summary["over_budget"] is False
+    row = diagnose(_summary(_t()), session, slack=1.1)
+    assert row["status"] == "ok" and "failure" not in row
+    assert list(row) == ["author", "status", "text", "word_count", "over_budget"]
+    assert row["word_count"] == 440
+    assert row["over_budget"] is False
 
     session = ScriptedSession({"diagnosis": [" ".join(["w"] * 441)]})
-    summary, _ = diagnose("alice", _nt(), _t(), session, slack=1.1)
-    assert summary["over_budget"] is True
-    assert summary["text"] == " ".join(["w"] * 441)  # over-budget text kept verbatim
+    row = diagnose(_summary(_t()), session, slack=1.1)
+    assert row["over_budget"] is True
+    assert row["text"] == " ".join(["w"] * 441)  # over-budget text kept verbatim
 
 
 def test_diagnose_binds_dataframe_placeholder():
     session = ScriptedSession({"diagnosis": ["short answer"]})
-    diagnose("alice", _nt(), None, session)
+    diagnose(_summary(None), session, slack=1.1)
     _, bindings, _ = session.calls[0]
     assert bindings["Dataframe"] == serialize_dataframe(_nt(), None)
     assert "Temporal summary: none" in bindings["Dataframe"]

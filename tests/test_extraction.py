@@ -8,8 +8,7 @@ from mindpipe.errors import ResponseFormatError
 from mindpipe.extraction import (
     NO_TIMELINE,
     SEVERITY_EXTREME,
-    extract_non_temporal,
-    extract_temporal,
+    extract_entry,
     normalize_severity,
     parse_feature_response,
     parse_labeled_sections,
@@ -24,12 +23,24 @@ GOOD_RESPONSE = (
 )
 
 
-def _clean(text="i feel anxious", entry_id="e1"):
+def _clean(text="i feel anxious", disposition="retained"):
+    """A retained filtered row."""
     entry = {
-        "id": entry_id, "author": "alice", "kind": "post",
+        "id": "e1", "author": "alice", "kind": "post",
         "created_utc": 1576281600, "parent_id": None,
     }
-    return {"entry": entry, "clean_text": text, "removed": None}
+    return {
+        "entry": entry, "clean_text": text, "removed": None,
+        "safety": None, "disposition": disposition,
+    }
+
+
+def _extract(clean, temporal_answers):
+    """The features row of ``clean`` with a well-formed features answer."""
+    session = ScriptedSession(
+        {"extract_features": [GOOD_RESPONSE], "extract_temporal": temporal_answers}
+    )
+    return extract_entry(clean, session)
 
 
 def test_parse_feature_response_golden():
@@ -84,51 +95,52 @@ def test_timeline_parse_value_and_sentinel():
 
 def test_flagged_entry_skips_backend_entirely():
     session = ScriptedSession({})  # any ask would raise KeyError
-    features, failure = extract_non_temporal(_clean(), True, session)
-    assert failure is None
-    assert features["severity"] == SEVERITY_EXTREME
-    assert features["causes"] == [] and features["tone"] == [] and features["disorders"] == []
+    row = extract_entry(_clean(disposition="flagged"), session)
+    assert row["status"] == "ok" and row["flagged"] is True
+    assert row["severity"] == SEVERITY_EXTREME
+    assert row["causes"] == [] and row["tone"] == [] and row["disorders"] == []
+    assert row["timeline"] is NO_TIMELINE and row["temporal_degraded"] is False
     assert session.calls == []
 
 
 def test_extract_non_temporal_parses(templates):
-    session = ScriptedSession({"extract_features": [GOOD_RESPONSE]})
-    features, failure = extract_non_temporal(_clean(), False, session)
-    assert failure is None
-    assert features["severity"] == "moderate"
+    row = _extract(_clean(), ["TIMELINE: No Timeline"])
+    assert row["status"] == "ok"
+    assert row["severity"] == "moderate"
 
 
 def test_extract_non_temporal_reask_then_failure():
     session = ScriptedSession({"extract_features": ["garbage", "still garbage"]})
-    features, failure = extract_non_temporal(_clean(), False, session)
-    assert features is None
-    assert "SEVERITY" in failure
-    assert [c[2] for c in session.calls] == [False, True]
+    row = extract_entry(_clean(), session)
+    assert row["status"] == "parse_failure" and "severity" not in row
+    assert "SEVERITY" in row["failure"]
+    # a failed features answer leaves no temporal call
+    assert [(c[0], c[2]) for c in session.calls] == [
+        ("extract_features", False), ("extract_features", True)
+    ]
 
 
 def test_extract_temporal_finds_reference():
-    session = ScriptedSession({"extract_temporal": ["TIMELINE: past half decade"]})
     clean = _clean("for the past half decade")
-    timeline, degraded = extract_temporal(clean, session)
-    assert timeline == "past half decade"
-    assert clean["entry"]["created_utc"] == 1576281600
-    assert degraded is False
+    row = _extract(clean, ["TIMELINE: past half decade"])
+    assert row["timeline"] == "past half decade"
+    assert clean["entry"]["created_utc"] == row["created_utc"] == 1576281600
+    assert row["temporal_degraded"] is False
 
 
 def test_extract_temporal_sentinel():
-    session = ScriptedSession({"extract_temporal": ["TIMELINE: No Timeline"]})
-    timeline, degraded = extract_temporal(_clean(), session)
-    assert timeline is NO_TIMELINE
-    assert degraded is False
+    row = _extract(_clean(), ["TIMELINE: No Timeline"])
+    assert row["timeline"] is NO_TIMELINE
+    assert row["temporal_degraded"] is False
 
 
 def test_extract_temporal_degrades_on_garbage():
-    session = ScriptedSession({"extract_temporal": ["???", "???"]})
     clean = _clean()
-    timeline, degraded = extract_temporal(clean, session)
-    assert timeline is NO_TIMELINE
-    assert clean["entry"]["created_utc"] == 1576281600
-    assert degraded is True
+    row = _extract(clean, ["???", "???"])
+    assert row["status"] == "ok"
+    assert row["timeline"] is NO_TIMELINE
+    assert clean["entry"]["created_utc"] == row["created_utc"] == 1576281600
+    assert row["temporal_degraded"] is True
 
 
 @given(

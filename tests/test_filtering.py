@@ -9,6 +9,11 @@ from conftest import ScriptedSession
 from mindpipe.errors import BackendExhaustedError, ResponseFormatError
 from mindpipe.filtering import (
     BACKEND_TRIGGER,
+    DISPOSITION_FLAGGED,
+    DISPOSITION_IRRELEVANT,
+    DISPOSITION_REMOVED,
+    DISPOSITION_RETAINED,
+    DISPOSITION_UNKNOWN,
     REMOVED_DELETED,
     REMOVED_EMPTY,
     REMOVED_MARKER,
@@ -16,10 +21,9 @@ from mindpipe.filtering import (
     clean_entry,
     clean_string,
     _parse_yes_no,
-    is_relevant,
+    filter_entry,
     lexicon_match,
     load_lexicon,
-    safety_screen,
 )
 from mindpipe.ingestion import RawEntry
 
@@ -118,44 +122,53 @@ def test_lexicon_match_equals_the_ungated_search(text, terms):
     assert lexicon_match(text, terms) == expected
 
 
-def _clean(text, entry_id="e1") -> dict:
-    return clean_entry(_entry(text, entry_id=entry_id))
+def _filter(text, session, terms=("self-harm",)) -> dict:
+    """The filtered row of one post."""
+    return filter_entry(_entry(text), session, list(terms))
+
+
+def _disposition(text, relevance: list[str]) -> str:
+    """The disposition of a post the safety screen clears, with scripted relevance answers."""
+    return _filter(text, ScriptedSession({"safety": ["no"], "relevance": relevance}))["disposition"]
 
 
 def test_is_relevant_yes_no():
-    session = ScriptedSession({"relevance": ["Yes."]})
-    assert is_relevant(_clean("i feel anxious"), session) is True
-    session = ScriptedSession({"relevance": ["no"]})
-    assert is_relevant(_clean("selling a bike"), session) is False
+    assert _disposition("i feel anxious", ["Yes."]) == DISPOSITION_RETAINED
+    assert _disposition("selling a bike", ["no"]) == DISPOSITION_IRRELEVANT
 
 
 def test_is_relevant_reasks_once_then_unknown():
-    session = ScriptedSession({"relevance": ["maybe", "cannot say"]})
-    assert is_relevant(_clean("odd text"), session) is None
-    assert [call[2] for call in session.calls] == [False, True]
+    session = ScriptedSession({"safety": ["no"], "relevance": ["maybe", "cannot say"]})
+    assert _filter("odd text", session)["disposition"] == DISPOSITION_UNKNOWN
+    assert [(call[0], call[2]) for call in session.calls] == [
+        ("safety", False), ("relevance", False), ("relevance", True)
+    ]
 
 
 def test_is_relevant_reask_recovers():
-    session = ScriptedSession({"relevance": ["hmm", "yes"]})
-    assert is_relevant(_clean("odd text"), session) is True
+    assert _disposition("odd text", ["hmm", "yes"]) == DISPOSITION_RETAINED
 
 
 def test_is_relevant_rejects_removed_entries():
-    session = ScriptedSession({"relevance": ["yes"]})
-    with pytest.raises(ValueError):
-        is_relevant(clean_entry(_entry("[deleted]")), session)
+    session = ScriptedSession({})  # any ask would raise KeyError
+    row = _filter("[deleted]", session)
+    assert row["disposition"] == DISPOSITION_REMOVED
+    assert row["safety"] is None
+    assert session.calls == []
 
 
 class _FailingSession(ScriptedSession):
-    def __init__(self):
-        super().__init__({})
+    """Answers the scripted templates; an ask of any other one fails."""
 
-    def ask(self, *args, **kwargs):
+    def ask(self, template_name, *args, **kwargs):
+        if template_name in self.responses:
+            return super().ask(template_name, *args, **kwargs)
         raise BackendExhaustedError("gave up")
 
 
 def test_is_relevant_backend_failure_is_unknown():
-    assert is_relevant(_clean("i feel anxious"), _FailingSession()) is None
+    row = _filter("i feel anxious", _FailingSession({"safety": ["no"]}))
+    assert row["disposition"] == DISPOSITION_UNKNOWN
 
 
 def test_unusable_verdict_error_does_not_quote_the_response():
@@ -168,26 +181,30 @@ def test_unusable_verdict_error_does_not_quote_the_response():
 
 def test_safety_screen_lexicon_short_circuits_backend():
     session = ScriptedSession({"safety": ["no"]})
-    trigger = safety_screen(_clean("thinking about self-harm"), session, ["self-harm"])
-    assert trigger == "self-harm"
+    row = _filter("thinking about self-harm", session)
+    assert row["safety"] == "self-harm"
+    assert row["disposition"] == DISPOSITION_FLAGGED
     assert session.calls == []
 
 
 def test_safety_screen_backend_verdict():
     session = ScriptedSession({"safety": ["yes"]})
-    trigger = safety_screen(_clean("nothing matters anymore"), session, ["self-harm"])
-    assert trigger == BACKEND_TRIGGER
+    row = _filter("nothing matters anymore", session)
+    assert row["safety"] == BACKEND_TRIGGER
+    # a flagged entry is retained without a relevance verdict
+    assert row["disposition"] == DISPOSITION_FLAGGED
+    assert [call[0] for call in session.calls] == ["safety"]
 
 
 def test_safety_screen_negative():
-    session = ScriptedSession({"safety": ["no"]})
-    trigger = safety_screen(_clean("plain text"), session, ["self-harm"])
-    assert trigger is None
+    session = ScriptedSession({"safety": ["no"], "relevance": ["yes"]})
+    assert _filter("plain text", session)["safety"] is None
 
 
 def test_safety_screen_fails_closed_without_a_verdict():
     # D7: a failed call, or an answer still unusable after the re-ask, flags the entry
-    trigger = safety_screen(_clean("plain text"), _FailingSession(), ["self-harm"])
-    assert trigger == UNKNOWN_TRIGGER
+    row = _filter("plain text", _FailingSession({}))
+    assert row["safety"] == UNKNOWN_TRIGGER
+    assert row["disposition"] == DISPOSITION_FLAGGED
     session = ScriptedSession({"safety": ["perhaps", "perhaps"]})
-    assert safety_screen(_clean("plain text"), session, ["self-harm"]) == UNKNOWN_TRIGGER
+    assert _filter("plain text", session)["safety"] == UNKNOWN_TRIGGER

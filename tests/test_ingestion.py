@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
+from mindpipe.aggregation import utc_date
 from mindpipe.ingestion import (
+    MAX_EPOCH,
     RawEntry,
     Reject,
     iter_parse,
@@ -113,6 +116,23 @@ def test_malformed_and_invalid_created_and_duplicates():
         (6, "malformed"),
         (7, "malformed"),
     ]
+
+
+@pytest.mark.parametrize(
+    "created", ["1e400", "Infinity", "-Infinity", "99999999999999", str(MAX_EPOCH + 1)]
+)
+def test_d10_an_epoch_past_the_datetime_range_is_invalid(created):
+    # an infinity once failed the ingest stage; a finite epoch past year 9999
+    # was accepted and then failed aggregate for every user
+    line = _post().replace('"created_utc": 100', f'"created_utc": {created}')
+    entries, rejects = parse_dump([line])
+    assert entries == []
+    assert [r.reason for r in rejects] == ["invalid_field:created_utc"]
+
+
+def test_the_last_second_of_year_9999_is_a_valid_epoch():
+    (entry,), _ = parse_dump([_post(created=MAX_EPOCH)])
+    assert utc_date(entry.created_utc) == "9999-12-31"
 
 
 def test_missing_created_utc_is_missing_field():

@@ -83,17 +83,21 @@ def test_normalize_relation_closed_set():
 
 
 def test_classify_flagged_pair_without_backend():
-    session = ScriptedSession({})
-    pair = Pair(post=_post("p1"), comment=_comment("c1", "t3_p1"))
-    record = classify_relation(pair, session, quarantined=True)
-    assert record["relation"] == "unprocessed_safety"
-    assert session.calls == []
+    for post, comment in (("flagged", "retained"), ("retained", "flagged")):
+        session = ScriptedSession({})
+        pair = Pair(
+            post=_post("p1", disposition=post),
+            comment=_comment("c1", "t3_p1", disposition=comment),
+        )
+        record = classify_relation(pair, session)
+        assert record["relation"] == "unprocessed_safety"
+        assert session.calls == []
 
 
 def test_classify_normalizes_label():
     session = ScriptedSession({"relation": ["RELATION: shared experience"]})
     pair = Pair(post=_post("p1"), comment=_comment("c1", "t3_p1"))
-    record = classify_relation(pair, session, quarantined=False)
+    record = classify_relation(pair, session)
     assert record["relation"] == "shared_experience"
     assert record["detail"] is None
 
@@ -101,7 +105,7 @@ def test_classify_normalizes_label():
 def test_classify_unknown_label_preserved():
     session = ScriptedSession({"relation": ["RELATION: solidarity"]})
     pair = Pair(post=_post("p1"), comment=_comment("c1", "t3_p1"))
-    record = classify_relation(pair, session, quarantined=False)
+    record = classify_relation(pair, session)
     assert record["relation"] == "other"
     assert record["detail"] == "solidarity"
 
@@ -116,6 +120,6 @@ class _FailingSession(ScriptedSession):
 
 def test_classify_backend_failure_degrades():
     pair = Pair(post=_post("p1"), comment=_comment("c1", "t3_p1"))
-    record = classify_relation(pair, _FailingSession(), quarantined=False)
+    record = classify_relation(pair, _FailingSession())
     assert record["relation"] == "other"
     assert record["detail"] == "backend_error"

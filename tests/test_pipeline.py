@@ -271,13 +271,11 @@ def test_cache_stats_of_a_run_reads_its_shared_cache_dir(corpus_path, tmp_path):
 
 
 def test_each_backend_log_holds_only_its_stages_templates(fixture_run):
+    # a stage that renders a template its skip check does not digest fails here
     expected = {
-        "filter": {"relevance", "safety"},
-        "extract": {"extract_features", "extract_temporal"},
-        "aggregate": {"summary_non_temporal", "summary_temporal"},
-        "diagnose": {"diagnosis"},
-        "recommend": {"recommendation"},
-        "interact": {"relation"},
+        stage.name: {Path(name).stem for name in stage.resources if name.startswith("prompts/")}
+        for stage in pipeline.STAGES
+        if stage.uses_backend
     }
     logs = {
         path.stem.removeprefix("backend_"): read_jsonl(path)

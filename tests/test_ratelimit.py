@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
 from mindpipe.llm.ratelimit import RateLimiter
@@ -21,7 +18,7 @@ class FakeClock:
 
 def test_at_most_rps_starts_per_second():
     clock = FakeClock()
-    limiter = RateLimiter(rps=2, concurrency=10, clock=clock, sleeper=clock.sleep)
+    limiter = RateLimiter(rps=2, clock=clock, sleeper=clock.sleep)
     starts = []
     for _ in range(6):
         with limiter:
@@ -33,7 +30,7 @@ def test_at_most_rps_starts_per_second():
 
 def test_third_request_waits_for_window():
     clock = FakeClock()
-    limiter = RateLimiter(rps=2, concurrency=10, clock=clock, sleeper=clock.sleep)
+    limiter = RateLimiter(rps=2, clock=clock, sleeper=clock.sleep)
     with limiter:
         pass
     with limiter:
@@ -46,7 +43,7 @@ def test_third_request_waits_for_window():
 
 def _starts(rps, count):
     clock = FakeClock()
-    limiter = RateLimiter(rps=rps, concurrency=10, clock=clock, sleeper=clock.sleep)
+    limiter = RateLimiter(rps=rps, clock=clock, sleeper=clock.sleep)
     starts = []
     for _ in range(count):
         with limiter:
@@ -68,32 +65,6 @@ def test_a_fractional_rate_admits_only_whole_starts_per_second():
     assert starts[:2] == [0.0, 0.0]
 
 
-def test_concurrency_cap_holds_under_threads():
-    limiter = RateLimiter(rps=1000, concurrency=3)
-    active = 0
-    peak = 0
-    lock = threading.Lock()
-
-    def work():
-        nonlocal active, peak
-        with limiter:
-            with lock:
-                active += 1
-                peak = max(peak, active)
-            time.sleep(0.01)
-            with lock:
-                active -= 1
-
-    threads = [threading.Thread(target=work) for _ in range(12)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert peak <= 3
-
-
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         RateLimiter(rps=0)
-    with pytest.raises(ValueError):
-        RateLimiter(rps=1, concurrency=0)

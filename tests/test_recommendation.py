@@ -12,8 +12,12 @@ from mindpipe.recommendation import (
     load_aliases,
     parse_recommendations,
     recommend,
-    safety_notice,
 )
+
+def _diagnosis(text: str) -> dict:
+    """An ok diagnosis row of alice."""
+    return {"author": "alice", "status": "ok", "text": text, "word_count": 3, "over_budget": False}
+
 
 TWO_LISTS = """Therapy Recommendations:
 1. Cognitive-Behavioral Therapy (CBT)
@@ -74,21 +78,22 @@ def test_recommend_truncates_overlong_lists():
         "Behavior changes:\n1. one\n2. two\n3. three\n4. four\n5. five\n6. six\n"
     )
     session = ScriptedSession({"recommendation": [response]})
-    rec, failure = recommend("alice", "diagnosis text", session)
-    assert failure is None
+    rec = recommend(_diagnosis("diagnosis text"), session)
+    assert rec["status"] == "ok"
     assert rec["therapies"] == ["A Therapy", "B Therapy", "C Therapy"]
     assert len(rec["behavior_changes"]) == 5
     assert any("truncated from 4 to 3" in w for w in rec["warnings"])
     assert any("truncated from 6 to 5" in w for w in rec["warnings"])
-    assert list(rec) == ["author", "therapies", "behavior_changes", "warnings"]
+    assert list(rec) == ["author", "status", "therapies", "behavior_changes", "warnings"]
     assert [c[2] for c in session.calls] == [False]  # the one answer, with no re-ask
 
 
 def test_recommend_failure_after_reask():
     session = ScriptedSession({"recommendation": ["nothing here", "still nothing"]})
-    rec, failure = recommend("alice", "diagnosis text", session)
-    assert rec is None
-    assert "therapy" in failure
+    rec = recommend(_diagnosis("diagnosis text"), session)
+    assert list(rec) == ["author", "status", "failure"]
+    assert rec["status"] == "recommendation_failure"
+    assert "therapy" in rec["failure"]
     assert [c[2] for c in session.calls] == [False, True]
 
 
@@ -99,8 +104,8 @@ def test_recommend_blocklist_strips_items():
     )
     session = ScriptedSession({"recommendation": [response]})
     blocklist = load_lexicon(packaged_path("data/medication_blocklist.txt"))
-    rec, failure = recommend("alice", "diagnosis text", session, blocklist)
-    assert failure is None
+    rec = recommend(_diagnosis("diagnosis text"), session, blocklist)
+    assert rec["status"] == "ok"
     assert rec["therapies"] == ["CBT"]
     assert rec["behavior_changes"] == ["Walk daily"]
     assert len([w for w in rec["warnings"] if "blocklist" in w]) == 2
@@ -108,7 +113,7 @@ def test_recommend_blocklist_strips_items():
 
 def test_recommend_binds_diagnosis_text():
     session = ScriptedSession({"recommendation": [TWO_LISTS]})
-    recommend("alice", "the full diagnosis body", session)
+    recommend(_diagnosis("the full diagnosis body"), session)
     _, bindings, _ = session.calls[0]
     assert bindings["Dataframe"] == "the full diagnosis body"
 
@@ -131,7 +136,10 @@ def test_canonical_therapy_aliases():
 
 
 def test_safety_notice_record():
-    record = safety_notice("kestrel_dun")
+    # a safety-excluded user's summaries row gets the notice, with no backend call
+    session = ScriptedSession({})  # any ask would raise KeyError
+    record = recommend({"author": "kestrel_dun", "status": "safety_excluded"}, session)
+    assert session.calls == []
     assert record == {
         "author": "kestrel_dun",
         "status": "escalation",
