@@ -1,4 +1,5 @@
-"""Parse Reddit-style dump files into validated entries and select the active-user cohort.
+"""Read Reddit-style dump files into ``entries.jsonl`` and ``rejects.jsonl``
+rows, and select the active-user cohort.
 
 Input is newline-delimited JSON, one object per line, using Pushshift
 field names: comments carry ``body`` and ``parent_id``, submissions carry
@@ -10,36 +11,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 KIND_POST = "post"
 KIND_COMMENT = "comment"
 
 REASON_MALFORMED = "malformed"
 REASON_DUPLICATE_ID = "duplicate_id"
-
-
-@dataclass(kw_only=True)
-class RawEntry:
-    """One post or comment as parsed from a dump line; its row holds its fields in order."""
-
-    id: str
-    author: str
-    kind: str
-    created_utc: int
-    subreddit: str
-    title: str | None = None
-    body: str
-    parent_id: str | None = None
-
-
-@dataclass
-class Reject:
-    """A dump line that could not be turned into a RawEntry."""
-
-    line_no: int
-    reason: str
 
 
 # 9999-12-31T23:59:59Z, the last second a ``datetime`` can hold
@@ -66,8 +43,31 @@ def _required_str(obj: dict, field: str) -> str | None:
     return text if text.strip() else None
 
 
-def _parse_object(obj: dict) -> RawEntry | str:
-    """Turn one decoded JSON object into a RawEntry, or a reject reason."""
+def _encodes(text: str) -> bool:
+    """Whether text is valid UTF-8 once encoded: false for a lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def parse_line(line: str) -> dict | str:
+    """The ``entries.jsonl`` row of one dump line, or the reason it is rejected.
+
+    The row holds ``id``, ``author``, ``kind``, ``created_utc``,
+    ``subreddit``, ``title`` (a post's, else None), ``body`` and
+    ``parent_id`` (a comment's, else None). A row field holding a lone
+    surrogate, such as an undecodable byte read with ``surrogateescape``,
+    rejects the line as ``invalid_field:<field>``, since the row could not
+    be written as UTF-8.
+    """
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError:
+        return REASON_MALFORMED
+    if not isinstance(obj, dict):
+        return REASON_MALFORMED
     entry_id = _required_str(obj, "id")
     if entry_id is None:
         return "missing_field:id"
@@ -83,84 +83,75 @@ def _parse_object(obj: dict) -> RawEntry | str:
     if created is None:
         return "invalid_field:created_utc"
 
-    if obj.get("parent_id") is not None:
+    parent_id = obj.get("parent_id")
+    if parent_id is not None:
+        kind = KIND_COMMENT
+        title = None
         body = obj.get("body")
         if body is None:
             return "missing_field:body"
-        return RawEntry(
-            id=entry_id,
-            author=author,
-            kind=KIND_COMMENT,
-            created_utc=created,
-            subreddit=subreddit,
-            body=str(body),
-            parent_id=str(obj["parent_id"]),
-        )
-
-    title = obj.get("title")
-    selftext = obj.get("selftext")
-    if title is None and selftext is None:
-        return "missing_field:body"
-    title_text = str(title) if title is not None else ""
-    self_text = str(selftext) if selftext is not None else ""
-    if title_text and self_text:
-        body = f"{title_text}\n\n{self_text}"
+        body = str(body)
+        parent_id = str(parent_id)
     else:
-        body = title_text or self_text
-    return RawEntry(
-        id=entry_id,
-        author=author,
-        kind=KIND_POST,
-        created_utc=created,
-        subreddit=subreddit,
-        body=body,
-        title=title_text if title is not None else None,
-    )
+        kind = KIND_POST
+        title = obj.get("title")
+        selftext = obj.get("selftext")
+        if title is None and selftext is None:
+            return "missing_field:body"
+        # title and selftext joined by a blank line when both are non-empty, else either
+        texts = [str(text) for text in (title, selftext) if text is not None]
+        body = "\n\n".join(text for text in texts if text)
+        if title is not None:
+            title = str(title)
+    row = {
+        "id": entry_id,
+        "author": author,
+        "kind": kind,
+        "created_utc": created,
+        "subreddit": subreddit,
+        "title": title,
+        "body": body,
+        "parent_id": parent_id,
+    }
+    for field, value in row.items():
+        if isinstance(value, str) and not _encodes(value):
+            return f"invalid_field:{field}"
+    return row
 
 
-def iter_parse(
-    lines: Iterable[str], seen_ids: set[str] | None = None
-) -> Iterator[RawEntry | Reject]:
-    """Stream dump lines into entries and rejects, preserving input order.
+def read_dumps(paths: list[str]) -> tuple[list[dict], list[dict]]:
+    """The ``entries.jsonl`` and ``rejects.jsonl`` rows of the dump files, in input order.
 
-    Every input line yields exactly one item. Memory stays bounded apart
-    from the seen-id set enforcing id uniqueness; pass a shared set to
-    extend uniqueness across several files of one run.
+    Every line gives exactly one row. A reject row holds the ``file``, the
+    1-based ``line_no`` and the ``reason``; a line whose id was already
+    accepted, from any of the files, is a ``duplicate_id``. A byte that is
+    not UTF-8 is read as a lone surrogate, which rejects its line and leaves
+    the numbering of the lines after it as it is.
     """
-    if seen_ids is None:
-        seen_ids = set()
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            yield Reject(line_no, REASON_MALFORMED)
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            yield Reject(line_no, REASON_MALFORMED)
-            continue
-        if not isinstance(obj, dict):
-            yield Reject(line_no, REASON_MALFORMED)
-            continue
-        parsed = _parse_object(obj)
-        if isinstance(parsed, str):
-            yield Reject(line_no, parsed)
-            continue
-        if parsed.id in seen_ids:
-            yield Reject(line_no, REASON_DUPLICATE_ID)
-            continue
-        seen_ids.add(parsed.id)
-        yield parsed
+    entries: list[dict] = []
+    rejects: list[dict] = []
+    seen_ids: set[str] = set()
+    for path in paths:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                row = parse_line(line)
+                if isinstance(row, dict) and row["id"] in seen_ids:
+                    row = REASON_DUPLICATE_ID
+                if isinstance(row, str):
+                    rejects.append({"file": str(path), "line_no": line_no, "reason": row})
+                else:
+                    seen_ids.add(row["id"])
+                    entries.append(row)
+    return entries, rejects
 
 
-def select_cohort(entries: Iterable[RawEntry], n: int) -> dict:
-    """Pick the n most active authors; ties break on author ascending.
+def select_cohort(entries: list[dict], n: int) -> dict:
+    """Pick the n most active authors of the entries rows; ties break on author ascending.
 
     Returns the ``cohort.json`` row: ``users``, one ``{"author"}`` row per
     author, most active first.
     """
-    if n < 0:
-        raise ValueError("cohort size must be >= 0")
-    counts = Counter(entry.author for entry in entries)
+    counts = Counter(row["author"] for row in entries)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     users = [{"author": author} for author, _ in ranked[:n]]
     return {"users": users}

@@ -235,7 +235,8 @@ def _token_count(usage, key: str) -> int:
 
 def _parse_completion(body: bytes) -> CompletionResult:
     """The completion of a 200 response. Content that is not text, such as a blocked
-    completion's null, is an error; an unreadable token count reads as 0."""
+    completion's null, or text with a lone surrogate, which no row or cache entry can
+    hold, is an error; an unreadable token count reads as 0."""
     try:
         parsed = json.loads(body)
         text = parsed["choices"][0]["message"]["content"]
@@ -243,6 +244,10 @@ def _parse_completion(body: bytes) -> CompletionResult:
         raise BackendError(f"malformed completion response: {exc}", status=200) from exc
     if not isinstance(text, str):
         raise BackendError(f"completion content is {type(text).__name__}, not text", status=200)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise BackendError("completion content is not UTF-8 text", status=200) from None
     usage = parsed.get("usage")
     return CompletionResult(
         text=text,

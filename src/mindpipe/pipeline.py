@@ -37,7 +37,8 @@ to the code re-runs every stage), same input digest, outputs present with
 the recorded digest, no failed backend call, and no upstream stage
 re-executed this invocation. The input digest covers the bytes of the
 stage's run-dir inputs (the dump files, for ingest), of its resource
-files, and of the mock rule table when a backend stage runs on the mock.
+files, and of the mock rule table when a backend stage runs on the mock;
+for report, also the other stages' recorded ``stats``, which it reports.
 """
 
 from __future__ import annotations
@@ -108,17 +109,21 @@ def _write_backend_log(run_dir: Path, stage: str, records: list[CallRecord]) -> 
 
 
 
-def stage_report(
-    inputs: dict, config: PipelineConfig, session: None, manifest: dict
-) -> stages.StageResult:
-    """Per-user and run reports from the stage rows and the recorded stage stats."""
-    stage_stats = {
+def reported_stats(manifest: dict) -> dict:
+    """The ``stats`` of every other stage's ok record: what ``report`` reads of the manifest."""
+    return {
         name: record.get("stats", {})
         for name, record in manifest.get("stages", {}).items()
         if record.get("status") == "ok" and name != "report"
     }
+
+
+def stage_report(
+    inputs: dict, config: PipelineConfig, session: None, manifest: dict
+) -> stages.StageResult:
+    """Per-user and run reports from the stage rows and the recorded stage stats."""
     aliases = load_aliases(packaged_path("data/therapy_aliases.json"))
-    files = emit_reports(inputs, stage_stats, aliases)
+    files = emit_reports(inputs, reported_stats(manifest), aliases)
     return files, {"users_reported": len(inputs[runfiles.SUMMARIES]), "run_report": 1}
 
 
@@ -257,13 +262,18 @@ def _expand(run_dir: Path, names: tuple[str, ...]) -> list[Path]:
 
 
 def stage_input_digest(
-    stage: StageDef, run_dir: Path, config: PipelineConfig, input_paths: list[str]
+    stage: StageDef, run_dir: Path, config: PipelineConfig, manifest: dict
 ) -> str:
     if stage.name == "ingest":
-        inputs = [Path(p) for p in input_paths]
+        inputs = [Path(p) for p in manifest["input_paths"]]
     else:
         inputs = _expand(run_dir, stage.inputs)
-    return _digest_paths(inputs + resource_paths(stage, config), base=run_dir)
+    digest = _digest_paths(inputs + resource_paths(stage, config), base=run_dir)
+    if stage.name != "report":
+        return digest
+    # report also reads the other stages' stats, which a stage run alone can change
+    stats = json.dumps(reported_stats(manifest))
+    return hashlib.sha256(f"{digest}\0{stats}".encode("utf-8")).hexdigest()
 
 
 def stage_output_digest(stage: StageDef, run_dir: Path) -> str | None:
@@ -385,7 +395,7 @@ def execute_stage(
         inputs = {path: runfiles.read(run_dir / path, _PRODUCERS[path]) for path in stage.inputs}
         files, stats = stage.run(inputs, config, session, manifest)
         # a resource file that is missing fails the stage here, before any output is written
-        input_digest = stage_input_digest(stage, run_dir, config, manifest["input_paths"])
+        input_digest = stage_input_digest(stage, run_dir, config, manifest)
         written = {path.split("/")[0] for path in files}
         if written != set(stage.outputs):
             raise StageError(name, f"wrote {sorted(written)}, declares {sorted(stage.outputs)}")
@@ -463,7 +473,7 @@ def _stage_clean(
     if record.get("config_digest") != manifest["config_digest"]:
         return False
     try:
-        digest = stage_input_digest(stage, run_dir, config, manifest["input_paths"])
+        digest = stage_input_digest(stage, run_dir, config, manifest)
     except FileNotFoundError:
         return False
     if record.get("input_digest") != digest:

@@ -14,7 +14,6 @@ order at any ``limits.concurrency``, and counts its stats from the rows.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from typing import Callable
 
 from . import runfiles
@@ -31,7 +30,7 @@ from .filtering import (
     filter_entry,
     load_lexicon,
 )
-from .ingestion import KIND_COMMENT, RawEntry, iter_parse, select_cohort
+from .ingestion import KIND_COMMENT, read_dumps, select_cohort
 from .interaction import classify_relation, pair_entries
 from .llm.session import LlmSession
 from .recommendation import recommend
@@ -64,34 +63,21 @@ StageResult = tuple[dict[str, object], dict]
 def stage_ingest(
     inputs: dict, config: PipelineConfig, session: None, manifest: dict
 ) -> StageResult:
-    """Parse the manifest's dump files into entries and rejects, and select the cohort."""
-    entries: list[RawEntry] = []
-    reject_rows: list[dict] = []
-    seen_ids: set[str] = set()
-    lines = 0
-    for path in map(Path, manifest["input_paths"]):
-        with path.open(encoding="utf-8") as handle:
-            for item in iter_parse(handle, seen_ids=seen_ids):
-                lines += 1
-                if isinstance(item, RawEntry):
-                    entries.append(item)
-                else:
-                    reject_rows.append(
-                        {"file": str(path), "line_no": item.line_no, "reason": item.reason}
-                    )
+    """Read the manifest's dump files into entries and rejects, and select the cohort."""
+    entries, rejects = read_dumps(manifest["input_paths"])
     cohort = select_cohort(entries, config.pipeline.cohort_size)
     cohort_authors = {user["author"] for user in cohort["users"]}
-    cohort_entries = sum(1 for entry in entries if entry.author in cohort_authors)
+    cohort_entries = sum(1 for row in entries if row["author"] in cohort_authors)
     files = {
-        runfiles.ENTRIES: [vars(entry) for entry in entries],
-        runfiles.REJECTS: reject_rows,
+        runfiles.ENTRIES: entries,
+        runfiles.REJECTS: rejects,
         runfiles.COHORT: cohort,
     }
     return files, {
-        "lines": lines,
+        "lines": len(entries) + len(rejects),
         "parsed": len(entries),
-        "rejected": len(reject_rows),
-        "distinct_authors": len({entry.author for entry in entries}),
+        "rejected": len(rejects),
+        "distinct_authors": len({row["author"] for row in entries}),
         "cohort_authors": len(cohort["users"]),
         "cohort_entries": cohort_entries,
         "noncohort_entries": len(entries) - cohort_entries,

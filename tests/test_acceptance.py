@@ -398,7 +398,7 @@ LIVE_KEY_ENV = "MINDPIPE_LIVE_API_KEY_ENV"
 def test_criterion_10_live_smoke(corpus_path, templates):
     from mindpipe.extraction import extract_entry
     from mindpipe.filtering import filter_entry
-    from test_ingestion import parse_dump
+    from mindpipe.ingestion import read_dumps
 
     backend = HttpBackend(
         base_url=os.environ[LIVE_URL_ENV],
@@ -408,19 +408,19 @@ def test_criterion_10_live_smoke(corpus_path, templates):
     session = LlmSession(
         backend, templates, model=os.environ.get(LIVE_MODEL_ENV, "llama-3.1-8b-instant")
     )
-    entries, _ = parse_dump(corpus_path.read_text(encoding="utf-8").splitlines())
-    sample = [e for e in entries if e.id in ("p_ash_01", "p_briar_01", "p_cedar_01")]
+    entries, _ = read_dumps([corpus_path])
+    sample = [e for e in entries if e["id"] in ("p_ash_01", "p_briar_01", "p_cedar_01")]
     assert len(sample) == 3
     try:
         for entry in sample:
-            filtered = filter_entry(vars(entry), session, [])
+            filtered = filter_entry(entry, session, [])
             assert filtered["disposition"] in (
                 "flagged", "retained", "irrelevant", "relevance_unknown"
             )
             row = extract_entry({**filtered, "disposition": "retained"}, session)
             assert (row["status"] == "ok") != ("failure" in row)
             assert row.get("timeline") is None or isinstance(row["timeline"], str)
-            assert row["created_utc"] == entry.created_utc
+            assert row["created_utc"] == entry["created_utc"]
     finally:
         session.close()  # its pooled connections
     _passed(10, "live endpoint smoke: parse or well-formed failure, no crash")

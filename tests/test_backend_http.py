@@ -303,6 +303,23 @@ def test_null_content_is_a_failed_call_that_nothing_caches(monkeypatch, template
     assert read_stats(tmp_path)[0] == 0
 
 
+def test_d13_text_that_is_not_utf8_is_a_failed_call_that_nothing_caches(
+    monkeypatch, templates, tmp_path
+):
+    # a lone surrogate once reached the row writer and the cache flush, which kept
+    # the answer pending, so every later flush and close() raised
+    body = {"choices": [{"message": {"role": "assistant", "content": "\ud800"}}]}
+    backend = _fake_backend(monkeypatch, body)
+    session = LlmSession(
+        backend, templates, model="m", cache=ResponseCache(tmp_path, backend.identity)
+    )
+    verdict = session.ask_parsed("safety", {"text": "t"}, str.strip, tags={"entry_id": "t"})
+    assert verdict == (None, "backend failure: completion content is not UTF-8 text")
+    assert session.failed_calls == 1
+    session.close()
+    assert read_stats(tmp_path)[0] == 0
+
+
 def test_null_token_counts_read_as_zero(monkeypatch):
     body = {**_ok_body(), "usage": {"prompt_tokens": None, "completion_tokens": None}}
     result = _fake_backend(monkeypatch, body).complete(_request())

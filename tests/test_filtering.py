@@ -25,14 +25,14 @@ from mindpipe.filtering import (
     lexicon_match,
     load_lexicon,
 )
-from mindpipe.ingestion import RawEntry
 
 
 def _entry(body: str, entry_id="e1", author="alice") -> dict:
     """The entries row of one post."""
-    return vars(RawEntry(
-        id=entry_id, author=author, kind="post", created_utc=100, subreddit="s", body=body
-    ))
+    return {
+        "id": entry_id, "author": author, "kind": "post", "created_utc": 100,
+        "subreddit": "s", "title": None, "body": body, "parent_id": None,
+    }
 
 
 def test_clean_fixed_point():

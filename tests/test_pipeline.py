@@ -458,6 +458,29 @@ def test_prompt_edit_reruns_exactly_the_stages_that_read_it(corpus_path, tmp_pat
     assert order == ["diagnose", "recommend", "report"]
 
 
+def test_d11_a_single_stage_rerun_refreshes_the_run_report(corpus_path, tmp_path):
+    # report reads every stage's stats: a stage run alone that changed them
+    # re-runs report at the next run-all, though no file that report reads changed
+    corpus = tmp_path / "corpus.jsonl"
+    shutil.copy(corpus_path, corpus)
+    config = _config()
+    run_dir = tmp_path / "run"
+
+    def ingest_a_malformed_line():
+        with corpus.open("a", encoding="utf-8") as handle:
+            handle.write("{not json\n")
+        pipeline.run_stage("ingest", config, None, run_dir)
+
+    assert _rerun_order(config, corpus, run_dir, ingest_a_malformed_line) == ["ingest", "report"]
+    report = json.loads((run_dir / "reports" / "run_report.json").read_text(encoding="utf-8"))
+    assert report["stage_counts"]["ingest"]["rejected"] == 3
+    pipeline.run_all(config, [corpus], tmp_path / "fresh")
+    assert run_outputs(run_dir) == run_outputs(tmp_path / "fresh")
+    executed = len(pipeline.load_manifest(run_dir)["stage_order"])
+    pipeline.run_all(config, [corpus], run_dir)
+    assert len(pipeline.load_manifest(run_dir)["stage_order"]) == executed
+
+
 def test_missing_resource_file_fails_the_stage_that_reads_it(corpus_path, tmp_path):
     prompts = tmp_path / "prompts"
     shutil.copytree(packaged_path("prompts"), prompts)
@@ -595,9 +618,7 @@ def _record_as_written_by(run_dir: Path, config: PipelineConfig, version: str) -
     for stage in pipeline.STAGES:
         record = manifest["stages"][stage.name]
         record["config_digest"] = old_digest
-        record["input_digest"] = pipeline.stage_input_digest(
-            stage, run_dir, config, manifest["input_paths"]
-        )
+        record["input_digest"] = pipeline.stage_input_digest(stage, run_dir, config, manifest)
         record["output_digest"] = pipeline.stage_output_digest(stage, run_dir)
     pipeline.save_manifest(run_dir, manifest)
     return manifest
