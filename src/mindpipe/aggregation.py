@@ -2,7 +2,7 @@
 
 Summary prompts are built from per-entry extracted features, never from
 raw text; raw text appears only as chronology event content, truncated to
-a configurable per-event budget. Entries whose timeline is the
+``EVENT_CONTENT_BUDGET`` characters per event. Entries whose timeline is the
 no-timeline sentinel still contribute creation dates to the deterministic
 monthly posting counts appended to the temporal prompt.
 """
@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .config import PipelineKnobs
 from .errors import ResponseFormatError
 from .extraction import NO_TIMELINE, parse_labeled_sections, _split_list
+
+EVENT_CONTENT_BUDGET = 500  # characters of entry text per chronology event
 
 
 @dataclass
@@ -73,16 +74,14 @@ def build_user_records(
     return records
 
 
-def build_chronology(
-    record: UserRecord, content_budget: int = PipelineKnobs.event_content_budget
-) -> list[dict]:
+def build_chronology(record: UserRecord) -> list[dict]:
     """Events (``date``, ``timeline``, ``content``) are exactly the entries
     carrying a timeline, in record order."""
     return [
         {
             "date": utc_date(entry["created_utc"]),
             "timeline": entry["timeline"],
-            "content": entry["clean_text"][:content_budget],
+            "content": entry["clean_text"][:EVENT_CONTENT_BUDGET],
         }
         for entry in record.entries
         if entry["timeline"] is not NO_TIMELINE
@@ -149,17 +148,16 @@ def section_lines(values: dict, sections: tuple[tuple[str, str, bool], ...]) -> 
     ]
 
 
-def summarize_user(record: UserRecord, escalated: set[str], budget: int, session) -> dict:
+def summarize_user(record: UserRecord, escalated: set[str], session) -> dict:
     """The ``summaries.jsonl`` row of one user record: ``author``, ``status``,
-    both summaries, ``failure`` and the chronology, its events' content cut at
-    ``budget`` characters.
+    both summaries, ``failure`` and the chronology.
 
     An escalated author is ``safety_excluded`` with no backend call. Any other
     user gets the six-aspect synthesis over their entry features, then, when
     the chronology holds events, the temporal pattern synthesis; a failure of
     either makes the row a ``summary_failure``.
     """
-    chronology = build_chronology(record, budget)
+    chronology = build_chronology(record)
     row = {
         "author": record.author,
         "status": None,

@@ -26,13 +26,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--api-key-env", dest="backend.api_key_env")
     parser.add_argument("--rps", dest="limits.rps", type=float)
     parser.add_argument("--concurrency", dest="limits.concurrency", type=int)
-    parser.add_argument("--max-attempts", dest="retry.max_attempts", type=int)
     parser.add_argument("--prompts-dir", dest="paths.prompts_dir")
     parser.add_argument("--lexicon", dest="paths.lexicon", help="safety lexicon file")
     parser.add_argument("--cache-dir", dest="paths.cache_dir")
     parser.add_argument("--cohort-size", dest="pipeline.cohort_size", type=int)
-    parser.add_argument("--event-content-budget", dest="pipeline.event_content_budget", type=int)
-    parser.add_argument("--word-budget-slack", dest="pipeline.word_budget_slack", type=float)
 
 
 def _overrides(args: argparse.Namespace) -> dict:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -41,11 +42,6 @@ class LimitSettings:
 
 
 @dataclass
-class RetrySettings:
-    max_attempts: int = 4
-
-
-@dataclass
 class PathSettings:
     prompts_dir: str | None = None
     lexicon: str | None = None
@@ -55,8 +51,6 @@ class PathSettings:
 @dataclass
 class PipelineKnobs:
     cohort_size: int = 200
-    event_content_budget: int = 500
-    word_budget_slack: float = 1.1
 
 
 def run_cache_dir(cache_dir: str | None, run_dir: Path) -> Path:
@@ -68,7 +62,6 @@ def run_cache_dir(cache_dir: str | None, run_dir: Path) -> Path:
 class PipelineConfig:
     backend: BackendSettings = field(default_factory=BackendSettings)
     limits: LimitSettings = field(default_factory=LimitSettings)
-    retry: RetrySettings = field(default_factory=RetrySettings)
     paths: PathSettings = field(default_factory=PathSettings)
     pipeline: PipelineKnobs = field(default_factory=PipelineKnobs)
 
@@ -81,14 +74,8 @@ class PipelineConfig:
             raise ConfigError("limits.rps must be > 0")
         if self.limits.concurrency < 1:
             raise ConfigError("limits.concurrency must be >= 1")
-        if self.retry.max_attempts < 1:
-            raise ConfigError("retry.max_attempts must be >= 1")
         if self.pipeline.cohort_size < 1:
             raise ConfigError("pipeline.cohort_size must be >= 1")
-        if self.pipeline.event_content_budget < 1:
-            raise ConfigError("pipeline.event_content_budget must be >= 1")
-        if self.pipeline.word_budget_slack < 1.0:
-            raise ConfigError("pipeline.word_budget_slack must be >= 1.0")
 
     def prompts_dir(self) -> Path:
         if self.paths.prompts_dir:
@@ -111,10 +98,19 @@ class PipelineConfig:
         return json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
 
 
+def require_utf8(name: str, text: str) -> None:
+    """Refuse text that no UTF-8 file can hold, such as a path with an undecodable byte."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{name} is not UTF-8: {text!r}") from None
+
+
 def _set(config: PipelineConfig, dotted: str, value: object) -> None:
     """Set one ``section.key``, refusing unknown keys and values whose type is
     not the default's: an int passes for a float, a bool never passes, and a
-    key that defaults to ``None`` is a path and takes a string or ``None``."""
+    key that defaults to ``None`` is a path and takes a string or ``None``.
+    A float must be finite, and text must encode as UTF-8."""
     section_name, _, key = dotted.partition(".")
     if section_name not in PipelineConfig.__dataclass_fields__:
         raise ConfigError(f"unknown config key: {dotted}")
@@ -128,6 +124,10 @@ def _set(config: PipelineConfig, dotted: str, value: object) -> None:
     wrong_type = isinstance(value, bool) or not isinstance(value, accepted)
     if wrong_type and not (value is None and default is None):
         raise ConfigError(f"{dotted} must be {expected.__name__}, not {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{dotted} must be finite, not {value!r}")
+    if isinstance(value, str):
+        require_utf8(dotted, value)
     setattr(section, key, value)
 
 
@@ -145,7 +145,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid YAML: {exc}") from None
         if raw is None:
             raw = {}

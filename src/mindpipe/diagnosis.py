@@ -11,6 +11,8 @@ from __future__ import annotations
 from .aggregation import NON_TEMPORAL_SECTIONS, TEMPORAL_SECTIONS, section_lines
 
 WORD_TARGET = 400
+# a summary is flagged over budget above the target plus 10% slack
+OVER_BUDGET_WORDS = int(round(WORD_TARGET * 1.1))
 
 TEMPORAL_ABSENT_LINE = "Temporal summary: none"
 
@@ -29,7 +31,7 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def diagnose(summary: dict, session, slack: float) -> dict:
+def diagnose(summary: dict, session) -> dict:
     """The ``diagnosis.jsonl`` row of one summarized user (a ``summaries.jsonl``
     row with status ``ok``): ``author``, status ``ok``, ``text``, ``word_count``
     and ``over_budget``, or status ``diagnosis_failure`` with ``failure``.
@@ -45,11 +47,10 @@ def diagnose(summary: dict, session, slack: float) -> dict:
     if failure is not None:
         return {"author": author, "status": "diagnosis_failure", "failure": failure}
     words = word_count(text)
-    budget = int(round(WORD_TARGET * slack))
     return {
         "author": author,
         "status": "ok",
         "text": text,
         "word_count": words,
-        "over_budget": words > budget,
+        "over_budget": words > OVER_BUDGET_WORDS,
     }

@@ -64,7 +64,7 @@ def parse_line(line: str) -> dict | str:
     """
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # nested too deep, or an int of too many digits
         return REASON_MALFORMED
     if not isinstance(obj, dict):
         return REASON_MALFORMED

@@ -71,8 +71,6 @@ class HttpBackend:
         api_key = os.environ.get(api_key_env, "")
         if not api_key:
             raise ConfigError(f"credential environment variable not set: {api_key_env}")
-        if max_attempts < 1:
-            raise ConfigError("retry.max_attempts must be >= 1")
         self.identity = "http:" + base_url.rstrip("/")  # names this backend in the cache
         url = base_url.rstrip("/") + "/chat/completions"
         self._target, proxy_headers, default_connect = _route(url, timeout)
@@ -240,7 +238,7 @@ def _parse_completion(body: bytes) -> CompletionResult:
     try:
         parsed = json.loads(body)
         text = parsed["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
         raise BackendError(f"malformed completion response: {exc}", status=200) from exc
     if not isinstance(text, str):
         raise BackendError(f"completion content is {type(text).__name__}, not text", status=200)

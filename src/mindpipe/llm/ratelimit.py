@@ -24,7 +24,7 @@ class RateLimiter:
         clock: Callable[[], float] = time.monotonic,
         sleeper: Callable[[float], None] = time.sleep,
     ):
-        if rps <= 0:
+        if not rps > 0:  # also refuses NaN
             raise ValueError("rps must be > 0")
         # a start is admitted while it keeps the window's count within _limit
         self._limit = max(rps, 1.0)

@@ -56,7 +56,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from . import __version__, runfiles, stages
-from .config import BACKEND_HTTP, PipelineConfig, packaged_path, run_cache_dir
+from .config import BACKEND_HTTP, PipelineConfig, packaged_path, require_utf8, run_cache_dir
 from .errors import RunLockedError, StageError
 from .llm.cache import ResponseCache, read_stats
 from .llm.mock_backend import MockBackend
@@ -88,7 +88,6 @@ def build_session(config: PipelineConfig, run_dir: Path) -> LlmSession:
         backend = HttpBackend(
             base_url=config.backend.base_url,
             api_key_env=config.backend.api_key_env,
-            max_attempts=config.retry.max_attempts,
             limiter=RateLimiter(config.limits.rps),
         )
     else:
@@ -315,8 +314,12 @@ def _open_run(
     inputs, and a getter for the run's one backend session.
 
     The session is built at the getter's first call and closed when the run
-    ends, so a run that executes no backend stage needs no credentials.
+    ends, so a run that executes no backend stage needs no credentials. An
+    input path that the manifest could not hold is refused before the run
+    directory is made.
     """
+    for path in input_paths or []:
+        require_utf8("input path", str(path))
     run_dir.mkdir(parents=True, exist_ok=True)
     with RunLock(run_dir):
         manifest = load_manifest(run_dir) or {"input_paths": [], "stages": {}, "stage_order": []}

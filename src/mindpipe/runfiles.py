@@ -79,7 +79,7 @@ def read_jsonl(path: Path, stage: str) -> list[dict]:
     lines = [line for line in path.read_text(encoding="utf-8").split("\n") if line.strip()]
     try:
         rows = json.loads("[" + ",".join(lines) + "]")
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         rows = None
     if rows is None or len(rows) != len(lines) or not all(isinstance(row, dict) for row in rows):
         rows = _read_lines(path)
@@ -98,6 +98,8 @@ def _read_lines(path: Path) -> list[dict]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path} line {number}: {exc.msg}: column {exc.colno}") from None
+            except (ValueError, RecursionError) as exc:  # an int of too many digits, deep nesting
+                raise ValueError(f"{path} line {number}: {exc}") from None
             if not isinstance(row, dict):
                 raise ValueError(f"{path} line {number}: not a JSON object")
             rows.append(row)

@@ -137,10 +137,9 @@ def stage_aggregate(
     ]
     cohort_order = [user["author"] for user in cohort_users]
     records = build_user_records(cohort_order, entries, escalated)
-    budget = config.pipeline.event_content_budget
     rows = _map_items(
         records,
-        lambda record: summarize_user(record, escalated, budget, session),
+        lambda record: summarize_user(record, escalated, session),
         config.limits.concurrency,
     )
     statuses = [row["status"] for row in rows]
@@ -161,8 +160,7 @@ def stage_diagnose(
 ) -> StageResult:
     """Fused diagnosis summary for every successfully summarized user."""
     ready = [row for row in inputs[runfiles.SUMMARIES] if row["status"] == "ok"]
-    slack = config.pipeline.word_budget_slack
-    rows = _map_items(ready, lambda row: diagnose(row, session, slack), config.limits.concurrency)
+    rows = _map_items(ready, lambda row: diagnose(row, session), config.limits.concurrency)
     diagnosed = [row for row in rows if row["status"] == "ok"]
     return {runfiles.DIAGNOSIS: rows}, {
         "input_users": len(ready),

@@ -108,7 +108,7 @@ def test_chronology_empty_when_no_timelines():
 
 def test_chronology_content_truncated_to_budget():
     record = _record([_entry("e1", DEC_14, timeline="5 years", author_text="x" * 900)])
-    chronology = build_chronology(record, content_budget=500)
+    chronology = build_chronology(record)
     assert len(chronology[0]["content"]) == 500
 
 
@@ -139,13 +139,10 @@ def test_chronology_block_includes_monthly_counts():
     assert "- 2019-12: 1" in block
 
 
-BUDGET = 500
-
-
 def test_summarize_non_temporal_parses_six_sections():
     session = ScriptedSession({"summary_non_temporal": [NT_RESPONSE]})
     record = _record([_entry("e1", DEC_14)])
-    row = summarize_user(record, set(), BUDGET, session)
+    row = summarize_user(record, set(), session)
     assert row["status"] == "ok" and row["failure"] is None
     summary = row["non_temporal"]
     assert list(summary) == [name for _, name, _ in NON_TEMPORAL_SECTIONS]
@@ -158,7 +155,7 @@ def test_summarize_non_temporal_requires_non_flagged_entry():
     # an author with only flagged entries is escalated: a record, but no summary call
     (record,) = build_user_records(["alice"], [_entry("e1", DEC_14, flagged=True)], {"alice"})
     session = ScriptedSession({})  # any ask would raise KeyError
-    row = summarize_user(record, {"alice"}, BUDGET, session)
+    row = summarize_user(record, {"alice"}, session)
     assert row["status"] == "safety_excluded"
     assert row["non_temporal"] is None and row["temporal"] is None
     assert session.calls == []
@@ -166,7 +163,7 @@ def test_summarize_non_temporal_requires_non_flagged_entry():
 
 def test_summarize_non_temporal_failure_after_reask():
     session = ScriptedSession({"summary_non_temporal": ["nope", "still nope"]})
-    row = summarize_user(_record([_entry("e1", DEC_14)]), set(), BUDGET, session)
+    row = summarize_user(_record([_entry("e1", DEC_14)]), set(), session)
     assert row["status"] == "summary_failure"
     assert row["non_temporal"] is None
     assert row["failure"] is not None
@@ -175,7 +172,7 @@ def test_summarize_non_temporal_failure_after_reask():
 def test_summarize_temporal_absent_without_events():
     session = ScriptedSession({"summary_non_temporal": [NT_RESPONSE]})
     record = _record([_entry("e1", DEC_14)])
-    row = summarize_user(record, set(), BUDGET, session)
+    row = summarize_user(record, set(), session)
     assert row["chronology"] == []
     assert row["temporal"] is None and row["failure"] is None
     assert [call[0] for call in session.calls] == ["summary_non_temporal"]
@@ -186,9 +183,9 @@ def test_summarize_temporal_parses_five_sections():
         {"summary_non_temporal": [NT_RESPONSE], "summary_temporal": [T_RESPONSE]}
     )
     record = _record([_entry("e1", DEC_14, timeline="past half decade")])
-    row = summarize_user(record, set(), BUDGET, session)
+    row = summarize_user(record, set(), session)
     assert row["status"] == "ok" and row["failure"] is None
-    assert row["chronology"] == build_chronology(record, BUDGET)
+    assert row["chronology"] == build_chronology(record)
     summary = row["temporal"]
     assert list(summary) == [name for _, name, _ in TEMPORAL_SECTIONS]
     assert summary["frequency"] == "gap of 14 days between the two posts"
@@ -212,7 +209,7 @@ def _summarize(template, answer):
     session = ScriptedSession({name: [good] for name, (good, _) in SUMMARIES.items()})
     session.responses[template] = [answer]
     record = _record([_entry("e1", DEC_14, timeline="past half decade")])
-    row = summarize_user(record, set(), BUDGET, session)
+    row = summarize_user(record, set(), session)
     return row[template.removeprefix("summary_")], row["failure"]
 
 

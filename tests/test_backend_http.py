@@ -200,7 +200,9 @@ class _FakeResponse:
     def __init__(self, status, headers=None, body=None):
         self.status = status
         self._headers = headers or {}
-        self._body = b"" if body is None else json.dumps(body).encode()
+        if body is not None and not isinstance(body, bytes):
+            body = json.dumps(body).encode()
+        self._body = body or b""
 
     def getheader(self, name, default=None):
         return self._headers.get(name, default)
@@ -315,6 +317,22 @@ def test_d13_text_that_is_not_utf8_is_a_failed_call_that_nothing_caches(
     )
     verdict = session.ask_parsed("safety", {"text": "t"}, str.strip, tags={"entry_id": "t"})
     assert verdict == (None, "backend failure: completion content is not UTF-8 text")
+    assert session.failed_calls == 1
+    session.close()
+    assert read_stats(tmp_path)[0] == 0
+
+
+def test_d16_a_deeply_nested_answer_is_a_failed_call_that_nothing_caches(
+    monkeypatch, templates, tmp_path
+):
+    # json.loads once raised RecursionError out of the call, failing its stage
+    backend = _fake_backend(monkeypatch, b"[" * 100_000 + b"]" * 100_000)
+    session = LlmSession(
+        backend, templates, model="m", cache=ResponseCache(tmp_path, backend.identity)
+    )
+    answer, failure = session.ask_parsed("safety", {"text": "t"}, str.strip, tags={"entry_id": "t"})
+    assert answer is None
+    assert failure.startswith("backend failure: malformed completion response: maximum recursion")
     assert session.failed_calls == 1
     session.close()
     assert read_stats(tmp_path)[0] == 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import shutil
 from dataclasses import asdict
 
 import pytest
@@ -115,7 +117,9 @@ def test_cache_of_a_run_with_a_relative_cache_dir_exits_2(
 
 
 @pytest.mark.parametrize(
-    "setting", ["limits:\n  rps: fast\n", "paths:\n  cache_dir: 5\n"], ids=["rps", "cache_dir"]
+    "setting",
+    ["limits:\n  rps: fast\n", "paths:\n  cache_dir: 5\n", "[" * 5000],
+    ids=["rps", "cache_dir", "nested"],
 )
 def test_config_value_of_the_wrong_type_exits_2_before_any_stage(
     tmp_path, corpus_path, capsys, setting
@@ -126,6 +130,59 @@ def test_config_value_of_the_wrong_type_exits_2_before_any_stage(
     args = ["run-all", "--input", str(corpus_path), "--out", str(run_dir), "--config", str(config)]
     assert main(args) == 2
     assert "config error" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "key, flag, value",
+    [
+        ("retry.max_attempts", "--max-attempts", "3"),
+        ("pipeline.event_content_budget", "--event-content-budget", "100"),
+        ("pipeline.word_budget_slack", "--word-budget-slack", "1.5"),
+    ],
+)
+def test_a_removed_config_key_exits_2_by_flag_or_file(
+    tmp_path, corpus_path, capsys, key, flag, value
+):
+    run_dir = tmp_path / "run"
+    args = ["run-all", "--input", str(corpus_path), "--out", str(run_dir)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(args + [flag, value])
+    assert exit_info.value.code == 2
+    section, _, name = key.partition(".")
+    config = tmp_path / "config.yaml"
+    config.write_text(f"{section}:\n  {name}: {value}\n", encoding="utf-8")
+    assert main(args + ["--config", str(config)]) == 2
+    assert "config error: unknown config" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("flag, yaml_value", [("nan", ".nan"), ("inf", ".inf"), ("-inf", "-.inf")])
+def test_d17_a_rate_that_is_not_finite_exits_2_by_flag_or_file(
+    tmp_path, corpus_path, capsys, flag, yaml_value
+):
+    # a NaN rate once failed the limiter's first start, and an infinite one turned pacing off
+    run_dir = tmp_path / "run"
+    args = ["run-all", "--input", str(corpus_path), "--out", str(run_dir)]
+    assert main(args + [f"--rps={flag}"]) == 2
+    config = tmp_path / "config.yaml"
+    config.write_text(f"limits:\n  rps: {yaml_value}\n", encoding="utf-8")
+    assert main(args + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err.count("limits.rps must be finite") == 2
+    assert not run_dir.exists()
+
+
+def test_d15_a_dump_path_that_is_not_utf8_exits_2_before_the_run_dir_is_made(
+    tmp_path, corpus_path, capsys
+):
+    # the manifest once failed to save the path, ending the CLI in a traceback
+    dump = tmp_path / os.fsdecode(b"dump\xff.jsonl")
+    shutil.copy(corpus_path, dump)
+    run_dir = tmp_path / "run"
+    assert main(["ingest", "--input", str(dump), "--out", str(run_dir)]) == 2
+    assert capsys.readouterr().err == "config error: input path is not UTF-8: {!r}\n".format(
+        str(dump)
+    )
     assert not run_dir.exists()
 
 

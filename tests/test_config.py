@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 import yaml
 
@@ -12,7 +14,6 @@ def test_defaults_validate():
     assert config.backend.kind == "mock"
     assert config.pipeline.cohort_size == 200
     assert config.limits.concurrency == 1
-    assert config.pipeline.word_budget_slack == 1.1
 
 
 def test_yaml_file_overrides_defaults(tmp_path):
@@ -58,8 +59,6 @@ def test_validation_bounds():
     with pytest.raises(ConfigError):
         load_config(overrides={"pipeline.cohort_size": 0})
     with pytest.raises(ConfigError):
-        load_config(overrides={"pipeline.word_budget_slack": 0.9})
-    with pytest.raises(ConfigError):
         load_config(overrides={"backend.kind": "carrier-pigeon"})
 
 
@@ -99,6 +98,16 @@ def test_values_of_the_wrong_type_rejected(tmp_path, key, value):
         load_config(path)
     with pytest.raises(ConfigError, match=key):
         load_config(overrides={key: value})
+
+
+def test_text_that_is_not_utf8_rejected(tmp_path):
+    # the manifest records the config, and no UTF-8 file can hold a lone surrogate
+    path = tmp_path / "config.yaml"
+    path.write_text('backend:\n  model: "m\\udcff"\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match="backend.model is not UTF-8"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="paths.cache_dir is not UTF-8"):
+        load_config(overrides={"paths.cache_dir": os.fsdecode(b"c\xff")})
 
 
 def test_int_for_float_and_null_path_accepted(tmp_path):

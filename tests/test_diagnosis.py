@@ -61,21 +61,21 @@ def _summary(temporal: dict | None) -> dict:
 
 def test_diagnose_counts_words_and_budget():
     session = ScriptedSession({"diagnosis": [" ".join(["w"] * 440)]})
-    row = diagnose(_summary(_t()), session, slack=1.1)
+    row = diagnose(_summary(_t()), session)
     assert row["status"] == "ok" and "failure" not in row
     assert list(row) == ["author", "status", "text", "word_count", "over_budget"]
     assert row["word_count"] == 440
     assert row["over_budget"] is False
 
     session = ScriptedSession({"diagnosis": [" ".join(["w"] * 441)]})
-    row = diagnose(_summary(_t()), session, slack=1.1)
+    row = diagnose(_summary(_t()), session)
     assert row["over_budget"] is True
     assert row["text"] == " ".join(["w"] * 441)  # over-budget text kept verbatim
 
 
 def test_diagnose_binds_dataframe_placeholder():
     session = ScriptedSession({"diagnosis": ["short answer"]})
-    diagnose(_summary(None), session, slack=1.1)
+    diagnose(_summary(None), session)
     _, bindings, _ = session.calls[0]
     assert bindings["Dataframe"] == serialize_dataframe(_nt(), None)
     assert "Temporal summary: none" in bindings["Dataframe"]

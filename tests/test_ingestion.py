@@ -273,6 +273,8 @@ PARSER_TABLE = [
     ("array", "[1, 2]", "malformed"),
     ("null", "null", "malformed"),
     ("number", "5", "malformed"),
+    ("nested too deep", "[" * 100_000 + "]" * 100_000, "malformed"),
+    ("int of 5000 digits", '{"id": "x1", "score": ' + "9" * 5000 + "}", "malformed"),
     # the order in which reasons are checked: id, author, subreddit, created_utc, body
     ("empty object", {}, "missing_field:id"),
     ("no id, bad epoch", _without("id", created_utc=True), "missing_field:id"),

@@ -68,3 +68,5 @@ def test_a_fractional_rate_admits_only_whole_starts_per_second():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         RateLimiter(rps=0)
+    with pytest.raises(ValueError):
+        RateLimiter(rps=float("nan"))

@@ -37,6 +37,13 @@ def test_a_line_that_is_not_one_object_is_rejected_by_number(tmp_path, text, lin
         runfiles.read_jsonl(path, "test")
 
 
+def test_a_deeply_nested_line_is_rejected_by_number(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n' + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"rows\.jsonl line 2: maximum recursion depth"):
+        runfiles.read_jsonl(path, "test")
+
+
 @pytest.mark.parametrize(
     "text",
     [
