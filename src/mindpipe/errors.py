@@ -40,6 +40,10 @@ class MissingStageFileError(MindpipeError):
         self.path = path
 
 
+class RunFileError(MindpipeError, ValueError):
+    """A run-directory file does not hold the JSON its name promises."""
+
+
 class StageError(MindpipeError):
     """A pipeline stage failed (CLI exit code 1)."""
 

@@ -28,7 +28,7 @@ DISPOSITION_UNKNOWN = "relevance_unknown"
 _HTML_TAG_RE = re.compile(r"<[^>]+>")
 _MD_IMAGE_RE = re.compile(r"!\[[^\]]*\]\([^)]*\)")
 _MD_LINK_RE = re.compile(r"\[([^\]]*)\]\([^)]*\)")
-_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+_URL_RE = re.compile(r"(?:https?://|www\.)\S*", re.IGNORECASE)
 _CONTROL_RE = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 _PUNCT_RUN_RE = re.compile(r"([.!?])\1+")
 _WS_RE = re.compile(r"\s+")

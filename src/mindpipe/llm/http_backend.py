@@ -142,15 +142,9 @@ class HttpBackend:
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         """Send one request; retries 429/5xx/timeouts after Retry-After or a jittered backoff."""
-        payload = {
-            "model": request.model,
-            "messages": request.messages,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-            "top_p": request.top_p,
-        }
-        if request.stop is not None:
-            payload["stop"] = request.stop
+        payload = dict(vars(request))  # the fields in declaration order
+        if request.stop is None:
+            del payload["stop"]
         body = json.dumps(payload).encode("utf-8")
 
         last_failure = ""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import BackendError, BackendExhaustedError, ResponseFormatError, TemplateError
@@ -26,30 +25,15 @@ logger = logging.getLogger(__name__)
 REASK_REMINDER = "\n\nReminder: respond exactly in the required output format."
 
 
-@dataclass
-class CallRecord:
-    """One completion request as issued by the pipeline (hit or miss).
-
-    ``request_digest`` is the request's ``cache_key()``, which joins the record
-    to the request sent and to its cache row. A record holds no prompt text,
-    because every prompt carries user text; and every request is sent with
-    the session's ``params``, so no record repeats them.
-    """
-
-    seq: int
-    template: str
-    tags: dict[str, str]
-    cache_hit: bool
-    reask: bool
-    request_digest: str
-
-
 class LlmSession:
-    """Shared entry point for every completion the pipeline makes.
+    """One backend stage's entry point for its completions.
 
-    Thread-safe; per-entry work may call concurrently. Each logical
-    request is logged exactly once, whether served from cache or not.
-    Identical requests in flight at once reach the backend only once.
+    Each backend stage gets its own session, made with the templates as they
+    are when the stage starts and the run's backend and cache, which the run
+    opens and closes. Thread-safe; per-entry work may call concurrently. Each
+    logical request is logged exactly once in ``records``, numbered from 1,
+    whether served from cache or not. Identical requests in flight at once
+    reach the backend only once.
     """
 
     def __init__(
@@ -65,8 +49,8 @@ class LlmSession:
         self.params = vars(CompletionRequest(model=model, messages=[]))
         del self.params["messages"]
         self.cache = cache
-        self.records: list[CallRecord] = []
-        self.failed_calls = 0  # backend failures since the last take_records
+        self.records: list[dict] = []
+        self.failed_calls = 0  # calls that failed on a backend error
         self._lock = threading.Lock()
         self._in_flight: dict[str, Future] = {}
 
@@ -92,37 +76,21 @@ class LlmSession:
         request = CompletionRequest(messages=messages, **self.params)
         key = request.cache_key()
         text, hit = self._answer(key, request)
+        # a record holds no prompt text, because every prompt carries user text, and
+        # no request parameters, because every request is sent with ``params``;
+        # ``request_digest`` joins it to the request sent and to its cache row
         with self._lock:
             self.records.append(
-                CallRecord(
-                    seq=len(self.records) + 1,
-                    template=template_name,
-                    tags=dict(tags),
-                    cache_hit=hit,
-                    reask=reask,
-                    request_digest=key,
-                )
+                {
+                    "seq": len(self.records) + 1,
+                    "template": template_name,
+                    "tags": dict(tags),
+                    "cache_hit": hit,
+                    "reask": reask,
+                    "request_digest": key,
+                }
             )
         return text
-
-    def take_records(self) -> tuple[list[CallRecord], int]:
-        """The calls logged since the last take, and how many calls failed on a
-        backend error since then; the next call's ``seq`` is 1 again."""
-        with self._lock:
-            records, self.records = self.records, []
-            failed, self.failed_calls = self.failed_calls, 0
-        return records, failed
-
-    def close(self) -> None:
-        """Close the cache, then the backend's pooled connections, if it keeps any,
-        also when closing the cache raises."""
-        try:
-            if self.cache is not None:
-                self.cache.close()
-        finally:
-            close_backend = getattr(self.backend, "close", None)
-            if close_backend is not None:
-                close_backend()
 
     def _answer(self, key: str, request: CompletionRequest) -> tuple[str, bool]:
         """(text, hit) from the cache, from an identical request in flight, or the backend.

@@ -20,8 +20,11 @@ which returns ``({relative path: rows | object | text}, stats)``, and
 writes those files only after the stage body and its input digest have
 both succeeded. The files must fill exactly the stage's declared outputs
 (a directory output, ``reports``, holds several, and any other file in it
-is deleted). One backend session serves the whole run: it is built at the
-first backend stage that executes and closed when the run ends.
+is deleted). The run has one backend and one response cache: they are
+opened at the first backend stage that executes and closed when the run
+ends. Each backend stage gets its own session on them, made after the
+stage's input digest is taken, with the templates loaded then, so what a
+stage reads is exactly what its skip check digests.
 
 A stage's ``stats`` hold only facts about its rows. A backend stage's
 manifest record also holds its cache hits and misses (``cache``) and the
@@ -61,7 +64,7 @@ from .errors import RunLockedError, StageError
 from .llm.cache import ResponseCache, read_stats
 from .llm.mock_backend import MockBackend
 from .llm.ratelimit import RateLimiter
-from .llm.session import CallRecord, LlmSession
+from .llm.session import LlmSession
 from .llm.templates import load_templates
 from .recommendation import load_aliases
 from .reports import emit_reports
@@ -76,12 +79,12 @@ MOCK_RULES = "data/mock_rules.json"
 
 
 # ---------------------------------------------------------------------------
-# Backend session wiring
+# Backend wiring
 # ---------------------------------------------------------------------------
 
 
-def build_session(config: PipelineConfig, run_dir: Path) -> LlmSession:
-    templates = load_templates(config.prompts_dir())
+def open_backend(config: PipelineConfig, run_dir: Path) -> tuple[object, ResponseCache]:
+    """The run's backend and its response cache."""
     if config.backend.kind == BACKEND_HTTP:
         from .llm.http_backend import HttpBackend  # imports http.client, which mock runs never use
 
@@ -92,14 +95,7 @@ def build_session(config: PipelineConfig, run_dir: Path) -> LlmSession:
         )
     else:
         backend = MockBackend(packaged_path(MOCK_RULES))
-    cache = ResponseCache(config.cache_dir(run_dir), backend.identity)
-    return LlmSession(backend, templates, model=config.backend.model, cache=cache)
-
-
-def _write_backend_log(run_dir: Path, stage: str, records: list[CallRecord]) -> None:
-    path = run_dir / runfiles.LOGS_DIR / f"backend_{stage}.jsonl"
-    # a CallRecord nests no dataclass, so vars() is already its row, in field order
-    runfiles.write_jsonl(path, (vars(record) for record in records))
+    return backend, ResponseCache(config.cache_dir(run_dir), backend.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +293,7 @@ def config_digest(config: PipelineConfig) -> str:
 
 def load_manifest(run_dir: Path) -> dict | None:
     path = run_dir / runfiles.MANIFEST
-    if not path.exists():
-        return None
-    return json.loads(path.read_text(encoding="utf-8"))
+    return runfiles.read_json(path, "run") if path.exists() else None
 
 
 def save_manifest(run_dir: Path, manifest: dict) -> None:
@@ -309,14 +303,15 @@ def save_manifest(run_dir: Path, manifest: dict) -> None:
 @contextmanager
 def _open_run(
     config: PipelineConfig, input_paths: list[Path] | None, run_dir: Path
-) -> Iterator[tuple[dict, Callable[[], LlmSession]]]:
+) -> Iterator[tuple[dict, Callable[[], tuple[object, ResponseCache]]]]:
     """Lock the run directory; yield its manifest, set to this config and these
-    inputs, and a getter for the run's one backend session.
+    inputs, and a getter for the run's one backend and response cache.
 
-    The session is built at the getter's first call and closed when the run
-    ends, so a run that executes no backend stage needs no credentials. An
-    input path that the manifest could not hold is refused before the run
-    directory is made.
+    They are opened at the getter's first call, so a run that executes no
+    backend stage needs no credentials. When the run ends the cache is closed,
+    then the backend's pooled connections, if it keeps any, also when closing
+    the cache raises. An input path that the manifest could not hold is
+    refused before the run directory is made.
     """
     for path in input_paths or []:
         require_utf8("input path", str(path))
@@ -332,20 +327,22 @@ def _open_run(
         )
         if input_paths:
             manifest["input_paths"] = [os.path.abspath(p) for p in input_paths]
-        built: list[LlmSession] = []
+        opened: list[tuple[object, ResponseCache]] = []
 
-        def get_session() -> LlmSession:
-            if not built:
-                built.append(build_session(config, run_dir))
-                # the parameters every logged request was sent with, recorded once
-                manifest["request"] = built[0].params
-            return built[0]
+        def get_backend() -> tuple[object, ResponseCache]:
+            if not opened:
+                opened.append(open_backend(config, run_dir))
+            return opened[0]
 
         try:
-            yield manifest, get_session
+            yield manifest, get_backend
         finally:
-            for opened in built:
-                opened.close()
+            for backend, cache in opened:
+                try:
+                    cache.close()
+                finally:
+                    if hasattr(backend, "close"):
+                        backend.close()
 
 
 class RunLock:
@@ -384,21 +381,27 @@ def execute_stage(
     run_dir: Path,
     config: PipelineConfig,
     manifest: dict,
-    get_session: Callable[[], LlmSession],
+    get_backend: Callable[[], tuple[object, ResponseCache]],
 ) -> dict:
-    """Run one stage: read its inputs, call it, write its outputs and backend log,
-    and record it in the manifest. ``get_session`` returns the run's backend session."""
+    """Run one stage: read and digest its inputs, call it, write its outputs and
+    backend log, and record it in the manifest. ``get_backend`` returns the run's
+    backend and response cache, on which a backend stage gets its own session."""
     stage = _STAGE_BY_NAME[name]
-    session = get_session() if stage.uses_backend else None
-    records: list[CallRecord] = []
-    failed_calls = 0
+    backend, cache = get_backend() if stage.uses_backend else (None, None)
+    session = None
     started = time.time()
     logger.info("stage %s: running", name)
     try:
         inputs = {path: runfiles.read(run_dir / path, _PRODUCERS[path]) for path in stage.inputs}
-        files, stats = stage.run(inputs, config, session, manifest)
-        # a resource file that is missing fails the stage here, before any output is written
+        # digested before the stage loads its resources, so that an edit made while it
+        # runs re-runs it; a resource file that is missing fails the stage here
         input_digest = stage_input_digest(stage, run_dir, config, manifest)
+        if backend is not None:
+            templates = load_templates(config.prompts_dir())
+            session = LlmSession(backend, templates, config.backend.model, cache)
+            # the parameters every logged request was sent with
+            manifest["request"] = session.params
+        files, stats = stage.run(inputs, config, session, manifest)
         written = {path.split("/")[0] for path in files}
         if written != set(stage.outputs):
             raise StageError(name, f"wrote {sorted(written)}, declares {sorted(stage.outputs)}")
@@ -420,17 +423,14 @@ def execute_stage(
         if isinstance(exc, StageError):
             raise
         raise StageError(name, str(exc)) from exc
-    finally:
-        if session is not None:
-            # the next stage's calls are numbered from 1, and its failures counted from 0
-            records, failed_calls = session.take_records()
 
     counts = {}
     if session is not None:
-        _write_backend_log(run_dir, name, records)
-        hits = sum(r.cache_hit for r in records)
+        records = session.records
+        runfiles.write_jsonl(run_dir / runfiles.LOGS_DIR / f"backend_{name}.jsonl", records)
+        hits = sum(r["cache_hit"] for r in records)
         counts["cache"] = {"hits": hits, "misses": len(records) - hits}
-        counts["failed_calls"] = failed_calls
+        counts["failed_calls"] = session.failed_calls
     record = {
         "status": "ok",
         "input_digest": input_digest,
@@ -495,7 +495,7 @@ def run_all(
     Returns the final run manifest. ``input_paths`` may be omitted when
     resuming a directory whose manifest already records them.
     """
-    with _open_run(config, input_paths, run_dir) as (manifest, get_session):
+    with _open_run(config, input_paths, run_dir) as (manifest, get_backend):
         if not manifest["input_paths"]:
             raise StageError("ingest", "no input paths given and none recorded in the manifest")
         reran: set[str] = set()
@@ -503,7 +503,7 @@ def run_all(
             if _stage_clean(stage, run_dir, config, manifest, reran):
                 logger.info("stage %s: up to date, skipping", stage.name)
                 continue
-            execute_stage(stage.name, run_dir, config, manifest, get_session)
+            execute_stage(stage.name, run_dir, config, manifest, get_backend)
             reran.add(stage.name)
         save_manifest(run_dir, manifest)
     return manifest
@@ -513,8 +513,8 @@ def run_stage(
     name: str, config: PipelineConfig, input_paths: list[Path] | None, run_dir: Path
 ) -> dict:
     """Execute one stage on a run directory, whether or not its record is intact."""
-    with _open_run(config, input_paths, run_dir) as (manifest, get_session):
-        return execute_stage(name, run_dir, config, manifest, get_session)
+    with _open_run(config, input_paths, run_dir) as (manifest, get_backend):
+        return execute_stage(name, run_dir, config, manifest, get_backend)
 
 
 def cache_stats(

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-from .errors import MissingStageFileError
+from .errors import MissingStageFileError, RunFileError
 
 ENTRIES = "entries.jsonl"
 REJECTS = "rejects.jsonl"
@@ -97,11 +97,11 @@ def _read_lines(path: Path) -> list[dict]:
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} line {number}: {exc.msg}: column {exc.colno}") from None
+                raise RunFileError(f"{path} line {number}: {exc.msg}: column {exc.colno}") from None
             except (ValueError, RecursionError) as exc:  # an int of too many digits, deep nesting
-                raise ValueError(f"{path} line {number}: {exc}") from None
+                raise RunFileError(f"{path} line {number}: {exc}") from None
             if not isinstance(row, dict):
-                raise ValueError(f"{path} line {number}: not a JSON object")
+                raise RunFileError(f"{path} line {number}: not a JSON object")
             rows.append(row)
     return rows
 
@@ -111,9 +111,17 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def read_json(path: Path, stage: str) -> dict:
+    """The object of a JSON file, raising ``<file>: <reason>`` if it holds none;
+    ``stage`` is its producer."""
     if not path.exists():
         raise MissingStageFileError(stage, str(path))
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise RunFileError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise RunFileError(f"{path}: not a JSON object")
+    return payload
 
 
 def read(path: Path, stage: str) -> list[dict] | dict:

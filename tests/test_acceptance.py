@@ -422,5 +422,5 @@ def test_criterion_10_live_smoke(corpus_path, templates):
             assert row.get("timeline") is None or isinstance(row["timeline"], str)
             assert row["created_utc"] == entry["created_utc"]
     finally:
-        session.close()  # its pooled connections
+        backend.close()  # its pooled connections
     _passed(10, "live endpoint smoke: parse or well-formed failure, no crash")

@@ -217,9 +217,11 @@ class _FakeConnection:
     def __init__(self, responses):
         self.responses = list(responses)
         self.sock = None
+        self.bodies = []
 
     def request(self, method, target, body, headers):
         self.sock = "open"
+        self.bodies.append(body)
 
     def getresponse(self):
         return self.responses.pop(0)
@@ -278,6 +280,24 @@ def test_retry_waits_retry_after_on_429_and_503(monkeypatch, status, retry_after
         assert sleeps[0] == expected
 
 
+def test_the_request_body_holds_the_request_fields_in_order(monkeypatch):
+    # a stop of None is left out; the request itself keeps it
+    monkeypatch.setenv("TEST_API_KEY", "sekret")
+    connection = _FakeConnection([_FakeResponse(200, body=_ok_body()) for _ in range(2)])
+    backend = HttpBackend(
+        base_url="http://stub", api_key_env="TEST_API_KEY", connect=lambda: connection
+    )
+    request = _request()
+    backend.complete(request)
+    backend.complete(CompletionRequest(model="m", messages=request.messages, stop=["\n"]))
+    assert request.cache_key() == _request().cache_key()
+    fields = (
+        b'{"model": "m", "messages": [{"role": "user", "content": "hi"}], '
+        b'"temperature": 0.0, "max_tokens": 1000, "top_p": 1.0'
+    )
+    assert connection.bodies == [fields + b"}", fields + b', "stop": ["\\n"]}']
+
+
 def _fake_backend(monkeypatch, *bodies):
     """A backend whose one connection answers 200 with each body in turn."""
     monkeypatch.setenv("TEST_API_KEY", "sekret")
@@ -295,13 +315,12 @@ def test_null_content_is_a_failed_call_that_nothing_caches(monkeypatch, template
         backend.complete(_request())
     assert err.value.status == 200
 
-    session = LlmSession(
-        backend, templates, model="m", cache=ResponseCache(tmp_path, backend.identity)
-    )
+    cache = ResponseCache(tmp_path, backend.identity)
+    session = LlmSession(backend, templates, model="m", cache=cache)
     verdict = session.ask_parsed("safety", {"text": "t"}, str.strip, tags={"entry_id": "t"})
     assert verdict == (None, "backend failure: completion content is NoneType, not text")
     assert session.failed_calls == 1
-    session.close()  # no answer is pending, so the final flush writes nothing
+    cache.close()  # no answer is pending, so the final flush writes nothing
     assert read_stats(tmp_path)[0] == 0
 
 
@@ -312,13 +331,12 @@ def test_d13_text_that_is_not_utf8_is_a_failed_call_that_nothing_caches(
     # the answer pending, so every later flush and close() raised
     body = {"choices": [{"message": {"role": "assistant", "content": "\ud800"}}]}
     backend = _fake_backend(monkeypatch, body)
-    session = LlmSession(
-        backend, templates, model="m", cache=ResponseCache(tmp_path, backend.identity)
-    )
+    cache = ResponseCache(tmp_path, backend.identity)
+    session = LlmSession(backend, templates, model="m", cache=cache)
     verdict = session.ask_parsed("safety", {"text": "t"}, str.strip, tags={"entry_id": "t"})
     assert verdict == (None, "backend failure: completion content is not UTF-8 text")
     assert session.failed_calls == 1
-    session.close()
+    cache.close()
     assert read_stats(tmp_path)[0] == 0
 
 
@@ -327,14 +345,13 @@ def test_d16_a_deeply_nested_answer_is_a_failed_call_that_nothing_caches(
 ):
     # json.loads once raised RecursionError out of the call, failing its stage
     backend = _fake_backend(monkeypatch, b"[" * 100_000 + b"]" * 100_000)
-    session = LlmSession(
-        backend, templates, model="m", cache=ResponseCache(tmp_path, backend.identity)
-    )
+    cache = ResponseCache(tmp_path, backend.identity)
+    session = LlmSession(backend, templates, model="m", cache=cache)
     answer, failure = session.ask_parsed("safety", {"text": "t"}, str.strip, tags={"entry_id": "t"})
     assert answer is None
     assert failure.startswith("backend failure: malformed completion response: maximum recursion")
     assert session.failed_calls == 1
-    session.close()
+    cache.close()
     assert read_stats(tmp_path)[0] == 0
 
 

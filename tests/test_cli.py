@@ -79,6 +79,21 @@ def test_filter_without_ingest_fails_cleanly(tmp_path, capsys):
     assert "requires missing file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("text", "reason"),
+    [("{\n", "Expecting property name"), ("[]\n", "not a JSON object")],
+    ids=["not_json", "not_an_object"],
+)
+def test_a_damaged_manifest_exits_1_naming_it(tmp_path, capsys, text, reason):
+    # the manifest was once decoded unguarded, ending the CLI in a traceback
+    manifest = tmp_path / "run" / "run_manifest.json"
+    manifest.parent.mkdir()
+    manifest.write_text(text, encoding="utf-8")
+    assert main(["report", "--run", str(manifest.parent)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: {reason}") and err.count("\n") == 1
+
+
 def test_cache_requires_a_directory_argument(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["cache"])

@@ -100,4 +100,4 @@ def test_rendered_system_prompt_is_stable(templates, mock_session, monkeypatch):
     [request] = sent
     assert request.messages[0]["role"] == "system"
     assert request.messages[0]["content"] == templates["diagnosis"].system
-    assert session.records[0].request_digest == request.cache_key()
+    assert session.records[0]["request_digest"] == request.cache_key()

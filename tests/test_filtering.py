@@ -3,7 +3,7 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import ScriptedSession
 from mindpipe.errors import BackendExhaustedError, ResponseFormatError
@@ -79,6 +79,7 @@ def test_clean_is_idempotent(text):
 
 
 @given(st.text(max_size=300))
+@example("HTTP://")  # a bare scheme was once left in place
 def test_clean_output_invariants(text):
     cleaned = clean_string(text)
     assert "  " not in cleaned

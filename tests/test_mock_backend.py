@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from mindpipe.config import packaged_path
+from mindpipe import pipeline
+from mindpipe.config import load_config, packaged_path
 from mindpipe.errors import BackendError, BackendExhaustedError, ResponseFormatError
 from mindpipe.llm.cache import ResponseCache
 from mindpipe.llm.completion import CompletionRequest
@@ -59,7 +60,7 @@ def test_deterministic_and_counts_calls(backend, templates):
 
 
 def _hits_and_misses(records) -> tuple[int, int]:
-    hits = sum(record.cache_hit for record in records)
+    hits = sum(record["cache_hit"] for record in records)
     return hits, len(records) - hits
 
 
@@ -81,24 +82,12 @@ def test_session_logs_hits_and_misses(templates, tmp_path, monkeypatch):
     assert first == second == "yes"
     assert backend.calls == 1
     assert _hits_and_misses(session.records) == (1, 1)
-    assert [r.cache_hit for r in session.records] == [False, True]
-    assert session.records[0].tags["entry_id"] == "e1"
+    assert [r["cache_hit"] for r in session.records] == [False, True]
+    assert session.records[0]["tags"]["entry_id"] == "e1"
     (request,) = received
     assert request.temperature == 0.0
     assert request.max_tokens == 1000
-    assert [r.request_digest for r in session.records] == [request.cache_key()] * 2
-
-
-def test_take_records_empties_the_log_and_restarts_seq(templates):
-    session = LlmSession(MockBackend(packaged_path("data/mock_rules.json")), templates, model="m")
-    session.ask("relevance", {"text": "i feel anxious"}, tags={})
-    session.ask("relevance", {"text": "i feel calm"}, tags={})
-    records, failed = session.take_records()
-    assert [r.seq for r in records] == [1, 2] and failed == 0
-    assert session.records == []
-    session.ask("relevance", {"text": "i feel anxious"}, tags={})
-    records, failed = session.take_records()
-    assert [r.seq for r in records] == [1] and failed == 0
+    assert [r["request_digest"] for r in session.records] == [request.cache_key()] * 2
 
 
 def test_session_reask_appends_reminder(templates):
@@ -113,13 +102,13 @@ def test_session_reask_appends_reminder(templates):
     )
     assert value is None
     assert failure == "always fails"
-    assert [r.reask for r in session.records] == [False, True]
+    assert [r["reask"] for r in session.records] == [False, True]
     request = _request(templates, "relevance", {"text": "anxious"})
     reminded = [*request.messages[:-1], dict(request.messages[-1])]
     reminded[-1]["content"] += REASK_REMINDER
     reask = CompletionRequest(model="m", messages=reminded)
     assert reask.messages[-1]["content"].endswith(REASK_REMINDER)
-    assert session.records[1].request_digest == reask.cache_key()
+    assert session.records[1]["request_digest"] == reask.cache_key()
 
 
 def test_session_reask_distinct_cache_key(templates, tmp_path):
@@ -221,7 +210,7 @@ def test_ask_parsed_turns_a_backend_error_into_a_failure(templates, tmp_path, fa
     assert backend.calls == fail_on
     assert session.failed_calls == 1
     # only the answered ask is logged and cached; the failed one is neither
-    assert [r.reask for r in session.records] == [False] * (fail_on - 1)
+    assert [r["reask"] for r in session.records] == [False] * (fail_on - 1)
     assert _hits_and_misses(session.records) == (0, fail_on - 1)
     request = _request(templates, "relevance", {"text": "i feel anxious"})
     reminded = [*request.messages[:-1], dict(request.messages[-1])]
@@ -244,9 +233,11 @@ class _FailingCloseCache:
         raise sqlite3.IntegrityError("NOT NULL constraint failed: responses.text")
 
 
-def test_close_closes_the_backend_when_closing_the_cache_raises(templates):
+def test_close_closes_the_backend_when_closing_the_cache_raises(tmp_path, monkeypatch):
+    # the run opens the backend and cache at its first backend stage, and closes both
     backend = _ClosableBackend(packaged_path("data/mock_rules.json"))
-    session = LlmSession(backend, templates, model="m", cache=_FailingCloseCache())
+    monkeypatch.setattr(pipeline, "open_backend", lambda *args: (backend, _FailingCloseCache()))
     with pytest.raises(sqlite3.IntegrityError):
-        session.close()
+        with pipeline._open_run(load_config(), None, tmp_path / "run") as (_, get_backend):
+            get_backend()
     assert backend.closed

@@ -21,7 +21,7 @@ from conftest import (
     read_jsonl,
     run_outputs,
 )
-from mindpipe import pipeline, runfiles
+from mindpipe import pipeline, runfiles, stages
 from mindpipe.config import PipelineConfig, load_config, packaged_path
 from mindpipe.errors import ConfigError, RunLockedError, StageError
 from mindpipe.llm.cache import DB_NAME, read_stats
@@ -365,6 +365,9 @@ def test_backend_log_records_leave_the_request_parameters_to_the_manifest(fixtur
         assert list(record) == [
             "seq", "template", "tags", "cache_hit", "reask", "request_digest",
         ]
+    for log in (fixture_run / "logs").glob("backend_*.jsonl"):
+        records = read_jsonl(log)
+        assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
     assert set(pipeline.load_manifest(fixture_run)["request"]) == {
         "model", "temperature", "max_tokens", "top_p", "stop",
     }
@@ -444,6 +447,74 @@ def test_lexicon_edit_reruns_filter_and_downstream_like_a_fresh_run(corpus_path,
     assert run_outputs(tmp_path / "run") == run_outputs(tmp_path / "fresh")
 
 
+def _backend_logs(run_dir: Path) -> dict[str, list[dict]]:
+    """Each backend log's records, less ``cache_hit``, which depends on the cache's
+    history rather than on what the stage asked."""
+    return {
+        log.name: [{**r, "cache_hit": None} for r in read_jsonl(log)]
+        for log in sorted((run_dir / "logs").glob("backend_*.jsonl"))
+    }
+
+
+def _resume_after_an_edit_while_filter_runs(config, corpus_path, tmp_path, monkeypatch, edit):
+    """Run with ``edit`` made while ``filter`` runs, once it has loaded its lexicon,
+    then resume; the resumed run must equal a fresh run with the edited file.
+    Returns (resumed manifest, fresh manifest)."""
+    load_lexicon = stages.load_lexicon
+    edited = []
+
+    def load_then_edit(path):
+        terms = load_lexicon(path)
+        if not edited:  # recommend loads its blocklist through it too
+            edited.append(path)
+            edit()
+        return terms
+
+    monkeypatch.setattr(stages, "load_lexicon", load_then_edit)
+    run_dir, fresh_dir = tmp_path / "run", tmp_path / "fresh"
+    pipeline.run_all(config, [corpus_path], run_dir)
+    resumed = pipeline.run_all(config, [corpus_path], run_dir)
+    fresh = pipeline.run_all(config, [corpus_path], fresh_dir)
+    assert run_outputs(run_dir) == run_outputs(fresh_dir)
+    assert _backend_logs(run_dir) == _backend_logs(fresh_dir)
+    return resumed, fresh
+
+
+def test_d18_a_lexicon_edit_made_while_filter_runs_reruns_it_like_a_fresh_run(
+    corpus_path, tmp_path, monkeypatch
+):
+    # the input digest was once taken after the stage body, so it recorded the
+    # edited lexicon as the one the body had used
+    lexicon = tmp_path / "lexicon.txt"
+    shutil.copy(packaged_path("data/safety_lexicon.txt"), lexicon)
+    config = _config(**{"paths.lexicon": str(lexicon)})
+
+    def add_term():
+        lexicon.write_text(lexicon.read_text(encoding="utf-8") + "anxious\n", encoding="utf-8")
+
+    resumed, fresh = _resume_after_an_edit_while_filter_runs(
+        config, corpus_path, tmp_path, monkeypatch, add_term
+    )
+    assert resumed["stages"]["filter"]["stats"] == fresh["stages"]["filter"]["stats"]
+
+
+def test_d18_a_prompt_edit_made_while_filter_runs_reaches_diagnose_like_a_fresh_run(
+    corpus_path, tmp_path, monkeypatch
+):
+    # every template was once loaded at the first backend stage, so diagnose used
+    # the template as it was then, and recorded the digest of the edited one
+    prompts = tmp_path / "prompts"
+    shutil.copytree(packaged_path("prompts"), prompts)
+    config = _config(**{"paths.prompts_dir": str(prompts)})
+    diagnosis = prompts / "diagnosis.txt"
+
+    def edit_prompt():
+        text = diagnosis.read_text(encoding="utf-8")
+        diagnosis.write_text(text.replace("You are an", "You are a careful"), encoding="utf-8")
+
+    _resume_after_an_edit_while_filter_runs(config, corpus_path, tmp_path, monkeypatch, edit_prompt)
+
+
 def test_prompt_edit_reruns_exactly_the_stages_that_read_it(corpus_path, tmp_path):
     prompts = tmp_path / "prompts"
     shutil.copytree(packaged_path("prompts"), prompts)
@@ -491,14 +562,29 @@ def test_missing_resource_file_fails_the_stage_that_reads_it(corpus_path, tmp_pa
     assert pipeline.load_manifest(tmp_path / "run")["stages"]["interact"]["status"] == "failed"
 
 
-def test_a_failed_stage_writes_no_outputs(fixture_run, corpus_path, tmp_path):
+def test_a_template_that_does_not_load_fails_the_stage_that_loads_it(corpus_path, tmp_path):
+    # the templates are loaded inside the stage, so its failure is recorded
     prompts = tmp_path / "prompts"
     shutil.copytree(packaged_path("prompts"), prompts)
-    # the template still loads, so the stage body succeeds and its input digest fails
-    (prompts / "relation.txt").rename(prompts / "relation_v2.txt")
+    (prompts / "relevance.txt").write_text("name: relevance\n", encoding="utf-8")
     config = _config(**{"paths.prompts_dir": str(prompts)})
-    with pytest.raises(StageError, match="relation.txt"):
+    with pytest.raises(StageError, match="relevance.txt: missing"):
         pipeline.run_all(config, [corpus_path], tmp_path / "run")
+    stages_run = pipeline.load_manifest(tmp_path / "run")["stages"]
+    assert {name: r["status"] for name, r in stages_run.items()} == {
+        "ingest": "ok", "filter": "failed",
+    }
+
+
+def test_a_failed_stage_writes_no_outputs(fixture_run, corpus_path, tmp_path, monkeypatch):
+    # interact's body succeeds, and the stray file it returns fails the stage
+    interact = pipeline._STAGE_BY_NAME["interact"]
+    stray = dataclasses.replace(
+        interact, run=lambda *args: ({**interact.run(*args)[0], "stray.json": {}}, {})
+    )
+    monkeypatch.setitem(pipeline._STAGE_BY_NAME, "interact", stray)
+    with pytest.raises(StageError, match="declares"):
+        pipeline.run_all(_config(), [corpus_path], tmp_path / "run")
     assert not (tmp_path / "run" / "relations.jsonl").exists()
     assert not (tmp_path / "run" / "logs" / "backend_interact.jsonl").exists()
     # closing the run flushed the cache: every answer of the earlier stages, and of

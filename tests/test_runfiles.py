@@ -88,3 +88,13 @@ def test_a_damaged_stage_file_names_its_file_and_line(fixture_run, tmp_path):
     config = load_config(overrides={"pipeline.cohort_size": COHORT_SIZE})
     with pytest.raises(StageError, match=r"filtered\.jsonl line 17: Invalid control character"):
         pipeline.run_stage("extract", config, None, run_dir)
+
+
+def test_a_damaged_json_stage_file_names_its_file(fixture_run, tmp_path):
+    # read_json once let the decoder's error through, naming no file
+    run_dir = tmp_path / "run"
+    shutil.copytree(fixture_run, run_dir)
+    (run_dir / runfiles.COHORT).write_text("[" * 5000, encoding="utf-8")
+    config = load_config(overrides={"pipeline.cohort_size": COHORT_SIZE})
+    with pytest.raises(StageError, match=r"cohort\.json: maximum recursion depth"):
+        pipeline.run_stage("aggregate", config, None, run_dir)
