@@ -7,14 +7,11 @@ by ``backend.api_key_env``.
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-
-import yaml
 
 from .errors import ConfigError
 
@@ -24,7 +21,7 @@ BACKEND_HTTP = "http"
 
 def packaged_path(relative: str) -> Path:
     """Resolve a data file shipped inside the package."""
-    return Path(importlib.resources.files("mindpipe") / relative)
+    return Path(__file__).parent / relative
 
 
 @dataclass
@@ -141,6 +138,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     """
     config = PipelineConfig()
     if path is not None:
+        import yaml  # only a config file needs it, and most runs have none
+
         try:
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:

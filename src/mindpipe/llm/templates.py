@@ -93,19 +93,6 @@ def _validate(template: PromptTemplate, path: Path) -> None:
         )
 
 
-def load_templates(directory: str | Path) -> dict[str, PromptTemplate]:
-    """Load every *.txt template in a directory, keyed by template name."""
-    templates: dict[str, PromptTemplate] = {}
-    for path in sorted(Path(directory).glob("*.txt")):
-        template = load_template(path)
-        if template.name in templates:
-            raise TemplateError(f"duplicate template name: {template.name}")
-        templates[template.name] = template
-    if not templates:
-        raise TemplateError(f"no templates found under {directory}")
-    return templates
-
-
 def render(template: PromptTemplate, bindings: dict[str, str]) -> list[dict[str, str]]:
     """Substitute bindings into the template and build the messages list."""
     for name in template.placeholders:

@@ -8,10 +8,11 @@ Stage graph (deps in parentheses):
     report(extract, aggregate, diagnose, recommend, interact)
 
 ``STAGES`` is the one description of a stage: its function, the run-dir
-files it reads and writes, and the resource files (prompt templates, data
-files) it reads. A stage's deps are the producers of its inputs, and it
-uses the backend when it renders prompts. ``run-all``, the single-stage CLI
-and the skip check all read the table. The stage bodies are in ``stages``,
+files it reads and writes, and the resource files it reads that a config
+key can point elsewhere (its prompt templates, the safety lexicon). A
+stage's deps are the producers of its inputs, and it uses the backend
+when it renders prompts. ``run-all``, the single-stage CLI and the skip
+check all read the table. The stage bodies are in ``stages``,
 except ``stage_report``, which reads the manifest's stage records.
 
 Only ``execute_stage`` touches the run directory for a stage. It reads the
@@ -23,8 +24,8 @@ both succeeded. The files must fill exactly the stage's declared outputs
 is deleted). The run has one backend and one response cache: they are
 opened at the first backend stage that executes and closed when the run
 ends. Each backend stage gets its own session on them, made after the
-stage's input digest is taken, with the templates loaded then, so what a
-stage reads is exactly what its skip check digests.
+stage's input digest is taken, with its declared templates loaded then, so
+what a stage reads is exactly what its skip check digests.
 
 A stage's ``stats`` hold only facts about its rows. A backend stage's
 manifest record also holds its cache hits and misses (``cache``) and the
@@ -35,13 +36,14 @@ manifest's ``request`` block holds the parameters that every logged
 request was sent with.
 
 A stage is skipped on rerun when its manifest record is intact: same
-config digest (the config plus the package's Python source, so any edit
-to the code re-runs every stage), same input digest, outputs present with
-the recorded digest, no failed backend call, and no upstream stage
-re-executed this invocation. The input digest covers the bytes of the
-stage's run-dir inputs (the dump files, for ingest), of its resource
-files, and of the mock rule table when a backend stage runs on the mock;
-for report, also the other stages' recorded ``stats``, which it reports.
+config digest, same input digest, outputs present with the recorded
+digest, no failed backend call, and no upstream stage re-executed this
+invocation. Each file a run reads is covered by one of the two digests.
+The config digest covers the config and every file the package ships, its
+source and its data, so any edit to the package re-runs every stage at the
+next process's run. The input digest covers the bytes of the stage's
+run-dir inputs (the dump files, for ingest) and of its resource files; for
+report, also the other stages' recorded ``stats``, which it reports.
 """
 
 from __future__ import annotations
@@ -60,12 +62,12 @@ from typing import Callable, Iterator
 
 from . import __version__, runfiles, stages
 from .config import BACKEND_HTTP, PipelineConfig, packaged_path, require_utf8, run_cache_dir
-from .errors import RunLockedError, StageError
+from .errors import RunLockedError, StageError, TemplateError
 from .llm.cache import ResponseCache, read_stats
 from .llm.mock_backend import MockBackend
 from .llm.ratelimit import RateLimiter
 from .llm.session import LlmSession
-from .llm.templates import load_templates
+from .llm.templates import PromptTemplate, load_template
 from .recommendation import load_aliases
 from .reports import emit_reports
 
@@ -73,7 +75,7 @@ logger = logging.getLogger(__name__)
 
 
 # Resource names: "prompts/<file>" resolves under config.prompts_dir(),
-# LEXICON to config.lexicon_path(), anything else to a packaged data file.
+# LEXICON to config.lexicon_path().
 LEXICON = "lexicon"
 MOCK_RULES = "data/mock_rules.json"
 
@@ -130,7 +132,7 @@ def stage_report(
 @dataclass(frozen=True)
 class StageDef:
     """One stage: its function, the run-dir files it reads and writes, and the
-    resource files whose bytes its outputs depend on."""
+    resource files, located by the config, whose bytes its outputs depend on."""
 
     name: str
     run: Callable[[dict, PipelineConfig, LlmSession | None, dict], stages.StageResult]
@@ -177,7 +179,7 @@ STAGES: tuple[StageDef, ...] = (
     StageDef(
         "recommend", stages.stage_recommend,
         (runfiles.DIAGNOSIS, runfiles.SUMMARIES), (runfiles.RECOMMENDATIONS,),
-        ("prompts/recommendation.txt", "data/medication_blocklist.txt"),
+        ("prompts/recommendation.txt",),
     ),
     StageDef(
         "interact", stages.stage_interact,
@@ -194,7 +196,6 @@ STAGES: tuple[StageDef, ...] = (
             runfiles.RELATIONS,
         ),
         (runfiles.REPORTS_DIR,),
-        ("data/therapy_aliases.json",),
     ),
 )
 
@@ -204,20 +205,23 @@ _PRODUCERS = {output: stage.name for stage in STAGES for output in stage.outputs
 
 
 def resource_paths(stage: StageDef, config: PipelineConfig) -> list[Path]:
-    """The files outside the run directory whose bytes the stage's outputs depend on."""
-    names = list(stage.resources)
-    if stage.uses_backend and config.backend.kind != BACKEND_HTTP:
-        names.append(MOCK_RULES)
-    paths = []
-    for name in names:
-        folder, _, file_name = name.partition("/")
-        if name == LEXICON:
-            paths.append(config.lexicon_path())
-        elif folder == "prompts":
-            paths.append(config.prompts_dir() / file_name)
-        else:
-            paths.append(packaged_path(name))
-    return paths
+    """The files that the config locates and whose bytes the stage's outputs depend on."""
+    prompts = config.prompts_dir()
+    return [
+        config.lexicon_path() if name == LEXICON else prompts / name.removeprefix("prompts/")
+        for name in stage.resources
+    ]
+
+
+def _load_templates(stage: StageDef, config: PipelineConfig) -> dict[str, PromptTemplate]:
+    """The stage's declared prompt templates, by template name."""
+    templates: dict[str, PromptTemplate] = {}
+    for name, path in zip(stage.resources, resource_paths(stage, config)):
+        if name.startswith("prompts/"):
+            template = load_template(path)
+            if templates.setdefault(template.name, template) is not template:
+                raise TemplateError(f"{path}: duplicate template name: {template.name}")
+    return templates
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +282,21 @@ def stage_output_digest(stage: StageDef, run_dir: Path) -> str | None:
     return _digest_paths(paths, base=run_dir)
 
 
+# every file the package ships: its source and pyproject.toml's package data
+PACKAGE_FILES = ("**/*.py", "prompts/*.txt", "data/*")
+
+
 @functools.cache
 def code_digest() -> str:
-    """Digest of the package's Python source, computed once per process."""
+    """Digest of every file the package ships, computed once per process; a run
+    takes it when it opens, before any stage reads package data."""
     package = Path(__file__).parent
-    return _digest_paths(sorted(package.rglob("*.py")), base=package)
+    files = sorted(path for pattern in PACKAGE_FILES for path in package.glob(pattern))
+    return _digest_paths(files, base=package)
 
 
 def config_digest(config: PipelineConfig) -> str:
-    """Digest of the package source and the config; a change in either re-runs every stage."""
+    """Digest of the package's files and the config; a change in either re-runs every stage."""
     source = f"{code_digest()}\0{config.digest_source()}"
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
@@ -397,7 +407,7 @@ def execute_stage(
         # runs re-runs it; a resource file that is missing fails the stage here
         input_digest = stage_input_digest(stage, run_dir, config, manifest)
         if backend is not None:
-            templates = load_templates(config.prompts_dir())
+            templates = _load_templates(stage, config)
             session = LlmSession(backend, templates, config.backend.model, cache)
             # the parameters every logged request was sent with
             manifest["request"] = session.params

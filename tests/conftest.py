@@ -13,7 +13,7 @@ from mindpipe.errors import BackendError, BackendExhaustedError
 from mindpipe.llm.completion import CompletionRequest
 from mindpipe.llm.mock_backend import MockBackend
 from mindpipe.llm.session import REASK_REMINDER, LlmSession
-from mindpipe.llm.templates import load_templates
+from mindpipe.llm.templates import load_template
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus.jsonl"
@@ -39,7 +39,8 @@ def corpus_path() -> Path:
 
 @pytest.fixture(scope="session")
 def templates():
-    return load_templates(packaged_path("prompts"))
+    loaded = map(load_template, sorted(packaged_path("prompts").glob("*.txt")))
+    return {template.name: template for template in loaded}
 
 
 @pytest.fixture()

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
@@ -515,6 +517,67 @@ def test_d18_a_prompt_edit_made_while_filter_runs_reaches_diagnose_like_a_fresh_
     _resume_after_an_edit_while_filter_runs(config, corpus_path, tmp_path, monkeypatch, edit_prompt)
 
 
+def test_a_stray_file_in_the_prompts_dir_fails_no_stage_and_reruns_nothing(
+    corpus_path, tmp_path
+):
+    # every backend stage once loaded each *.txt under paths.prompts_dir, though it
+    # digested only the templates it declares, so a README there failed filter
+    prompts = tmp_path / "prompts"
+    shutil.copytree(packaged_path("prompts"), prompts)
+    config = _config(**{"paths.prompts_dir": str(prompts)})
+
+    def add_a_readme():
+        (prompts / "README.txt").write_text("Prompts for our clinic.\n", encoding="utf-8")
+
+    assert _rerun_order(config, corpus_path, tmp_path / "run", add_a_readme) == []
+    pipeline.run_all(config, [corpus_path], tmp_path / "fresh")
+    assert run_outputs(tmp_path / "run") == run_outputs(tmp_path / "fresh")
+    assert _backend_logs(tmp_path / "run") == _backend_logs(tmp_path / "fresh")
+
+
+def test_each_file_a_stage_reads_is_covered_by_a_digest(corpus_path, tmp_path, monkeypatch):
+    # a file a stage reads that no digest covers can change without the skip check
+    # seeing it; filter once loaded every template under paths.prompts_dir.
+    # SQLite opens the cache's files itself, so they do not show here.
+    prompts, lexicon = tmp_path / "prompts", tmp_path / "lexicon.txt"
+    shutil.copytree(packaged_path("prompts"), prompts)
+    shutil.copy(packaged_path("data/safety_lexicon.txt"), lexicon)
+    config = _config(**{"paths.prompts_dir": str(prompts), "paths.lexicon": str(lexicon)})
+    reads: dict[str, set[Path]] = {}
+    running: list[str] = []
+    open_, execute_stage = io.open, pipeline.execute_stage
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if running and isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            reads.setdefault(running[-1], set()).add(Path(os.path.abspath(file)))
+        return open_(file, mode, *args, **kwargs)
+
+    def recording_execute_stage(name, *args, **kwargs):
+        running.append(name)
+        try:
+            return execute_stage(name, *args, **kwargs)
+        finally:
+            running.pop()
+
+    # builtins.open and pathlib both call io.open
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(pipeline, "execute_stage", recording_execute_stage)
+    run_dir = tmp_path / "run"
+    manifest = pipeline.run_all(config, [corpus_path], run_dir)
+    monkeypatch.undo()
+
+    package = Path(pipeline.__file__).parent
+    packaged = {path for pattern in pipeline.PACKAGE_FILES for path in package.glob(pattern)}
+    assert set(reads) == set(pipeline.STAGE_NAMES)
+    for stage in pipeline.STAGES:
+        covered = packaged | set(pipeline._expand(run_dir, stage.inputs + stage.outputs))
+        covered |= set(pipeline.resource_paths(stage, config))
+        if stage.name == "ingest":
+            covered |= {Path(path) for path in manifest["input_paths"]}
+        assert reads[stage.name] <= covered, (stage.name, reads[stage.name] - covered)
+
+
 def test_prompt_edit_reruns_exactly_the_stages_that_read_it(corpus_path, tmp_path):
     prompts = tmp_path / "prompts"
     shutil.copytree(packaged_path("prompts"), prompts)
@@ -573,6 +636,23 @@ def test_a_template_that_does_not_load_fails_the_stage_that_loads_it(corpus_path
     stages_run = pipeline.load_manifest(tmp_path / "run")["stages"]
     assert {name: r["status"] for name, r in stages_run.items()} == {
         "ingest": "ok", "filter": "failed",
+    }
+
+
+def test_two_declared_templates_with_one_name_fail_the_stage_that_declares_them(
+    corpus_path, tmp_path
+):
+    prompts = tmp_path / "prompts"
+    shutil.copytree(packaged_path("prompts"), prompts)
+    temporal = prompts / "extract_temporal.txt"
+    text = temporal.read_text(encoding="utf-8")
+    temporal.write_text(text.replace("name: extract_temporal", "name: extract_features"), "utf-8")
+    config = _config(**{"paths.prompts_dir": str(prompts)})
+    with pytest.raises(StageError, match="duplicate template name: extract_features"):
+        pipeline.run_all(config, [corpus_path], tmp_path / "run")
+    stages_run = pipeline.load_manifest(tmp_path / "run")["stages"]
+    assert {name: r["status"] for name, r in stages_run.items()} == {
+        "ingest": "ok", "filter": "ok", "extract": "failed",
     }
 
 
@@ -771,6 +851,63 @@ def test_a_source_edit_reruns_every_stage_once(corpus_path, tmp_path):
     assert run_all() == ([], edited)
 
 
+# Runs the CLI with its arguments, and edits the rule table of the mindpipe it
+# imports once the run has loaded it, at the first backend stage.
+_EDIT_THE_RULES_ONCE_LOADED = """
+import sys
+from pathlib import Path
+from mindpipe import cli, pipeline
+
+rules = Path(pipeline.__file__).parent / "data" / "mock_rules.json"
+open_backend = pipeline.open_backend
+
+def open_then_edit(*args):
+    opened = open_backend(*args)
+    text = rules.read_text(encoding="utf-8")
+    assert "mental state is mild to moderate" in text
+    text = text.replace("mental state is mild to moderate", "mental state is mild")
+    rules.write_text(text, encoding="utf-8")
+    return opened
+
+pipeline.open_backend = open_then_edit
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_mock_rule_edit_made_while_a_run_is_under_way_reruns_every_stage(
+    corpus_path, tmp_path
+):
+    # the run loads the rule table once, while each backend stage digested it anew,
+    # so the later stages recorded the edited table as the one they had answered
+    # from, and the next run-all re-ran nothing
+    package = tmp_path / "src" / "mindpipe"
+    shutil.copytree(
+        Path(pipeline.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+
+    def run_all(run_dir: Path, *program: str) -> list[str]:
+        """Run the copy in a new process; the stages it executed."""
+        before = pipeline.load_manifest(run_dir)
+        executed = len(before["stage_order"]) if before else 0
+        command = [
+            sys.executable, *(program or ("-m", "mindpipe.cli")), "run-all",
+            "--input", str(corpus_path), "--out", str(run_dir), "--cohort-size", str(COHORT_SIZE),
+        ]
+        done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return pipeline.load_manifest(run_dir)["stage_order"][executed:]
+
+    run_dir, fresh_dir = tmp_path / "run", tmp_path / "fresh"
+    assert run_all(run_dir, "-c", _EDIT_THE_RULES_ONCE_LOADED) == list(pipeline.STAGE_NAMES)
+    answered_before_the_edit = run_outputs(run_dir)
+    assert run_all(run_dir) == list(pipeline.STAGE_NAMES)
+    assert run_all(fresh_dir) == list(pipeline.STAGE_NAMES)
+    assert run_outputs(run_dir) == run_outputs(fresh_dir) != answered_before_the_edit
+    assert _backend_logs(run_dir) == _backend_logs(fresh_dir)
+    assert run_all(run_dir) == []
+
+
 def test_the_manifest_explains_its_config_digest(fixture_run):
     manifest = pipeline.load_manifest(fixture_run)
     config = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
@@ -802,6 +939,6 @@ def test_stage_resources_exist_under_the_default_config():
     config = PipelineConfig()
     for stage in pipeline.STAGES:
         paths = pipeline.resource_paths(stage, config)
-        assert len(paths) == len(stage.resources) + stage.uses_backend, stage.name
+        assert len(paths) == len(stage.resources), stage.name
         for path in paths:
             assert path.is_file(), (stage.name, path)
