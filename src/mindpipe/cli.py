@@ -1,6 +1,8 @@
 """Command-line interface: one subcommand per stage plus run-all and cache.
 
-Exit codes: 0 success, 1 stage failure, 2 configuration or usage error.
+Exit codes: 0 success, 1 a stage or a run file failed, 2 a configuration or
+usage error. ``main`` alone maps an error to its code and one line; ``-v`` logs
+the traceback too.
 Every config knob can be overridden by a flag; flags win over the file.
 """
 
@@ -8,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import sqlite3
 import sys
 from pathlib import Path
 
@@ -78,33 +81,27 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    if args.command == "cache" and args.run is None and args.cache_dir is None:
+        parser.error("cache requires --run or --cache-dir")
 
     try:
         if args.command == "cache":
-            if args.run is None and args.cache_dir is None:
-                parser.error("cache requires --run or --cache-dir")
-            try:
-                entries, size, ratio = pipeline.cache_stats(args.run, args.cache_dir)
-            except (FileNotFoundError, ValueError) as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
+            entries, size, ratio = pipeline.cache_stats(args.run, args.cache_dir)
             ratio_text = "n/a" if ratio is None else f"{ratio:.3f}"
             print(f"entries={entries} bytes={size} last_run_hit_ratio={ratio_text}")
-            return 0
-
-        config = load_config(args.config, _overrides(args))
-
-        if args.command == "run-all":
-            pipeline.run_all(config, args.input, args.out)
         else:
-            pipeline.run_stage(args.command, config, getattr(args, "input", None), args.run)
-        return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except MindpipeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            config = load_config(args.config, _overrides(args))
+            if args.command == "run-all":
+                pipeline.run_all(config, args.input, args.out)
+            else:
+                pipeline.run_stage(args.command, config, getattr(args, "input", None), args.run)
+    except (MindpipeError, OSError, sqlite3.Error) as exc:
+        logger.debug("%s failed", args.command, exc_info=True)
+        code, prefix = (2, "config error") if isinstance(exc, ConfigError) else (1, "error")
+        message = " ".join(line.strip() for line in str(exc).splitlines() if line.strip())
+        print(f"{prefix}: {message}", file=sys.stderr)
+        return code
+    return 0
 
 
 if __name__ == "__main__":

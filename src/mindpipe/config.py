@@ -140,12 +140,11 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if path is not None:
         import yaml  # only a config file needs it, and most runs have none
 
+        # unreadable, not UTF-8, not YAML, nested too deep, or an int of too many digits
         try:
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except (yaml.YAMLError, RecursionError) as exc:
-            raise ConfigError(f"config file is not valid YAML: {exc}") from None
+        except (OSError, ValueError, yaml.YAMLError, RecursionError) as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
         if raw is None:
             raw = {}
         if not isinstance(raw, dict):

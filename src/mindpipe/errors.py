@@ -27,7 +27,7 @@ class BackendError(MindpipeError):
         self.status = status
 
 
-class BackendExhaustedError(MindpipeError):
+class BackendExhaustedError(BackendError):
     """Retryable failures persisted past the configured attempt cap."""
 
 

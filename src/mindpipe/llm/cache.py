@@ -65,8 +65,8 @@ def _open(path: Path) -> sqlite3.Connection:
     """Connect, first replacing a file that is not a readable database with an empty one."""
     try:
         return _connect(path)
-    except sqlite3.OperationalError:  # locked or unopenable: not a damaged file
-        raise
+    except sqlite3.OperationalError as exc:  # locked or unopenable: not a damaged file
+        raise sqlite3.OperationalError(f"{path}: {exc}") from exc
     except sqlite3.DatabaseError as exc:  # garbage or truncated bytes
         logger.warning("cache %s unreadable, starting an empty cache: %s", path, exc)
         # a stale -wal would be replayed into the new database

@@ -15,7 +15,7 @@ import threading
 from concurrent.futures import Future
 from typing import Callable
 
-from ..errors import BackendError, BackendExhaustedError, ResponseFormatError, TemplateError
+from ..errors import BackendError, ResponseFormatError, TemplateError
 from .cache import ResponseCache
 from .completion import CompletionRequest
 from .templates import PromptTemplate, render
@@ -138,7 +138,7 @@ class LlmSession:
         for reask in (False, True):
             try:
                 response = self.ask(template_name, bindings, tags=tags, reask=reask)
-            except (BackendError, BackendExhaustedError) as exc:
+            except BackendError as exc:
                 with self._lock:
                     self.failed_calls += 1
                 logger.warning("%s call failed (tags %s): %s", template_name, tags, exc)

@@ -62,7 +62,7 @@ from typing import Callable, Iterator
 
 from . import __version__, runfiles, stages
 from .config import BACKEND_HTTP, PipelineConfig, packaged_path, require_utf8, run_cache_dir
-from .errors import RunLockedError, StageError, TemplateError
+from .errors import ConfigError, RunLockedError, StageError, TemplateError
 from .llm.cache import ResponseCache, read_stats
 from .llm.mock_backend import MockBackend
 from .llm.ratelimit import RateLimiter
@@ -320,12 +320,15 @@ def _open_run(
     They are opened at the getter's first call, so a run that executes no
     backend stage needs no credentials. When the run ends the cache is closed,
     then the backend's pooled connections, if it keeps any, also when closing
-    the cache raises. An input path that the manifest could not hold is
-    refused before the run directory is made.
+    the cache raises. A run given input paths refuses any the manifest could
+    not hold, then makes its directory; any other needs a run's manifest there.
     """
-    for path in input_paths or []:
-        require_utf8("input path", str(path))
-    run_dir.mkdir(parents=True, exist_ok=True)
+    if input_paths:
+        for path in input_paths:
+            require_utf8("input path", str(path))
+        run_dir.mkdir(parents=True, exist_ok=True)
+    elif not (run_dir / runfiles.MANIFEST).exists():
+        raise ConfigError(f"no run in {run_dir}")
     with RunLock(run_dir):
         manifest = load_manifest(run_dir) or {"input_paths": [], "stages": {}, "stage_order": []}
         manifest.setdefault("cache", {"hits": 0, "misses": 0, "hit_ratio": None})
@@ -368,7 +371,6 @@ class RunLock:
         self.path = run_dir / runfiles.LOCK_FILE
 
     def __enter__(self) -> "RunLock":
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -533,9 +535,9 @@ def cache_stats(
     """(entries, database file bytes, last-run hit ratio) for a cache or run directory.
 
     A run directory's cache is the ``paths.cache_dir`` its manifest records, if
-    any, else ``<run>/cache``; a recorded relative path is refused, since it
-    names a directory relative to wherever the run was started. A cache
-    directory without a database reads as (0, 0, ...) and is left as it is.
+    any, else ``<run>/cache``. A recorded relative path, which names a directory
+    relative to where the run started, or a path that is no directory, is a
+    ``ConfigError``; a cache directory without a database reads as (0, 0, ...).
     """
     manifest = load_manifest(Path(run_dir)) if run_dir is not None else None
     if cache_dir is None:
@@ -543,13 +545,13 @@ def cache_stats(
             raise ValueError("cache_stats needs a run or cache directory")
         recorded = manifest["config"]["paths"]["cache_dir"] if manifest else None
         if recorded and not Path(recorded).is_absolute():
-            raise ValueError(
+            raise ConfigError(
                 f"run {run_dir} used the relative paths.cache_dir {recorded!r}; "
                 "name its cache with --cache-dir"
             )
         cache_dir = run_cache_dir(recorded, Path(run_dir))
-    if not Path(cache_dir).exists():
-        raise FileNotFoundError(f"cache directory does not exist: {cache_dir}")
+    if not Path(cache_dir).is_dir():
+        raise ConfigError(f"not a cache directory: {cache_dir}")
     entries, size = read_stats(cache_dir)
     ratio = None if manifest is None else manifest.get("cache", {}).get("hit_ratio")
     return entries, size, ratio

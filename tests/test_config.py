@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from mindpipe.config import PipelineConfig, load_config
 from mindpipe.errors import ConfigError
@@ -68,7 +70,7 @@ def test_http_backend_requires_base_url():
 
 
 def test_missing_config_file_is_config_error(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(ConfigError, match=r"absent\.yaml"):
         load_config(tmp_path / "absent.yaml")
 
 
@@ -126,3 +128,51 @@ def test_paths_recorded_absolute(tmp_path, monkeypatch):
     assert config.paths.lexicon == str(tmp_path / "lex.txt")
     assert config.paths.cache_dir == str(tmp_path / "shared")
     assert config.paths.prompts_dir is None
+
+
+# YAML scalars as written in a file, among them every tag the safe loader
+# knows and some it refuses
+SCALARS = st.one_of(
+    st.sampled_from([
+        "~", "true", "no", ".nan", ".inf", "-.inf", "0x1F", "1_000", "1.0e+400", "''",
+        '"\\ud800"', "!!binary aGk=", "!!timestamp 2001-12-14", "!!set {a, b}",
+        "!!python/object/apply:os.getcwd []", "!custom x", "!!str 5", "!!int x",
+        "9" * 5000, "- " * 1000 + "x", "[" * 100 + "]" * 100, "{a: [b, {c: d}]}", "*alias",
+    ]),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=8).map(json.dumps),
+)
+SECTIONS = st.sampled_from([*PipelineConfig.__dataclass_fields__, "mystery", "1"])
+KEYS = st.sampled_from(
+    ["kind", "base_url", "model", "rps", "concurrency", "cache_dir", "lexicon", "cohort_size", "x"]
+)
+
+
+@st.composite
+def yaml_documents(draw) -> str:
+    """A config file: one scalar, or sections that are each a scalar or keys with scalar values."""
+    if draw(st.booleans()):
+        return draw(SCALARS)
+    lines = []
+    for section, body in draw(
+        st.lists(st.tuples(SECTIONS, st.one_of(SCALARS, st.lists(st.tuples(KEYS, SCALARS)))))
+    ):
+        if isinstance(body, str):
+            lines.append(f"{section}: {body}")
+        else:
+            lines += [f"{section}:", *(f"  {key}: {value}" for key, value in body)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@example(document="limits:\n  rps: " + "9" * 5000 + "\n")  # D21: PyYAML's int ValueError escaped
+@given(document=yaml_documents())
+def test_any_config_file_gives_a_config_or_a_config_error(document, tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "config.yaml"
+    path.write_text(document, encoding="utf-8", errors="surrogatepass")
+    try:
+        config = load_config(path)
+    except ConfigError:
+        return
+    assert isinstance(config, PipelineConfig)

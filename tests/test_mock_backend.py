@@ -238,6 +238,7 @@ def test_close_closes_the_backend_when_closing_the_cache_raises(tmp_path, monkey
     backend = _ClosableBackend(packaged_path("data/mock_rules.json"))
     monkeypatch.setattr(pipeline, "open_backend", lambda *args: (backend, _FailingCloseCache()))
     with pytest.raises(sqlite3.IntegrityError):
-        with pipeline._open_run(load_config(), None, tmp_path / "run") as (_, get_backend):
+        inputs = [tmp_path / "dump.jsonl"]  # a run given no inputs needs a manifest
+        with pipeline._open_run(load_config(), inputs, tmp_path / "run") as (_, get_backend):
             get_backend()
     assert backend.closed

@@ -256,7 +256,7 @@ def test_mock_run_does_not_import_requests(corpus_path, tmp_path):
 
 
 def test_cache_stats_missing_dir_errors(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ConfigError):
         pipeline.cache_stats(cache_dir=tmp_path / "absent")
 
 
