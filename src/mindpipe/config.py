@@ -106,8 +106,8 @@ def require_utf8(name: str, text: str) -> None:
 def _set(config: PipelineConfig, dotted: str, value: object) -> None:
     """Set one ``section.key``, refusing unknown keys and values whose type is
     not the default's: an int passes for a float, a bool never passes, and a
-    key that defaults to ``None`` is a path and takes a string or ``None``.
-    A float must be finite, and text must encode as UTF-8."""
+    key that defaults to ``None`` is a path and takes a non-empty string or
+    ``None``. A float must be finite, and text must encode as UTF-8."""
     section_name, _, key = dotted.partition(".")
     if section_name not in PipelineConfig.__dataclass_fields__:
         raise ConfigError(f"unknown config key: {dotted}")
@@ -121,6 +121,8 @@ def _set(config: PipelineConfig, dotted: str, value: object) -> None:
     wrong_type = isinstance(value, bool) or not isinstance(value, accepted)
     if wrong_type and not (value is None and default is None):
         raise ConfigError(f"{dotted} must be {expected.__name__}, not {value!r}")
+    if value == "" and default is None:  # os.path.abspath("") is the working directory
+        raise ConfigError(f"{dotted} is empty; leave it unset for the default")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{dotted} must be finite, not {value!r}")
     if isinstance(value, str):

@@ -41,7 +41,7 @@ class MissingStageFileError(MindpipeError):
 
 
 class RunFileError(MindpipeError, ValueError):
-    """A run-directory file does not hold the JSON its name promises."""
+    """A file the run reads is not UTF-8 or does not hold what its name promises."""
 
 
 class StageError(MindpipeError):

@@ -11,6 +11,7 @@ import re
 from pathlib import Path
 
 from .errors import ResponseFormatError
+from .runfiles import read_text
 
 REMOVED_DELETED = "deleted"
 REMOVED_MARKER = "removed_marker"
@@ -74,7 +75,7 @@ def clean_entry(entry: dict) -> dict:
 def load_lexicon(path: str | Path) -> list[str]:
     """Read the safety lexicon: one term per line, '#' starts a comment."""
     terms: list[str] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         term = line.split("#", 1)[0].strip().lower()
         if term:
             terms.append(term)

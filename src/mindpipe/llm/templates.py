@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import TemplateError
+from ..runfiles import read_text
 
 _SYSTEM_MARK = "---SYSTEM---"
 _USER_MARK = "---USER---"
@@ -44,7 +45,7 @@ def _tokens(name: str) -> tuple[str, str]:
 def load_template(path: str | Path) -> PromptTemplate:
     """Parse one template file; validates the declared placeholder set."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").split("\n")
+    lines = read_text(path).split("\n")
     try:
         system_at = lines.index(_SYSTEM_MARK)
         user_at = lines.index(_USER_MARK)

@@ -1,6 +1,6 @@
 """Stage orchestration: the stage table, the executor, the manifest and resume.
 
-Stage graph (deps in parentheses):
+Stage graph (each stage reads the outputs of those in parentheses):
 
     ingest() -> filter(ingest) -> extract(filter)
     aggregate(ingest, filter, extract) -> diagnose(aggregate) -> recommend(diagnose, aggregate)
@@ -10,10 +10,10 @@ Stage graph (deps in parentheses):
 ``STAGES`` is the one description of a stage: its function, the run-dir
 files it reads and writes, and the resource files it reads that a config
 key can point elsewhere (its prompt templates, the safety lexicon). A
-stage's deps are the producers of its inputs, and it uses the backend
-when it renders prompts. ``run-all``, the single-stage CLI and the skip
-check all read the table. The stage bodies are in ``stages``,
-except ``stage_report``, which reads the manifest's stage records.
+stage uses the backend when it renders prompts. ``run-all``, the
+single-stage CLI and the skip check all read the table. The stage bodies
+are in ``stages``, except ``stage_report``, which reads the manifest's
+stage records.
 
 Only ``execute_stage`` touches the run directory for a stage. It reads the
 declared inputs, calls ``stage.run(inputs, config, session, manifest)``,
@@ -37,12 +37,14 @@ request was sent with.
 
 A stage is skipped on rerun when its manifest record is intact: same
 config digest, same input digest, outputs present with the recorded
-digest, no failed backend call, and no upstream stage re-executed this
-invocation. Each file a run reads is covered by one of the two digests.
+digest, and no failed backend call. The digests alone decide, so a stage
+after one that re-ran re-runs only if the bytes it reads changed (early
+cutoff). Each file a run reads is covered by one of the two digests.
 The config digest covers the config and every file the package ships, its
 source and its data, so any edit to the package re-runs every stage at the
 next process's run. The input digest covers the bytes of the stage's
 run-dir inputs (the dump files, for ingest) and of its resource files; for
+ingest, also the dump files' paths, which ``rejects.jsonl`` names; for
 report, also the other stages' recorded ``stats``, which it reports.
 """
 
@@ -105,7 +107,6 @@ def open_backend(config: PipelineConfig, run_dir: Path) -> tuple[object, Respons
 # ---------------------------------------------------------------------------
 
 
-
 def reported_stats(manifest: dict) -> dict:
     """The ``stats`` of every other stage's ok record: what ``report`` reads of the manifest."""
     return {
@@ -139,11 +140,6 @@ class StageDef:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     resources: tuple[str, ...] = ()
-
-    @property
-    def deps(self) -> tuple[str, ...]:
-        """The stages that produce this stage's inputs."""
-        return tuple(dict.fromkeys(_PRODUCERS[name] for name in self.inputs))
 
     @property
     def uses_backend(self) -> bool:
@@ -268,11 +264,11 @@ def stage_input_digest(
     else:
         inputs = _expand(run_dir, stage.inputs)
     digest = _digest_paths(inputs + resource_paths(stage, config), base=run_dir)
-    if stage.name != "report":
+    # ingest's rejects name its dump files' paths; report reports the other stages' stats
+    if stage.name not in ("ingest", "report"):
         return digest
-    # report also reads the other stages' stats, which a stage run alone can change
-    stats = json.dumps(reported_stats(manifest))
-    return hashlib.sha256(f"{digest}\0{stats}".encode("utf-8")).hexdigest()
+    read = manifest["input_paths"] if stage.name == "ingest" else reported_stats(manifest)
+    return hashlib.sha256(f"{digest}\0{json.dumps(read)}".encode("utf-8")).hexdigest()
 
 
 def stage_output_digest(stage: StageDef, run_dir: Path) -> str | None:
@@ -475,10 +471,8 @@ def _refresh_cache_totals(manifest: dict) -> None:
 
 
 def _stage_clean(
-    stage: StageDef, run_dir: Path, config: PipelineConfig, manifest: dict, reran: set[str]
+    stage: StageDef, run_dir: Path, config: PipelineConfig, manifest: dict
 ) -> bool:
-    if any(dep in reran for dep in stage.deps):
-        return False
     record = manifest["stages"].get(stage.name)
     if record is None or record.get("status") != "ok":
         return False
@@ -510,13 +504,11 @@ def run_all(
     with _open_run(config, input_paths, run_dir) as (manifest, get_backend):
         if not manifest["input_paths"]:
             raise StageError("ingest", "no input paths given and none recorded in the manifest")
-        reran: set[str] = set()
         for stage in STAGES:
-            if _stage_clean(stage, run_dir, config, manifest, reran):
+            if _stage_clean(stage, run_dir, config, manifest):
                 logger.info("stage %s: up to date, skipping", stage.name)
                 continue
             execute_stage(stage.name, run_dir, config, manifest, get_backend)
-            reran.add(stage.name)
         save_manifest(run_dir, manifest)
     return manifest
 

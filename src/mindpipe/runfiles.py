@@ -1,4 +1,4 @@
-"""Run-directory contract: stage file names and JSON/JSONL helpers.
+"""Run-directory contract: stage file names, JSON/JSONL helpers and the UTF-8 reader.
 
 The run directory is the only persistence. ``read`` and ``write`` pick
 the format from the file suffix: ``.jsonl`` holds rows, ``.json`` one
@@ -20,7 +20,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .errors import MissingStageFileError, RunFileError
 
@@ -72,14 +72,22 @@ def write_jsonl(path: Path, rows: Iterable[dict]) -> int:
     return count
 
 
+def read_text(path: str | Path, parse: Callable[[str], Any] = str) -> Any:
+    """``parse`` of a UTF-8 file's text, raising ``<file>: <reason>`` if either fails."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or not what parse reads
+        raise RunFileError(f"{path}: {exc}") from None
+
+
 def read_jsonl(path: Path, stage: str) -> list[dict]:
     """The rows of a JSONL file, one object per non-blank line; ``stage`` is its producer."""
     if not path.exists():
         raise MissingStageFileError(stage, str(path))
-    lines = [line for line in path.read_text(encoding="utf-8").split("\n") if line.strip()]
     try:
+        lines = [line for line in read_text(path).split("\n") if line.strip()]
         rows = json.loads("[" + ",".join(lines) + "]")
-    except (ValueError, RecursionError):
+    except (ValueError, RecursionError):  # not UTF-8 or not JSON: _read_lines finds the line
         rows = None
     if rows is None or len(rows) != len(lines) or not all(isinstance(row, dict) for row in rows):
         rows = _read_lines(path)
@@ -88,10 +96,14 @@ def read_jsonl(path: Path, stage: str) -> list[dict]:
 
 def _read_lines(path: Path) -> list[dict]:
     """Decode ``path`` line by line, raising ``<file> line <n>: <reason>`` at the first
-    line that is not one JSON object."""
+    line that is not UTF-8 or not one JSON object."""
     rows = []
-    with path.open(encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
+    with path.open("rb") as handle:  # lines end at "\n" alone, as in read_jsonl
+        for number, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise RunFileError(f"{path} line {number}: not UTF-8") from None
             if not line.strip():
                 continue
             try:
@@ -115,10 +127,7 @@ def read_json(path: Path, stage: str) -> dict:
     ``stage`` is its producer."""
     if not path.exists():
         raise MissingStageFileError(stage, str(path))
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise RunFileError(f"{path}: {exc}") from None
+    payload = read_text(path, json.loads)
     if not isinstance(payload, dict):
         raise RunFileError(f"{path}: not a JSON object")
     return payload

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import COHORT_SIZE, run_outputs
 from mindpipe import pipeline, runfiles
 from mindpipe.cli import build_parser, main
-from mindpipe.config import PipelineConfig
+from mindpipe.config import PipelineConfig, packaged_path
 from mindpipe.errors import ConfigError
 from mindpipe.llm.cache import DB_NAME
 
@@ -329,6 +329,23 @@ def test_d24_a_command_that_starts_no_run_exits_2_and_creates_nothing(
     assert not exists or list(run_dir.iterdir()) == []
 
 
+def test_d25_a_lexicon_that_is_not_utf8_exits_1_naming_it(tmp_path, corpus_path, capsys):
+    # the decoder's message once named no file
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_bytes(b"\xff\xfe bad\n")
+    argv = _run_all(corpus_path, tmp_path / "run", "--lexicon", str(lexicon))
+    _fails_naming(capsys, argv, 1, f"stage 'filter' failed: {lexicon}: 'utf-8' codec")
+
+
+def test_d25_a_prompt_template_that_is_not_utf8_exits_1_naming_it(tmp_path, corpus_path, capsys):
+    prompts = tmp_path / "prompts"
+    shutil.copytree(packaged_path("prompts"), prompts)
+    diagnosis = prompts / "diagnosis.txt"
+    diagnosis.write_bytes(diagnosis.read_bytes() + b"\xff")
+    argv = _run_all(corpus_path, tmp_path / "run", "--prompts-dir", str(prompts))
+    _fails_naming(capsys, argv, 1, f"stage 'diagnose' failed: {diagnosis}: 'utf-8' codec")
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     """Run Python with ``args`` in a new process that imports this mindpipe."""
     src = str(Path(pipeline.__file__).resolve().parents[1])
@@ -350,15 +367,18 @@ def test_a_multi_line_message_is_one_line_and_v_logs_the_traceback(tmp_path, cor
 
 
 PATH_FLAGS = ("--out", "--config", "--cache-dir", "--input", "--lexicon", "--prompts-dir")
+CONFIG_PATH_FLAGS = ("--cache-dir", "--lexicon", "--prompts-dir")
 PATH_KINDS = (
     "missing", "empty_file", "directory", "under_a_file", "not_utf8_bytes", "not_utf8_name",
-    DB_NAME, runfiles.MANIFEST, runfiles.LOCK_FILE,
+    DB_NAME, runfiles.MANIFEST, runfiles.LOCK_FILE, "empty",
 )
 
 
-def _drawn_path(base, kind: str):
-    """A path of the given kind under ``base``; the last three kinds are a
-    directory that holds a directory of that name."""
+def _drawn_path(base, kind: str) -> str:
+    """A path of the given kind under ``base``, or the empty string; the kinds
+    named after a file are a directory that holds a directory of that name."""
+    if kind == "empty":
+        return ""
     path = base / "drawn"
     if kind == "empty_file":
         path.touch()
@@ -374,7 +394,7 @@ def _drawn_path(base, kind: str):
         path.write_bytes(b"")
     elif kind != "missing":
         (path / kind).mkdir(parents=True)
-    return path
+    return str(path)
 
 
 @settings(max_examples=30, deadline=None)
@@ -384,20 +404,25 @@ def _drawn_path(base, kind: str):
 @example(flag="--config", kind="not_utf8_bytes")  # D21: UnicodeDecodeError escaped main
 @example(flag="--out", kind="under_a_file")  # D22: NotADirectoryError escaped main
 @example(flag="--out", kind=runfiles.LOCK_FILE)  # D22: IsADirectoryError escaped main
+@example(flag="--lexicon", kind="empty")  # D26: filter failed reading the working directory
+@example(flag="--cache-dir", kind="empty")  # D26: the cache was made in the working directory
 @given(flag=st.sampled_from(PATH_FLAGS), kind=st.sampled_from(PATH_KINDS))
 def test_any_path_flag_ends_in_an_exit_code_and_one_line(
     flag, kind, corpus_path, tmp_path_factory
 ):
-    base = tmp_path_factory.mktemp("paths")
-    path = _drawn_path(base, kind)
+    base, cwd = tmp_path_factory.mktemp("paths"), tmp_path_factory.mktemp("cwd")
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(_run_all(corpus_path, base / "run", flag, str(path)))
+    # an empty path names the working directory, which must never be the checkout
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+        patch.chdir(cwd)
+        code = main(_run_all(corpus_path, base / "run", flag, _drawn_path(base, kind)))
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
     assert not any(line.startswith("Traceback") for line in lines)
     if code:
         assert lines[-1].startswith("config error: " if code == 2 else "error: ")
+    if kind == "empty" and flag in CONFIG_PATH_FLAGS:
+        assert code == 2 and list(cwd.iterdir()) == []
 
 
 def test_a_mock_run_through_the_cli_imports_no_http_tls_or_yaml(corpus_path, tmp_path):

@@ -74,6 +74,15 @@ def test_missing_config_file_is_config_error(tmp_path):
         load_config(tmp_path / "absent.yaml")
 
 
+@pytest.mark.parametrize("key", ["prompts_dir", "lexicon", "cache_dir"])
+def test_d26_an_empty_path_in_a_config_file_is_a_config_error(tmp_path, key):
+    # it was once made absolute, which names the working directory
+    config = tmp_path / "config.yaml"
+    config.write_text(f'paths:\n  {key}: ""\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"paths\.{key} is empty; leave it unset"):
+        load_config(config)
+
+
 def test_snapshot_roundtrips_through_digest():
     first = PipelineConfig()
     second = PipelineConfig()

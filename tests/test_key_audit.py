@@ -65,7 +65,8 @@ def _downstream(name: str) -> list[pipeline.StageDef]:
     """The stages that read the stage file ``name``, directly or through another stage, in order."""
     reached: set[str] = set()
     for stage in pipeline.STAGES:
-        if name in stage.inputs or reached.intersection(stage.deps):
+        producers = {pipeline._PRODUCERS[read] for read in stage.inputs}
+        if name in stage.inputs or reached & producers:
             reached.add(stage.name)
     return [stage for stage in pipeline.STAGES if stage.name in reached]
 

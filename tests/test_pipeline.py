@@ -67,15 +67,43 @@ def test_rerun_skips_every_stage(fixture_run, corpus_path):
     assert len(manifest_after["stage_order"]) == executed_before
 
 
-def test_resume_reruns_only_downstream_of_missing_output(corpus_path, tmp_path):
+@pytest.mark.parametrize("name", [*STAGE_FILES, runfiles.REPORTS_DIR])
+def test_resume_reruns_only_downstream_of_missing_output(name, fixture_run, corpus_path, tmp_path):
+    # the producer makes the same bytes again, so no stage that reads them re-runs
     run_dir = tmp_path / "run"
-    config = _config()
-    pipeline.run_all(config, [corpus_path], run_dir)
+    shutil.copytree(fixture_run, run_dir)
     executed = len(pipeline.load_manifest(run_dir)["stage_order"])
-    (run_dir / "diagnosis.jsonl").unlink()
-    pipeline.run_all(config, [corpus_path], run_dir)
+    missing = run_dir / name
+    shutil.rmtree(missing) if missing.is_dir() else missing.unlink()
+    pipeline.run_all(_config(), [corpus_path], run_dir)
     order = pipeline.load_manifest(run_dir)["stage_order"]
-    assert order[executed:] == ["diagnose", "recommend", "report"]
+    assert order[executed:] == [pipeline._PRODUCERS[name]]
+    assert run_outputs(run_dir) == run_outputs(fixture_run)
+
+
+def test_a_post_by_a_new_author_outside_the_cohort_reruns_ingest_filter_and_report(
+    corpus_path, tmp_path
+):
+    # the entries and ingest's stats change, filter's rows do not: a stage once
+    # re-ran whenever a stage before it did, so this re-ran all eight
+    corpus = tmp_path / "corpus.jsonl"
+    shutil.copy(corpus_path, corpus)
+    config = _config()
+    post = {
+        "id": "p_zinnia_01", "author": "zinnia_wold", "created_utc": 1576000000,
+        "subreddit": "mentalhealth", "title": "New here", "selftext": "Hello, first post.",
+    }
+
+    def append_a_post():
+        with corpus.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(post) + "\n")
+
+    order = _rerun_order(config, corpus, tmp_path / "run", append_a_post)
+    assert order == ["ingest", "filter", "report"]
+    cohort = runfiles.read_json(tmp_path / "run" / runfiles.COHORT, "ingest")
+    assert post["author"] not in {user["author"] for user in cohort["users"]}
+    pipeline.run_all(config, [corpus], tmp_path / "fresh")
+    assert run_outputs(tmp_path / "run") == run_outputs(tmp_path / "fresh")
 
 
 def test_config_change_invalidates_everything(corpus_path, tmp_path):
@@ -187,7 +215,7 @@ def test_invalid_config_rejected_before_any_stage():
         load_config(overrides={"limits.rps": 0})
 
 
-def test_stage_failure_recorded_and_resumable(tmp_path, corpus_path):
+def test_stage_failure_recorded_and_resumable(tmp_path, corpus_path, fixture_run):
     run_dir = tmp_path / "run"
     config = _config()
     pipeline.run_all(config, [corpus_path], run_dir)
@@ -197,7 +225,8 @@ def test_stage_failure_recorded_and_resumable(tmp_path, corpus_path):
     executed = len(manifest["stage_order"])
     pipeline.run_all(config, [corpus_path], run_dir)
     order = pipeline.load_manifest(run_dir)["stage_order"]
-    assert order[executed:] == ["diagnose", "recommend", "report"]
+    assert order[executed:] == ["diagnose"]
+    assert run_outputs(run_dir) == run_outputs(fixture_run)
 
 
 def test_cache_stats_empty_and_after_run(tmp_path, fixture_run):
@@ -442,7 +471,8 @@ def test_lexicon_edit_reruns_filter_and_downstream_like_a_fresh_run(corpus_path,
         lexicon.write_text(lexicon.read_text(encoding="utf-8") + "anxious\n", encoding="utf-8")
 
     order = _rerun_order(config, corpus_path, tmp_path / "run", add_term)
-    assert order == list(pipeline.STAGE_NAMES[1:])
+    # summaries are unchanged, so diagnose and recommend are not re-run
+    assert order == ["filter", "extract", "aggregate", "interact", "report"]
     resumed = pipeline.load_manifest(tmp_path / "run")["stages"]["filter"]["stats"]
     fresh = pipeline.run_all(config, [corpus_path], tmp_path / "fresh")["stages"]["filter"]["stats"]
     assert resumed["flagged"] == fresh["flagged"]
@@ -589,7 +619,11 @@ def test_prompt_edit_reruns_exactly_the_stages_that_read_it(corpus_path, tmp_pat
         diagnosis.write_text(text.replace("You are an", "You are a careful"), encoding="utf-8")
 
     order = _rerun_order(config, corpus_path, tmp_path / "run", edit_prompt)
-    assert order == ["diagnose", "recommend", "report"]
+    # the mock backend answers the edited prompt alike, so no stage after diagnose re-runs
+    assert order == ["diagnose"]
+    pipeline.run_all(config, [corpus_path], tmp_path / "fresh")
+    assert run_outputs(tmp_path / "run") == run_outputs(tmp_path / "fresh")
+    assert _backend_logs(tmp_path / "run") == _backend_logs(tmp_path / "fresh")
 
 
 def test_d11_a_single_stage_rerun_refreshes_the_run_report(corpus_path, tmp_path):
@@ -613,6 +647,25 @@ def test_d11_a_single_stage_rerun_refreshes_the_run_report(corpus_path, tmp_path
     executed = len(pipeline.load_manifest(run_dir)["stage_order"])
     pipeline.run_all(config, [corpus], run_dir)
     assert len(pipeline.load_manifest(run_dir)["stage_order"]) == executed
+
+
+def test_d27_a_resume_from_a_moved_dump_file_reruns_ingest_to_name_it(corpus_path, tmp_path):
+    # ingest's digest once labelled a dump file by its name alone, so every stage was
+    # skipped and rejects.jsonl kept naming the old path
+    dumps = {}
+    for name in ("a", "b"):
+        dumps[name] = tmp_path / name / "dump.jsonl"
+        dumps[name].parent.mkdir()
+        shutil.copy(corpus_path, dumps[name])
+    config, run_dir = _config(), tmp_path / "run"
+    pipeline.run_all(config, [dumps["a"]], run_dir)
+    executed = len(pipeline.load_manifest(run_dir)["stage_order"])
+    pipeline.run_all(config, [dumps["b"]], run_dir)
+    assert pipeline.load_manifest(run_dir)["stage_order"][executed:] == ["ingest"]
+    rejects = read_jsonl(run_dir / runfiles.REJECTS)
+    assert rejects and {row["file"] for row in rejects} == {str(dumps["b"])}
+    pipeline.run_all(config, [dumps["b"]], tmp_path / "fresh")
+    assert run_outputs(run_dir) == run_outputs(tmp_path / "fresh")
 
 
 def test_missing_resource_file_fails_the_stage_that_reads_it(corpus_path, tmp_path):
@@ -916,10 +969,15 @@ def test_the_manifest_explains_its_config_digest(fixture_run):
     assert manifest["code_digest"] == pipeline.code_digest()
 
 
+def _deps(stage: pipeline.StageDef) -> set[str]:
+    """The stages that produce the stage's inputs."""
+    return {pipeline._PRODUCERS[name] for name in stage.inputs}
+
+
 def test_stages_come_after_their_deps():
     seen: set[str] = set()
     for stage in pipeline.STAGES:
-        assert set(stage.deps) <= seen, stage.name
+        assert _deps(stage) <= seen, stage.name
         seen.add(stage.name)
 
 
@@ -927,7 +985,7 @@ def test_stage_inputs_are_outputs_of_transitive_deps():
     by_name = {stage.name: stage for stage in pipeline.STAGES}
 
     def upstream(name: str) -> set[str]:
-        deps = set(by_name[name].deps)
+        deps = _deps(by_name[name])
         return deps.union(*(upstream(dep) for dep in deps))
 
     for stage in pipeline.STAGES:
